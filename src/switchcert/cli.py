@@ -35,7 +35,6 @@ from .certificates import (
     estimate_disturbance_margin,
     synthesize_certificate,
 )
-from .library_io import load_library
 from .simulation import monte_carlo
 from .switching import DwellTimeBudget, SwitchingSignal, validate_dwell_time
 from .walker import load_scenario, run_scenario

@@ -6,17 +6,23 @@ N0 + (b - a)/Na switches, counted at their activation step.  The
 supervisor enforces that bound causally: a requested switch is admitted
 only if the extended signal still satisfies the bound for every interval
 ending at the new step, otherwise the request is deferred.
+
+Validation and admission read one profile, g(j) = j/Na - P[j], where P[j]
+counts the switches before step j.  The slack of [a, b) is N0 + g(b) - g(a):
+the validator takes a suffix minimum of g, and admission tests the deficit
+max_{a<=j} g(a) - g(j), a prefix maximum of g, which the supervisor keeps up
+to date in O(1) per step.
 """
 from __future__ import annotations
 
 import csv
+import warnings
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
 _SLACK_TOL = 1e-9
-_CHUNK_ROWS = 2048
 
 
 @dataclass(frozen=True)
@@ -53,19 +59,53 @@ class SwitchingSignal:
 
     @classmethod
     def from_csv(cls, path: str | Path) -> "SwitchingSignal":
-        with open(path, newline="") as fh:
-            rows = list(csv.reader(fh))
-        if not rows or [c.strip() for c in rows[0]] != ["k", "id"]:
-            raise ValueError(f"{path}: expected header 'k,id'")
-        ids = []
-        for i, row in enumerate(rows[1:]):
-            if len(row) != 2:
-                raise ValueError(f"{path}: row {i + 1} must have two columns")
+        """Read a ``k,id`` CSV whose step column counts 0, 1, ...
+
+        Well-formed files are parsed in one vectorised ``np.loadtxt`` pass.
+        Anything that pass rejects, or a blank line it would skip, is read
+        again row by row so that the error names the first bad row.
+        """
+        data = Path(path).read_bytes()
+        start = data.find(b"\n") + 1  # first body byte; 0 when there is one line
+        lines = data.count(b"\n", start) + (not data.endswith(b"\n"))
+        table = None
+        if start and lines and [c.strip() for c in data[:start].split(b",")] == [b"k", b"id"]:
+            try:
+                with warnings.catch_warnings():
+                    warnings.simplefilter("ignore")  # a body of blank lines warns "no data"
+                    table = np.loadtxt(path, delimiter=",", dtype=np.int64, skiprows=1,
+                                       ndmin=2, comments=None)
+            except ValueError:
+                pass
+        if (table is None or table.shape != (lines, 2)
+                or not np.array_equal(table[:, 0], np.arange(lines))):
+            return cls(_read_csv_rows(path))
+        return cls(table[:, 1])
+
+
+def _read_csv_rows(path: str | Path) -> np.ndarray:
+    """Row-by-row read of a signal CSV; raises ValueError at the first bad row."""
+    with open(path, newline="") as fh:
+        rows = list(csv.reader(fh))
+    if not rows or [c.strip() for c in rows[0]] != ["k", "id"]:
+        raise ValueError(f"{path}: expected header 'k,id'")
+    if len(rows) == 1:
+        raise ValueError(f"{path}: no rows after the header")
+    ids = []
+    for i, row in enumerate(rows[1:]):
+        if len(row) != 2:
+            raise ValueError(f"{path}: row {i + 1} must have two columns")
+        try:
             k, v = int(row[0]), int(row[1])
-            if k != i:
-                raise ValueError(f"{path}: step column must count 0,1,... (row {i + 1} has k={k})")
-            ids.append(v)
-        return cls(np.array(ids, dtype=np.int64))
+        except ValueError:
+            raise ValueError(f"{path}: row {i + 1} must hold two integers, got {row!r}") from None
+        if k != i:
+            raise ValueError(f"{path}: step column must count 0,1,... (row {i + 1} has k={k})")
+        ids.append(v)
+    try:
+        return np.array(ids, dtype=np.int64)
+    except OverflowError:
+        raise ValueError(f"{path}: ids must fit in 64-bit integers") from None
 
 
 @dataclass(frozen=True)
@@ -96,9 +136,18 @@ def count_switches(signal: SwitchingSignal, lower: int, upper: int) -> int:
 
 def _switch_prefix(signal: SwitchingSignal) -> np.ndarray:
     """prefix[j] = number of switch steps < j, for j = 0..len."""
-    ind = np.zeros(len(signal) + 1, dtype=np.int64)
-    ind[signal.switch_steps] = 1
-    return np.concatenate(([0], np.cumsum(ind[:-1])))
+    ids = signal.assignments
+    prefix = np.zeros(ids.size + 1, dtype=np.int64)
+    np.cumsum(ids[1:] != ids[:-1], out=prefix[2:])
+    return prefix
+
+
+def _slack_profile(prefix: np.ndarray, budget: DwellTimeBudget) -> np.ndarray:
+    """g(j) = j/na - prefix[j], so that slack(a, b) = n0 + g(b) - g(a)."""
+    g = np.arange(prefix.size, dtype=np.float64)
+    g *= 1.0 / budget.na
+    g -= prefix
+    return g
 
 
 @dataclass(frozen=True)
@@ -110,47 +159,29 @@ class DwellTimeReport:
 
 
 def validate_dwell_time(signal: SwitchingSignal, budget: DwellTimeBudget) -> DwellTimeReport:
-    """Exhaustive check of the dwell-time bound over all interval pairs.
+    """Check the dwell-time bound over every interval in O(K) time and memory.
 
-    Exhaustively evaluates slack = n0 + (b - a)/na - switches(a, b) over all
-    0 <= a <= b <= K and reports the minimizing interval; valid means the
-    worst slack is nonnegative (up to a tiny float tolerance).
+    The worst slack n0 + (b - a)/na - switches(a, b) over 0 <= a <= b <= K is
+    n0 + min_a (min_{b >= a} g(b) - g(a)), read off a suffix minimum of g.
+    Ties go to the lexicographically smallest (a, b): the first a, then the
+    first b at which g attains its suffix minimum.  The reported slack is
+    recomputed at that pair from integer switch counts, so its rounding does
+    not grow with K.  Valid means that slack is nonnegative up to a tiny
+    float tolerance.
     """
-    size = len(signal)
     prefix = _switch_prefix(signal)
-    per_step = 1.0 / budget.na
-    best_slack = np.inf
-    best = (0, 0)
-    # row-chunked scan of the (a, b) triangle keeps memory bounded for long signals
-    for a0 in range(0, size + 1, _CHUNK_ROWS):
-        a1 = min(a0 + _CHUNK_ROWS, size + 1)
-        a = np.arange(a0, a1)[:, None]
-        b = np.arange(0, size + 1)[None, :]
-        counts = prefix[None, :] - prefix[a]
-        slack = budget.n0 + (b - a) * per_step - counts
-        slack = np.where(b >= a, slack, np.inf)
-        idx = np.unravel_index(int(np.argmin(slack)), slack.shape)
-        value = float(slack[idx])
-        if value < best_slack:
-            best_slack = value
-            best = (int(a[idx[0], 0]), int(b[0, idx[1]]))
+    g = _slack_profile(prefix, budget)
+    gap = np.minimum.accumulate(g[::-1])[::-1]  # gap[a] = min_{b >= a} slack(a, b) - n0
+    gap -= g
+    a = int(np.argmin(gap))
+    b = a + int(np.argmin(g[a:]))
+    slack = budget.n0 + (b - a) * (1.0 / budget.na) - int(prefix[b] - prefix[a])
     return DwellTimeReport(
-        valid=bool(best_slack >= -_SLACK_TOL),
-        worst_interval=best,
-        worst_slack=best_slack,
+        valid=bool(slack >= -_SLACK_TOL),
+        worst_interval=(a, b),
+        worst_slack=float(slack),
         switch_count=int(prefix[-1]),
     )
-
-
-def _deficit_after(assignments: np.ndarray, na: float) -> float:
-    """Max over a of switches(a, K) - (K - a)/na, maintained as a running deficit."""
-    deficit = 0.0
-    per_step = 1.0 / na
-    prev = assignments[0]
-    for value in assignments[1:]:
-        deficit = max(0.0, deficit + (1.0 if value != prev else 0.0) - per_step)
-        prev = value
-    return deficit
 
 
 def admit_switch(history: SwitchingSignal, step: int, requested: int, budget: DwellTimeBudget) -> bool:
@@ -160,24 +191,29 @@ def admit_switch(history: SwitchingSignal, step: int, requested: int, budget: Dw
     requested id keeps the dwell-time bound satisfied for every interval
     ending at the new step (intervals ending earlier are unchanged).
     A request equal to the current id is no switch and always admitted.
+
+    The deficit max_{a <= step} g(a) - g(step), the prefix maximum of g less
+    g at ``step``, is the worst excess of the intervals ending at ``step``;
+    the switch adds 1 - 1/na to it.
     """
     if step != len(history):
         raise ValueError(f"step must equal len(history)={len(history)}, got {step}")
     current = int(history.assignments[-1])
     if int(requested) == current:
         return True
-    deficit = _deficit_after(history.assignments, budget.na)
-    candidate = max(0.0, deficit + 1.0 - 1.0 / budget.na)
-    return candidate <= budget.n0 + _SLACK_TOL
+    g = _slack_profile(_switch_prefix(history), budget)
+    deficit = float(g.max() - g[-1])
+    return deficit + 1.0 - 1.0 / budget.na <= budget.n0 + _SLACK_TOL
 
 
 class Supervisor:
     """Online gatekeeper that defers switches violating the dwell-time budget.
 
     ``request`` is called once per step with the id that should be active
-    next; it either admits the switch or holds the current primitive.  The
-    running deficit makes each call O(1) while agreeing exactly with the
-    exhaustive validator (every interval was the frontier once).
+    next; it either admits the switch or holds the current primitive.  It is
+    the online form of ``admit_switch``: it keeps the deficit
+    max_{a <= j} g(a) - g(j) as a scalar, which a step changes by its switch
+    count minus 1/na, floored at zero, so each call is O(1).
     """
 
     def __init__(self, initial_id: int, budget: DwellTimeBudget, known_ids=None):

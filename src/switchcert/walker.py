@@ -393,7 +393,10 @@ class WalkerScenario:
         raise ValueError(f"mode must be 'adaptive' or 'fixed:<id>', got {self.mode!r}")
 
 
-_FMT = repr
+def _fmt(value) -> str:
+    """Shortest round-trip text of a number; numpy >= 2 scalars would
+    otherwise print as ``np.float64(...)``."""
+    return repr(float(value))
 
 
 def _write_rows(path: Path, header: list[str], rows) -> None:
@@ -462,27 +465,27 @@ class ScenarioTrace:
         _write_rows(
             out / "poses.csv",
             ["k", "t", "x", "y", "heading", "lateral_deviation"],
-            ([k, _FMT(self.times[k]), _FMT(self.positions[k, 0]), _FMT(self.positions[k, 1]),
-              _FMT(self.headings[k]), _FMT(self.lateral[k])] for k in k_all),
+            ([k, _fmt(self.times[k]), _fmt(self.positions[k, 0]), _fmt(self.positions[k, 1]),
+              _fmt(self.headings[k]), _fmt(self.lateral[k])] for k in k_all),
         )
         _write_rows(
             out / "forces.csv",
             ["k", "fx", "fy", "phi"],
-            ([k, _FMT(self.forces[k, 0]), _FMT(self.forces[k, 1]), _FMT(self.phis[k])]
+            ([k, _fmt(self.forces[k, 0]), _fmt(self.forces[k, 1]), _fmt(self.phis[k])]
              for k in range(self.stride_count)),
         )
         self.signal.to_csv(out / "sigma.csv")
         _write_rows(
             out / "reduced.csv",
             ["k", "z0", "z1"] + [f"V_{pid}" for pid in self.member_ids] + ["in_all_basins"],
-            ([k, _FMT(self.reduced[k, 0]), _FMT(self.reduced[k, 1])]
-             + [_FMT(v) for v in self.lyapunov[k]] + [int(self.in_all_basins[k])]
+            ([k, _fmt(self.reduced[k, 0]), _fmt(self.reduced[k, 1])]
+             + [_fmt(v) for v in self.lyapunov[k]] + [int(self.in_all_basins[k])]
              for k in k_all),
         )
         _write_rows(
             out / "plot_walker_path.csv",
             ["t", "x", "y"],
-            ([_FMT(self.times[k]), _FMT(self.positions[k, 0]), _FMT(self.positions[k, 1])]
+            ([_fmt(self.times[k]), _fmt(self.positions[k, 0]), _fmt(self.positions[k, 1])]
              for k in k_all),
         )
         if leader is not None:
@@ -491,7 +494,7 @@ class ScenarioTrace:
             _write_rows(
                 out / "plot_leader_path.csv",
                 ["t", "x", "y"],
-                ([_FMT(t), _FMT(p[0]), _FMT(p[1])] for t, p in zip(dense, pts)),
+                ([_fmt(t), _fmt(p[0]), _fmt(p[1])] for t, p in zip(dense, pts)),
             )
 
     def write_ellipses(self, out_dir: str | Path, library: PrimitiveLibrary,
@@ -505,9 +508,9 @@ class ScenarioTrace:
             w = p.lyapunov.weight
             c = p.lyapunov.center
             rows.append([
-                p.id, _FMT(c[0]), _FMT(c[1]),
-                _FMT(w[0, 0]), _FMT(w[0, 1]), _FMT(w[1, 1]),
-                _FMT(p.basin_level), _FMT(certificate.kappa), _FMT(trap),
+                p.id, _fmt(c[0]), _fmt(c[1]),
+                _fmt(w[0, 0]), _fmt(w[0, 1]), _fmt(w[1, 1]),
+                _fmt(p.basin_level), _fmt(certificate.kappa), _fmt(trap),
             ])
         _write_rows(
             out / "plot_basin_ellipses.csv",

@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -156,6 +157,47 @@ class TestValidate:
         path.write_text("not,a\nsignal,file\n")
         code = main(["validate", "--signal", str(path), "--n0", "1", "--na", "1"])
         assert code == EXIT_INPUT
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("step,id\n0,1\n1,1\n", "header"),
+            ("k,id\n0,1,2\n1,1,2\n", "row 1 must have two columns"),
+            ("k,id\n0,1\n2,1\n", "row 2 has k=2"),
+            ("k,id\n0,1\n1,x\n", "row 2 must hold two integers"),
+            ("k,id\n", "no rows"),
+        ],
+        ids=["bad-header", "three-columns", "gap-in-k", "non-integer-id", "empty-body"],
+    )
+    def test_malformed_signal_body_names_the_problem(self, tmp_path, capsys, text, message):
+        path = tmp_path / "signal.csv"
+        path.write_text(text)
+        code = main(["validate", "--signal", str(path), "--n0", "1", "--na", "1"])
+        assert code == EXIT_INPUT
+        assert message in capsys.readouterr().err
+
+    def test_million_step_signal_in_linear_memory(self, tmp_path):
+        steps = 1_000_000
+        ids = np.repeat(np.arange(steps // 4) % 3, 4)
+        path = tmp_path / "long.csv"
+        path.write_text("k,id\n" + "".join(f"{k},{v}\n" for k, v in enumerate(ids.tolist())))
+        out = tmp_path / "out"
+        tracemalloc.start()
+        try:
+            code = main(["validate", "--signal", str(path), "--n0", "2", "--na", "4",
+                         "--out-dir", str(out)])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == EXIT_OK
+        report = json.loads((out / "validation_report.json").read_text())
+        # one switch every four steps: the tightest interval holds one switch
+        assert report["switch_count"] == steps // 4 - 1
+        assert report["worst_interval"] == [4, 5]
+        assert report["worst_slack"] == 1.25
+        # a handful of int64/float64 arrays of length K; a scan over interval
+        # pairs would need orders of magnitude more
+        assert peak <= 12 * 8 * steps, peak
 
 
 class TestSimulate:

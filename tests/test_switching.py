@@ -3,6 +3,8 @@ the heading-based selection policy."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from switchcert import (
     DwellTimeBudget,
@@ -206,6 +208,63 @@ class TestAdmitSwitch:
             assignments.append(chosen)
 
 
+# Derandomized so the suite sees the same examples on every run.
+property_settings = settings(max_examples=200, derandomize=True, deadline=None, database=None)
+
+# Signals as runs of (id, length), so both chatter and long dwells appear.
+signals = st.lists(st.tuples(st.integers(0, 3), st.integers(1, 5)), min_size=1, max_size=25).map(
+    lambda runs: [v for v, n in runs for _ in range(n)]
+)
+# With na a power of two and n0 a multiple of 1/2 every slack is exact in
+# binary floating point, so ties between intervals are exact too.
+dyadic_na = st.sampled_from([0.5, 1.0, 2.0, 4.0])
+half_integer_n0 = st.integers(1, 8).map(lambda k: k / 2)
+
+
+class TestProperties:
+    @property_settings
+    @given(signals, st.floats(0.5, 3.0), st.floats(0.3, 5.0))
+    def test_validator_matches_brute_force(self, ids, n0, na):
+        report = validate_dwell_time(SwitchingSignal(ids), DwellTimeBudget(n0=n0, na=na))
+        slack, _ = brute_force_worst(ids, n0, na)
+        assert abs(report.worst_slack - slack) <= 1e-9
+        assert report.valid == (slack >= -1e-9)
+
+    @property_settings
+    @given(signals, half_integer_n0, dyadic_na)
+    def test_worst_interval_is_the_first_brute_force_argmin(self, ids, n0, na):
+        report = validate_dwell_time(SwitchingSignal(ids), DwellTimeBudget(n0=n0, na=na))
+        slack, interval = brute_force_worst(ids, n0, na)
+        assert report.worst_slack == slack
+        assert tuple(report.worst_interval) == interval
+
+    @property_settings
+    @given(st.lists(st.integers(0, 2), min_size=1, max_size=40), half_integer_n0, dyadic_na)
+    def test_supervisor_admit_and_validator_agree_step_by_step(self, requests, n0, na):
+        budget = DwellTimeBudget(n0=n0, na=na)
+        supervisor = Supervisor(initial_id=0, budget=budget, known_ids=(0, 1, 2))
+        ids = [0]
+        for wanted in requests:
+            offline = admit_switch(SwitchingSignal(ids), len(ids), wanted, budget)
+            extended = validate_dwell_time(SwitchingSignal(ids + [wanted]), budget).valid
+            online = supervisor.request(wanted)
+            assert online == offline == extended
+            ids.append(wanted if offline else ids[-1])
+            assert supervisor.current == ids[-1]
+        assert supervisor.signal.assignments.tolist() == ids
+
+    @property_settings
+    @given(signals, st.data())
+    def test_count_switches_is_subadditive(self, ids, data):
+        sig = SwitchingSignal(ids)
+        lower = data.draw(st.integers(0, len(ids)))
+        upper = data.draw(st.integers(lower, len(ids)))
+        mid = data.draw(st.integers(lower, upper))
+        # additive across a split, hence subadditive
+        total = count_switches(sig, lower, upper)
+        assert total == count_switches(sig, lower, mid) + count_switches(sig, mid, upper)
+
+
 class TestHeadingPolicy:
     def test_sign_rule(self):
         assert heading_policy(0.0) == 1
@@ -250,3 +309,14 @@ class TestSignalValidation:
         sig.to_csv(path)
         again = SwitchingSignal.from_csv(path)
         assert np.array_equal(again.assignments, sig.assignments)
+
+    def test_csv_with_crlf_line_endings(self, tmp_path):
+        path = tmp_path / "signal.csv"
+        path.write_bytes(b"k,id\r\n0,2\r\n1,0\r\n")
+        assert SwitchingSignal.from_csv(path).assignments.tolist() == [2, 0]
+
+    def test_csv_blank_line_is_a_bad_row(self, tmp_path):
+        path = tmp_path / "signal.csv"
+        path.write_text("k,id\n0,1\n\n1,1\n")
+        with pytest.raises(ValueError, match="row 2 must have two columns"):
+            SwitchingSignal.from_csv(path)

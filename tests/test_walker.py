@@ -1,6 +1,7 @@
 """Leader-following scenario: impedance forces, stride-force integration,
 pose composition, and the closed switching loop."""
 
+import csv
 import json
 from pathlib import Path
 
@@ -392,3 +393,12 @@ class TestScenarios:
             "plot_basin_ellipses.csv",
         ):
             assert (tmp_path / name).exists(), name
+            with open(tmp_path / name, newline="") as fh:
+                header, *rows = list(csv.reader(fh))
+            assert rows, name
+            for row in rows:
+                assert len(row) == len(header), name
+                for column, cell in zip(header, row):
+                    # a numpy scalar repr such as "np.float64(0.5)" raises here
+                    parse = int if column in ("k", "id", "in_all_basins") else float
+                    parse(cell)
