@@ -16,6 +16,7 @@ to date in O(1) per step.
 from __future__ import annotations
 
 import csv
+import io
 import warnings
 from dataclasses import dataclass
 from pathlib import Path
@@ -62,31 +63,43 @@ class SwitchingSignal:
         """Read a ``k,id`` CSV whose step column counts 0, 1, ...
 
         Well-formed files are parsed in one vectorised ``np.loadtxt`` pass.
-        Anything that pass rejects, or a blank line it would skip, is read
-        again row by row so that the error names the first bad row.
+        That pass sees only bodies made of ASCII digits, signs, commas and
+        whitespace with no bare carriage return, so it splits lines as the
+        row reader does, and any warning it raises counts as a failure
+        (older numpy casts a cell it cannot read as int64, such as ``1e30``,
+        through a float with only a DeprecationWarning).  Anything it
+        rejects, and a blank line it would skip, is read again row by row,
+        so the row reader alone decides which files are accepted and names
+        the first bad row.  ``loadtxt`` is given the path rather than the
+        bytes already read: it reads a path in blocks but a buffer line by
+        line, which takes twice as long.
         """
         data = Path(path).read_bytes()
-        start = data.find(b"\n") + 1  # first body byte; 0 when there is one line
-        lines = data.count(b"\n", start) + (not data.endswith(b"\n"))
+        head, newline, body = data.partition(b"\n")
+        lines = body.count(b"\n") + (not data.endswith(b"\n"))
         table = None
-        if start and lines and [c.strip() for c in data[:start].split(b",")] == [b"k", b"id"]:
+        if (newline and lines and [c.strip() for c in head.split(b",")] == [b"k", b"id"]
+                and not body.translate(None, _INTEGER_CSV_BYTES)
+                and data.count(b"\r") == data.count(b"\r\n")):
             try:
                 with warnings.catch_warnings():
-                    warnings.simplefilter("ignore")  # a body of blank lines warns "no data"
+                    warnings.simplefilter("error")
                     table = np.loadtxt(path, delimiter=",", dtype=np.int64, skiprows=1,
                                        ndmin=2, comments=None)
-            except ValueError:
+            except (ValueError, OverflowError, Warning):
                 pass
         if (table is None or table.shape != (lines, 2)
                 or not np.array_equal(table[:, 0], np.arange(lines))):
-            return cls(_read_csv_rows(path))
+            return cls(_read_csv_rows(data, path))
         return cls(table[:, 1])
 
 
-def _read_csv_rows(path: str | Path) -> np.ndarray:
+_INTEGER_CSV_BYTES = b"0123456789+-, \t\r\n"
+
+
+def _read_csv_rows(data: bytes, path: str | Path) -> np.ndarray:
     """Row-by-row read of a signal CSV; raises ValueError at the first bad row."""
-    with open(path, newline="") as fh:
-        rows = list(csv.reader(fh))
+    rows = list(csv.reader(io.StringIO(data.decode(), newline="")))
     if not rows or [c.strip() for c in rows[0]] != ["k", "id"]:
         raise ValueError(f"{path}: expected header 'k,id'")
     if len(rows) == 1:

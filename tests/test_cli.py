@@ -165,9 +165,15 @@ class TestValidate:
             ("k,id\n0,1,2\n1,1,2\n", "row 1 must have two columns"),
             ("k,id\n0,1\n2,1\n", "row 2 has k=2"),
             ("k,id\n0,1\n1,x\n", "row 2 must hold two integers"),
+            ("k,id\n0,1\n1,1.5\n", "row 2 must hold two integers"),
+            ("k,id\n0,1\n1,1e3\n", "row 2 must hold two integers"),
+            ("k,id\n0,1\n1.0,1\n", "row 2 must hold two integers"),
+            ("k,id\n0,1\n1,nan\n", "row 2 must hold two integers"),
+            ("k,id\n0,1\n1,99999999999999999999\n", "64-bit"),
             ("k,id\n", "no rows"),
         ],
-        ids=["bad-header", "three-columns", "gap-in-k", "non-integer-id", "empty-body"],
+        ids=["bad-header", "three-columns", "gap-in-k", "non-integer-id", "fractional-id",
+             "exponent-id", "fractional-k", "nan-id", "id-beyond-int64", "empty-body"],
     )
     def test_malformed_signal_body_names_the_problem(self, tmp_path, capsys, text, message):
         path = tmp_path / "signal.csv"

@@ -1,6 +1,8 @@
 """Switch counting, dwell-time budget validation, the online supervisor, and
 the heading-based selection policy."""
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -319,4 +321,25 @@ class TestSignalValidation:
         path = tmp_path / "signal.csv"
         path.write_text("k,id\n0,1\n\n1,1\n")
         with pytest.raises(ValueError, match="row 2 must have two columns"):
+            SwitchingSignal.from_csv(path)
+
+    @pytest.mark.parametrize("text", [b"k,id\r\r\n0,1\n1,1\n", b"k,id\n0,1\r\r\n1,1\n"])
+    def test_csv_bare_carriage_return_ends_a_row(self, tmp_path, text):
+        path = tmp_path / "signal.csv"
+        path.write_bytes(text)
+        with pytest.raises(ValueError, match="must have two columns"):
+            SwitchingSignal.from_csv(path)
+
+    def test_csv_float_cast_warning_falls_back_to_row_reader(self, tmp_path, monkeypatch):
+        # numpy 1.23 to 1.x parses an integer cell it cannot read as int64
+        # through a float and truncates it, warning instead of raising
+        def casting_loadtxt(*args, **kwargs):
+            warnings.warn("loadtxt(): Parsing an integer via a float is deprecated.",
+                          DeprecationWarning)
+            return np.array([[0, 1], [1, np.iinfo(np.int64).min]])
+
+        monkeypatch.setattr(np, "loadtxt", casting_loadtxt)
+        path = tmp_path / "signal.csv"
+        path.write_text("k,id\n0,1\n1,99999999999999999999\n")
+        with pytest.raises(ValueError, match="64-bit"):
             SwitchingSignal.from_csv(path)
