@@ -16,8 +16,6 @@ from .primitives import (
     PrimitiveMap,
     QuadraticLyapunov,
     certify_basin,
-    eval_map,
-    lyapunov_value,
     sample_in_sublevel_set,
     verify_contraction,
 )
@@ -79,7 +77,6 @@ from .walker import (
     StrideForce,
     StridePrimitive,
     WalkerScenario,
-    heading_estimate,
     impedance_force,
     integrate_stride_force,
     load_scenario,

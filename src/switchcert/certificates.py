@@ -351,6 +351,8 @@ class Certificate:
 
     @classmethod
     def from_dict(cls, data: dict) -> "Certificate":
+        if not isinstance(data, dict) or data.get("format") != "switchcert-certificate":
+            raise ValueError("not a certificate document")
         containment = ContainmentReport(
             level=data["containment"]["level"],
             pairs=tuple(
@@ -379,12 +381,9 @@ class Certificate:
     @classmethod
     def load(cls, path: str | Path) -> "Certificate":
         try:
-            data = json.loads(Path(path).read_text())
-        except json.JSONDecodeError as exc:
-            raise ValueError(f"{path} is not valid JSON: {exc}") from exc
-        if data.get("format") != "switchcert-certificate":
-            raise ValueError(f"{path} is not a certificate document")
-        return cls.from_dict(data)
+            return cls.from_dict(json.loads(Path(path).read_text()))
+        except ValueError as exc:  # a JSONDecodeError is a ValueError too
+            raise ValueError(f"{path}: {exc}") from exc
 
 
 @dataclass(frozen=True)

@@ -137,8 +137,13 @@ def _out_dir(args) -> Path:
 def cmd_certify(args) -> int:
     started = time.time()
     library, raw = _load_library_arg(args.library)
+    if args.margin_trials < 0:
+        raise InputError("--margin-trials must be nonnegative")
     out = _out_dir(args)
-    result = synthesize_certificate(library, method=args.method, epsilon=args.epsilon)
+    try:
+        result = synthesize_certificate(library, method=args.method, epsilon=args.epsilon)
+    except ValueError as exc:
+        raise InputError(str(exc)) from exc
     lines = [
         f"library: {args.library}  members: {len(library)}  "
         f"contraction rate: {library.contraction_rate!r}",

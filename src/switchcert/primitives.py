@@ -79,23 +79,21 @@ class PrimitiveMap:
         x = np.asarray(x, dtype=float)
         if x.shape != (self.state_dim,):
             raise ValueError(f"state must have shape ({self.state_dim},), got {x.shape}")
-        y = x - self.fixed_point
-        out = self.fixed_point + self.linear @ y
-        if self.quadratic is not None:
-            out = out + np.einsum("i,kij,j->k", y, self.quadratic, y)
         if d is not None:
             d = np.asarray(d, dtype=float)
             if d.shape != (self.dist_dim,):
                 raise ValueError(f"disturbance must have shape ({self.dist_dim},), got {d.shape}")
-            out = out + self.disturbance_gain @ d
-        return out
+            d = d[None]
+        return self.apply_batch(x[None], d)[0]
 
-    def apply_batch(self, points: np.ndarray) -> np.ndarray:
-        """Undisturbed update of a stack of states, shape (N, n)."""
+    def apply_batch(self, points: np.ndarray, disturbances: np.ndarray | None = None) -> np.ndarray:
+        """Update of a stack of states (N, n) under disturbances (N, m), or none."""
         y = np.asarray(points, dtype=float) - self.fixed_point
         out = self.fixed_point + y @ self.linear.T
         if self.quadratic is not None:
             out = out + np.einsum("ni,kij,nj->nk", y, self.quadratic, y)
+        if disturbances is not None:
+            out = out + np.asarray(disturbances, dtype=float) @ self.disturbance_gain.T
         return out
 
 
@@ -138,17 +136,6 @@ class QuadraticLyapunov:
     def eig_bounds(self) -> tuple[float, float]:
         eigs = np.linalg.eigvalsh(self.weight)
         return float(eigs[0]), float(eigs[-1])
-
-
-def eval_map(primitive: "Primitive | PrimitiveMap", x: np.ndarray, d: np.ndarray | None = None) -> np.ndarray:
-    """One step of a primitive's map from state ``x`` under disturbance ``d``."""
-    m = primitive.map if isinstance(primitive, Primitive) else primitive
-    return m(x, d)
-
-
-def lyapunov_value(lyapunov: QuadraticLyapunov, x: np.ndarray) -> float:
-    """Evaluate the quadratic Lyapunov function at a single state."""
-    return lyapunov.value(x)
 
 
 @dataclass(frozen=True)

@@ -10,6 +10,7 @@ from __future__ import annotations
 import csv
 from dataclasses import dataclass
 from pathlib import Path
+from typing import Callable
 
 import numpy as np
 
@@ -102,8 +103,7 @@ class Trace:
         horizon = self.horizon
         if horizon == 0:
             return 0.0
-        lookup = {pid: j for j, pid in enumerate(self.member_ids)}
-        cols = np.array([lookup[int(s)] for s in self.signal.assignments[:horizon]])
+        cols = _member_columns(self.member_ids, self.signal.assignments[:horizon])
         rows = np.arange(horizon)
         den = self.lyapunov[rows, cols]
         num = self.lyapunov[rows + 1, cols]
@@ -126,6 +126,46 @@ class Trace:
                 row += [repr(float(v)) for v in self.lyapunov[k]]
                 row.append(int(self.in_all_basins[k]))
                 writer.writerow(row)
+
+
+def _member_values(library: PrimitiveLibrary, states: np.ndarray) -> np.ndarray:
+    """Every member's Lyapunov value at each state, shape (N, P)."""
+    return np.column_stack([p.lyapunov.values(states) for p in library])
+
+
+def _member_columns(ids, assignments: np.ndarray) -> np.ndarray:
+    """Index in ``ids`` of each assigned id."""
+    match = assignments[..., None] == np.asarray(ids)
+    known = np.any(match, axis=-1)
+    if not np.all(known):
+        missing = sorted(set(assignments[~known].tolist()))
+        raise ValueError(f"signal uses ids {missing} not present in the library")
+    return np.argmax(match, axis=-1)
+
+
+def _rollout(library: PrimitiveLibrary, x0s: np.ndarray, cols: np.ndarray, dists: np.ndarray,
+             observe: Callable[[int, np.ndarray], None]) -> None:
+    """Step a batch of episodes jointly, passing ``observe(k, x_k)`` the
+    (episodes, n) states for k = 0..horizon.
+
+    At step k, member ``cols[e, k]`` (a library index) drives episode e
+    under disturbance ``dists[e, k]``; every member updates the rows it
+    drives with ``PrimitiveMap.apply_batch``.  Overflow and NaN propagate
+    silently, so escapes are recorded rather than raised.
+    """
+    members = list(library)
+    x = np.array(x0s, dtype=float)
+    with np.errstate(over="ignore", invalid="ignore"):
+        observe(0, x)
+        for k in range(cols.shape[1]):
+            col = cols[:, k]
+            x_next = np.empty_like(x)
+            for j, p in enumerate(members):
+                rows = np.flatnonzero(col == j)
+                if rows.size:
+                    x_next[rows] = p.map.apply_batch(x[rows], dists[rows, k])
+            x = x_next
+            observe(k + 1, x)
 
 
 def run(
@@ -154,23 +194,17 @@ def run(
     x0 = np.asarray(x0, dtype=float)
     if x0.shape != (library.state_dim,):
         raise ValueError(f"x0 must have shape ({library.state_dim},)")
-    known = set(library.ids)
-    used = set(int(v) for v in signal.assignments[:horizon])
-    if not used <= known:
-        raise ValueError(f"signal uses ids {sorted(used - known)} not present in the library")
-
-    maps = {p.id: p.map for p in library}
+    cols = _member_columns(library.ids, signal.assignments[None, :horizon])
     states = np.empty((horizon + 1, library.state_dim))
-    states[0] = x0
-    x = x0
+
+    def record(k: int, x: np.ndarray) -> None:
+        states[k] = x[0]
+
     dvals = disturbances.values
-    with np.errstate(over="ignore", invalid="ignore"):
-        for k in range(horizon):
-            x = maps[int(signal.assignments[k])](x, dvals[k])
-            states[k + 1] = x
-        lyap = np.column_stack([p.lyapunov.values(states) for p in library])
+    _rollout(library, x0[None], cols, dvals[None, :horizon], record)
     levels = np.array([p.basin_level for p in library])
-    with np.errstate(invalid="ignore"):
+    with np.errstate(over="ignore", invalid="ignore"):
+        lyap = _member_values(library, states)
         in_all = np.all(lyap <= levels[None, :], axis=1)  # NaN compares false
     return Trace(
         states=states,
@@ -338,6 +372,16 @@ _EPISODE_STREAM = 0
 _MAX_RECORDED_VIOLATIONS = 64
 
 
+def _draw_episode(library: PrimitiveLibrary, certificate, horizon: int, amplitude: float,
+                  exact_sup: bool, rng: np.random.Generator):
+    """One episode's inputs from ``rng``: the start state, then the signal,
+    then the disturbances."""
+    x0 = sample_initial_state(library, certificate.omega, rng)
+    signal = sample_admissible_signal(library, horizon, budget_from_certificate(certificate), rng)
+    dist = sample_disturbances(library.dist_dim, horizon, amplitude, rng, exact_sup=exact_sup)
+    return x0, signal, dist
+
+
 def run_episode(
     library: PrimitiveLibrary,
     certificate,
@@ -348,9 +392,7 @@ def run_episode(
 ) -> Trace:
     """One campaign episode: random start in the intersection of the
     omega-sublevel sets, random budget-limit signal, random disturbances."""
-    x0 = sample_initial_state(library, certificate.omega, rng)
-    signal = sample_admissible_signal(library, horizon, budget_from_certificate(certificate), rng)
-    dist = sample_disturbances(library.dist_dim, horizon, amplitude, rng, exact_sup=exact_sup)
+    x0, signal, dist = _draw_episode(library, certificate, horizon, amplitude, exact_sup, rng)
     return run(library, signal, x0, dist, horizon)
 
 
@@ -363,98 +405,57 @@ def _draw_campaign_inputs(
     seed: int,
     stream: int,
     exact_sup: bool = False,
-) -> tuple[np.ndarray, list[SwitchingSignal], np.ndarray]:
-    """Per-episode campaign inputs, episode ``e`` drawn from
-    ``derive_rng(seed, stream, e)`` in the same order as ``run_episode``."""
-    budget = budget_from_certificate(certificate)
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Per-episode start states, signal assignments and disturbances,
+    episode ``e`` drawn from ``derive_rng(seed, stream, e)``."""
     x0s = np.empty((episode_count, library.state_dim))
-    signals: list[SwitchingSignal] = []
+    sigmas = np.empty((episode_count, horizon), dtype=np.int64)
     dists = np.empty((episode_count, horizon, library.dist_dim))
     for episode in range(episode_count):
         rng = derive_rng(seed, stream, episode)
-        x0s[episode] = sample_initial_state(library, certificate.omega, rng)
-        signals.append(sample_admissible_signal(library, horizon, budget, rng))
-        dists[episode] = sample_disturbances(
-            library.dist_dim, horizon, amplitude, rng, exact_sup=exact_sup
-        ).values
-    return x0s, signals, dists
+        x0s[episode], signal, dist = _draw_episode(
+            library, certificate, horizon, amplitude, exact_sup, rng)
+        sigmas[episode] = signal.assignments
+        dists[episode] = dist.values
+    return x0s, sigmas, dists
 
 
 def _batch_stats(
     library: PrimitiveLibrary,
     x0s: np.ndarray,
-    signals: list[SwitchingSignal],
+    sigmas: np.ndarray,
     dists: np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Step every episode jointly and stream per-episode statistics.
 
-    Returns ``(first_violation, max_min_level, max_active_step_ratio)`` with
-    first_violation = -1 for clean episodes.  Arithmetic matches ``run`` up
-    to summation-order rounding.
+    ``sigmas[e, k]`` is the id of the member that drives episode e at step
+    k.  Returns ``(first_violation, max_min_level, max_active_step_ratio)``
+    as ``Trace`` defines them, with first_violation = -1 for clean episodes.
     """
-    count, state_dim = x0s.shape
-    horizon = dists.shape[1]
-    members = list(library)
-    lut = {p.id: j for j, p in enumerate(members)}
-    cols = np.empty((count, horizon), dtype=np.intp)
-    for e, sig in enumerate(signals):
-        arr = sig.assignments[:horizon]
-        for pid, j in lut.items():
-            cols[e][arr == pid] = j
-    lin = np.stack([p.map.linear for p in members])
-    fp = np.stack([p.map.fixed_point for p in members])
-    gain = np.stack([
-        p.map.disturbance_gain if p.map.disturbance_gain is not None
-        else np.zeros((state_dim, library.dist_dim))
-        for p in members
-    ])
-    quad = np.stack([
-        p.map.quadratic if p.map.quadratic is not None
-        else np.zeros((state_dim, state_dim, state_dim))
-        for p in members
-    ])
-    weights = np.stack([p.lyapunov.weight for p in members])
-    centers = np.stack([p.lyapunov.center for p in members])
-    levels = np.array([p.basin_level for p in members])
-
+    count = x0s.shape[0]
+    cols = _member_columns(library.ids, sigmas)
+    levels = np.array([p.basin_level for p in library])
     rows = np.arange(count)
     first = np.full(count, -1, dtype=np.int64)
+    max_min = np.full(count, -np.inf)
     max_ratio = np.zeros(count)
+    previous = np.empty((count, len(library)))
 
-    def all_values(states: np.ndarray) -> np.ndarray:
-        diff = states[:, None, :] - centers[None, :, :]
-        return np.einsum("epi,pij,epj->ep", diff, weights, diff)
-
-    x = x0s.copy()
-    with np.errstate(over="ignore", invalid="ignore"):
-        values = all_values(x)
-        bad = ~np.all(values <= levels[None, :], axis=1)
-        first[bad] = 0
-        per_min = np.min(values, axis=1)
-        max_min = np.where(np.isfinite(per_min), per_min, np.inf)
-        for k in range(horizon):
-            col = cols[:, k]
-            dev = x - fp[col]
-            x = (
-                fp[col]
-                + np.einsum("eij,ej->ei", lin[col], dev)
-                + np.einsum("ei,ekij,ej->ek", dev, quad[col], dev)
-                + np.einsum("eij,ej->ei", gain[col], dists[:, k, :])
-            )
-            prev_active = values[rows, col]
-            values = all_values(x)
-            next_active = values[rows, col]
+    def observe(k: int, x: np.ndarray) -> None:
+        values = _member_values(library, x)
+        if k:
+            col = cols[:, k - 1]
+            prev_active = previous[rows, col]
             ok = prev_active > 0.0
-            np.maximum(
-                max_ratio,
-                np.where(ok, next_active / np.where(ok, prev_active, 1.0), 0.0),
-                out=max_ratio,
-            )
-            bad = ~np.all(values <= levels[None, :], axis=1)
-            first = np.where((first < 0) & bad, k + 1, first)
-            per_min = np.min(values, axis=1)
-            per_min = np.where(np.isfinite(per_min), per_min, np.inf)
-            np.maximum(max_min, per_min, out=max_min)
+            ratio = values[rows, col] / np.where(ok, prev_active, 1.0)
+            np.maximum(max_ratio, np.where(ok, ratio, 0.0), out=max_ratio)
+        bad = ~np.all(values <= levels[None, :], axis=1)
+        first[(first < 0) & bad] = k
+        per_min = np.min(values, axis=1)
+        np.maximum(max_min, np.where(np.isfinite(per_min), per_min, np.inf), out=max_min)
+        previous[:] = values
+
+    _rollout(library, x0s, cols, dists, observe)
     return first, max_min, max_ratio
 
 
@@ -470,10 +471,10 @@ def campaign_has_violation(
 ) -> bool:
     """True if any of the episodes drawn from ``derive_rng(seed, stream, e)``
     leaves the basin intersection."""
-    x0s, signals, dists = _draw_campaign_inputs(
+    x0s, sigmas, dists = _draw_campaign_inputs(
         library, certificate, episode_count, horizon, amplitude, seed, stream, exact_sup
     )
-    first, _, _ = _batch_stats(library, x0s, signals, dists)
+    first, _, _ = _batch_stats(library, x0s, sigmas, dists)
     return bool(np.any(first >= 0))
 
 
@@ -495,13 +496,15 @@ def monte_carlo(
     """
     if episode_count < 1:
         raise ValueError("episode_count must be positive")
+    if keep_traces < 0:
+        raise ValueError("keep_traces must be nonnegative")
     if certificate.library_fingerprint != library_fingerprint(library):
         raise ValueError("certificate fingerprint does not match this library")
-    x0s, signals, dists = _draw_campaign_inputs(
+    x0s, sigmas, dists = _draw_campaign_inputs(
         library, certificate, episode_count, horizon, disturbance_amplitude,
         seed, _EPISODE_STREAM,
     )
-    first, max_min, max_ratio = _batch_stats(library, x0s, signals, dists)
+    first, max_min, max_ratio = _batch_stats(library, x0s, sigmas, dists)
     bad_episodes = np.flatnonzero(first >= 0)
     recorded = tuple(
         (int(e), int(first[e])) for e in bad_episodes[:_MAX_RECORDED_VIOLATIONS]
@@ -509,7 +512,7 @@ def monte_carlo(
     kept = [
         run(
             library,
-            signals[e],
+            SwitchingSignal(sigmas[e]),
             x0s[e],
             DisturbanceSequence.from_values(dists[e]),
             horizon,

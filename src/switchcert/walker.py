@@ -24,7 +24,7 @@ from scipy.interpolate import CubicSpline
 
 from .certificates import Certificate
 from .library_io import library_fingerprint, library_from_dict
-from .primitives import Primitive, PrimitiveLibrary, eval_map
+from .primitives import Primitive, PrimitiveLibrary
 from .simulation import budget_from_certificate
 from .switching import Supervisor, SwitchingSignal, heading_policy, validate_dwell_time
 
@@ -101,7 +101,11 @@ class StrideForce:
 
     @property
     def phi(self) -> float:
-        """Bearing of the integrated force; 0 for the zero vector."""
+        """Bearing of the integrated force (radians, body frame).
+
+        The two-argument arctangent reads a force pointing backwards as pi
+        rather than 0; the zero force maps to 0 (straight ahead).
+        """
         if self.fx == 0.0 and self.fy == 0.0:
             return 0.0
         return math.atan2(self.fy, self.fx)
@@ -109,15 +113,6 @@ class StrideForce:
     @classmethod
     def zero(cls) -> "StrideForce":
         return cls(0.0, 0.0)
-
-
-def heading_estimate(force: StrideForce) -> float:
-    """Bearing of the stride's integrated force (radians, body frame).
-
-    Uses the two-argument arctangent so a force pointing backwards reads as
-    pi rather than 0; the zero force maps to 0 (treat as straight ahead).
-    """
-    return force.phi
 
 
 @dataclass(frozen=True)
@@ -324,7 +319,7 @@ def stride_update(
     if z.shape != (2,) or not np.all(np.isfinite(z)):
         raise ValueError("reduced state must be a finite 2-vector")
     disturbance = prim.force_coupling @ np.array([force.fx, force.fy])
-    z_next = eval_map(prim.reduced.map, z, disturbance)
+    z_next = prim.reduced.map(z, disturbance)
     deviation = z_next - prim.reduced.map.fixed_point
     heading = wrap_angle(
         pose.heading + prim.nominal_heading_change + float(prim.heading_gain @ deviation))
@@ -562,7 +557,7 @@ def run_scenario(scenario: WalkerScenario) -> ScenarioTrace:
         force = integrate_stride_force(
             scenario.leader, pose, nominal_end, t, t + prim.stride_duration)
         forces[k] = (force.fx, force.fy)
-        phis[k] = heading_estimate(force)
+        phis[k] = force.phi
         pose, z = stride_update(pose, prim, z, force)
         t += prim.stride_duration
         times[k + 1] = t

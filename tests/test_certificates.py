@@ -12,7 +12,6 @@ from switchcert import (
     estimate_disturbance_margin,
     feasibility_check,
     library_fingerprint,
-    lyapunov_value,
     mu_analytic,
     mu_grid,
     omega_analytic,
@@ -358,7 +357,7 @@ class TestDominanceProperties:
                         other.lyapunov, kappa, 100, np.random.default_rng(1)
                     )
                     for x in block:
-                        assert lyapunov_value(member.lyapunov, x) <= omega + 1e-9
+                        assert member.lyapunov.value(x) <= omega + 1e-9
 
 
 class TestDisturbanceMargin:

@@ -11,7 +11,14 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from switchcert import SwitchingSignal, save_library
+from switchcert import (
+    Primitive,
+    PrimitiveMap,
+    QuadraticLyapunov,
+    SwitchingSignal,
+    save_library,
+    shipped_certificate,
+)
 from switchcert.cli import (
     EXIT_INFEASIBLE,
     EXIT_INPUT,
@@ -111,6 +118,42 @@ class TestCertify:
         bad.write_text("{]")
         code = main(["certify", "--library", str(bad), "--out-dir", str(tmp_path)])
         assert code == EXIT_INPUT
+
+
+@pytest.fixture(scope="module")
+def five_dim_library_path(tmp_path_factory):
+    eye = np.eye(5)
+    member = Primitive(
+        id=0,
+        map=PrimitiveMap(linear=0.5 * eye, fixed_point=np.zeros(5), disturbance_gain=eye),
+        lyapunov=QuadraticLyapunov(weight=eye, center=np.zeros(5)),
+        basin_level=2.0,
+        contraction_rate=0.25,
+    )
+    path = tmp_path_factory.mktemp("library") / "five.json"
+    save_library(PrimitiveLibrary((member,)), path)
+    return path
+
+
+class TestRejectedValues:
+    """Values the library functions reject exit 1 with a message, not a traceback."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["certify", "--library", "shipped-walker", "--epsilon", "2"],
+            ["certify", "--library", "shipped-walker", "--margin-trials", "-1"],
+            ["certify", "--library", "FIVE_DIM_LIBRARY"],
+            ["simulate", "--library", "shipped-walker", "--certificate", "shipped",
+             "--episodes", "2", "--keep-traces", "-1"],
+        ],
+        ids=["epsilon-above-one", "negative-margin-trials", "five-dim-grid",
+             "negative-keep-traces"],
+    )
+    def test_exits_with_input_error(self, tmp_path, capsys, five_dim_library_path, argv):
+        argv = [str(five_dim_library_path) if a == "FIVE_DIM_LIBRARY" else a for a in argv]
+        assert main(argv + ["--out-dir", str(tmp_path)]) == EXIT_INPUT
+        assert capsys.readouterr().err.startswith("error: ")
 
 
 class TestValidate:
@@ -251,6 +294,17 @@ class TestSimulate:
             ]
         )
         assert code == EXIT_INPUT
+
+
+    def test_document_of_another_format_is_an_input_error(self, tmp_path, capsys):
+        document = shipped_certificate().to_dict()
+        document["format"] = "switchcert-library"
+        path = tmp_path / "not_a_certificate.json"
+        path.write_text(json.dumps(document))
+        code = main(["simulate", "--library", "shipped-walker", "--certificate", str(path),
+                     "--episodes", "2", "--out-dir", str(tmp_path / "out")])
+        assert code == EXIT_INPUT
+        assert "not a certificate document" in capsys.readouterr().err
 
 
 class TestScenario:

@@ -9,8 +9,6 @@ from switchcert import (
     PrimitiveMap,
     QuadraticLyapunov,
     certify_basin,
-    eval_map,
-    lyapunov_value,
     sample_in_sublevel_set,
     verify_contraction,
 )
@@ -33,17 +31,17 @@ def reference_eval(linear, fixed_point, gain, quadratic, x, d):
 class TestEvalMap:
     def test_fixed_point_identity(self):
         prim = make_primitive(center=(0.3, -0.7))
-        image = eval_map(prim, prim.map.fixed_point, np.zeros(2))
+        image = prim.map(prim.map.fixed_point, np.zeros(2))
         assert np.max(np.abs(image - prim.map.fixed_point)) <= 1e-12
 
     def test_linear_contraction(self):
         prim = make_primitive()
-        image = eval_map(prim, np.array([1.0, 0.0]))
+        image = prim.map(np.array([1.0, 0.0]))
         assert np.allclose(image, [0.5, 0.0], atol=0.0)
 
     def test_affine_with_disturbance(self):
         prim = make_primitive()
-        image = eval_map(prim, np.array([1.0, 0.0]), np.array([0.1, 0.2]))
+        image = prim.map(np.array([1.0, 0.0]), np.array([0.1, 0.2]))
         assert np.allclose(image, [0.6, 0.2], atol=0.0)
 
     def test_matches_reference_reimplementation(self):
@@ -59,14 +57,14 @@ class TestEvalMap:
             x = rng.normal(size=2)
             d = rng.normal(size=2)
             expected = reference_eval(linear, center, gain, quad, x, d)
-            assert np.max(np.abs(eval_map(prim, x, d) - expected)) <= 1e-12
+            assert np.max(np.abs(prim.map(x, d) - expected)) <= 1e-12
 
     def test_dimension_mismatch_rejected(self):
         prim = make_primitive()
         with pytest.raises(ValueError):
-            eval_map(prim, np.zeros(3))
+            prim.map(np.zeros(3))
         with pytest.raises(ValueError):
-            eval_map(prim, np.zeros(2), np.zeros(3))
+            prim.map(np.zeros(2), np.zeros(3))
 
     def test_unstable_linear_part_rejected(self):
         with pytest.raises(ValueError):
@@ -80,15 +78,15 @@ class TestEvalMap:
 class TestLyapunovValue:
     def test_zero_at_center(self):
         fn = QuadraticLyapunov(weight=EYE2, center=np.array([0.4, 0.4]))
-        assert lyapunov_value(fn, np.array([0.4, 0.4])) == 0.0
+        assert fn.value(np.array([0.4, 0.4])) == 0.0
 
     def test_identity_weight_is_squared_norm(self):
         fn = QuadraticLyapunov(weight=EYE2, center=np.zeros(2))
-        assert lyapunov_value(fn, np.array([3.0, 4.0])) == 25.0
+        assert fn.value(np.array([3.0, 4.0])) == 25.0
 
     def test_diagonal_weight_off_center(self):
         fn = QuadraticLyapunov(weight=np.diag([2.0, 1.0]), center=np.array([1.0, 0.0]))
-        assert lyapunov_value(fn, np.array([2.0, 2.0])) == 6.0
+        assert fn.value(np.array([2.0, 2.0])) == 6.0
 
     def test_positive_away_from_center(self):
         rng = np.random.default_rng(7)
@@ -97,7 +95,7 @@ class TestLyapunovValue:
             x = fn.center + rng.normal(size=2)
             if np.max(np.abs(x - fn.center)) == 0.0:
                 continue
-            assert lyapunov_value(fn, x) > 0.0
+            assert fn.value(x) > 0.0
 
     def test_orthogonal_change_of_coordinates(self):
         rng = np.random.default_rng(11)
@@ -109,7 +107,7 @@ class TestLyapunovValue:
             rot = np.array([[np.cos(angle), -np.sin(angle)], [np.sin(angle), np.cos(angle)]])
             rotated = QuadraticLyapunov(weight=rot @ weight @ rot.T, center=rot @ center)
             x = rng.normal(size=2)
-            assert abs(lyapunov_value(rotated, rot @ x) - lyapunov_value(fn, x)) <= 1e-10
+            assert abs(rotated.value(rot @ x) - fn.value(x)) <= 1e-10
 
     def test_asymmetric_weight_rejected(self):
         with pytest.raises(ValueError):
@@ -126,7 +124,7 @@ class TestSampling:
         rng = np.random.default_rng(99)
         points = sample_in_sublevel_set(fn, 0.8, 500, rng)
         assert points.shape == (500, 2)
-        values = np.array([lyapunov_value(fn, p) for p in points])
+        values = np.array([fn.value(p) for p in points])
         assert np.max(values) <= 0.8 + 1e-12
         # the boundary region is reached, not just the center
         assert np.max(values) >= 0.5
@@ -151,9 +149,7 @@ class TestVerifyContraction:
         assert not report.passed
         assert abs(report.worst_ratio - 0.25) <= 1e-9
         assert report.witness is not None
-        ratio = lyapunov_value(prim.lyapunov, eval_map(prim, report.witness)) / lyapunov_value(
-            prim.lyapunov, report.witness
-        )
+        ratio = prim.lyapunov.value(prim.map(report.witness)) / prim.lyapunov.value(report.witness)
         assert abs(ratio - report.worst_ratio) <= 1e-12
 
     def test_discrete_lyapunov_pair_passes_for_any_seed(self):
@@ -197,16 +193,16 @@ class TestCertifyBasin:
         assert not report.certified
         assert report.witness is not None
         # hand check at the boundary: f((1, 0)) = (0.5 + 2, 0) leaves the set
-        image = eval_map(prim, np.array([1.0, 0.0]))
-        assert lyapunov_value(prim.lyapunov, image) == 6.25
+        image = prim.map(np.array([1.0, 0.0]))
+        assert prim.lyapunov.value(image) == 6.25
 
     def test_witness_actually_violates(self):
         quadratic = np.stack([2.0 * EYE2, np.zeros((2, 2))])
         prim = make_primitive(quadratic=quadratic, basin_level=1.0)
         report = certify_basin(prim, 1.0, 2000, seed=7)
         x = report.witness
-        value = lyapunov_value(prim.lyapunov, x)
-        image_value = lyapunov_value(prim.lyapunov, eval_map(prim, x))
+        value = prim.lyapunov.value(x)
+        image_value = prim.lyapunov.value(prim.map(x))
         exceeded_rate = image_value > prim.contraction_rate * value + 1e-12
         escaped_set = image_value > report.level + 1e-12
         assert exceeded_rate or escaped_set

@@ -3,6 +3,8 @@ Carlo campaigns."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from switchcert import (
     DisturbanceSequence,
@@ -11,8 +13,6 @@ from switchcert import (
     budget_from_certificate,
     derive_rng,
     empirical_trapping_level,
-    eval_map,
-    lyapunov_value,
     monte_carlo,
     run,
     run_episode,
@@ -24,7 +24,8 @@ from switchcert import (
 )
 
 from conftest import make_pair_library, make_primitive
-from switchcert import PrimitiveLibrary
+from switchcert import Primitive, PrimitiveLibrary, PrimitiveMap, QuadraticLyapunov
+from switchcert.simulation import _batch_stats
 
 # Regression values for the shipped library captured from a seeded run
 # (seed path (424242, 7) for the signal, (424242, 8) for the start state).
@@ -168,7 +169,7 @@ class TestSafetyMonitor:
         assert not report.safe
         assert (0, 0) in report.violations
         for k, p in report.violations:
-            value = lyapunov_value(library.by_id(p).lyapunov, trace.states[k])
+            value = library.by_id(p).lyapunov.value(trace.states[k])
             assert value > library.by_id(p).basin_level
 
     def test_monitor_is_idempotent(self):
@@ -196,7 +197,7 @@ class TestTrappingLevel:
         manual = 0.0
         for state in trace.states:
             manual = max(
-                manual, min(lyapunov_value(p.lyapunov, state) for p in library)
+                manual, min(p.lyapunov.value(state) for p in library)
             )
         assert abs(empirical_trapping_level([trace], library) - manual) <= 1e-12
 
@@ -208,7 +209,7 @@ class TestSamplers:
         for _ in range(50):
             x0 = sample_initial_state(library, 0.5, rng)
             for member in library:
-                assert lyapunov_value(member.lyapunov, x0) <= 0.5 + 1e-12
+                assert member.lyapunov.value(x0) <= 0.5 + 1e-12
 
     def test_admissible_signal_validates_at_its_budget(self):
         library = make_pair_library()
@@ -281,3 +282,73 @@ class TestMonteCarlo:
         a, _ = monte_carlo(walker_library, walker_certificate, 60, 80, 0.05, 31)
         b, _ = monte_carlo(walker_library, walker_certificate, 60, 80, 0.05, 31)
         assert a == b
+
+
+kernel_settings = settings(max_examples=60, derandomize=True, deadline=None, database=None)
+# (state_dim, dist_dim, which members carry a quadratic term, numpy seed)
+library_specs = st.tuples(
+    st.integers(2, 4), st.integers(1, 3), st.lists(st.booleans(), min_size=1, max_size=3),
+    st.integers(0, 2**32 - 1),
+)
+
+
+def random_library(state_dim, dist_dim, quadratic_flags, rng):
+    """Members around nearby fixed points with linear parts of operator norm
+    0.6 and quadratic parts of norm 0.3, so rollouts from the unit box stay
+    bounded; ids descend so library order differs from id order."""
+    members = []
+    for index, has_quadratic in enumerate(quadratic_flags):
+        center = rng.uniform(-0.1, 0.1, state_dim)
+        linear = rng.normal(size=(state_dim, state_dim))
+        linear *= 0.6 / np.linalg.norm(linear, 2)
+        quadratic = None
+        if has_quadratic:
+            raw = rng.normal(size=(state_dim,) * 3)
+            raw = raw + raw.transpose(0, 2, 1)
+            quadratic = raw * (0.3 / np.sqrt(sum(np.linalg.norm(b, 2) ** 2 for b in raw)))
+        basis, _ = np.linalg.qr(rng.normal(size=(state_dim, state_dim)))
+        weight = (basis * rng.uniform(0.5, 2.0, state_dim)) @ basis.T
+        members.append(Primitive(
+            id=7 - 2 * index,
+            map=PrimitiveMap(linear, center, rng.normal(size=(state_dim, dist_dim)), quadratic),
+            lyapunov=QuadraticLyapunov(weight=0.5 * (weight + weight.T), center=center),
+            basin_level=float(rng.uniform(0.01, 0.2)),
+            contraction_rate=0.5,
+        ))
+    return PrimitiveLibrary(tuple(members))
+
+
+class TestSharedKernel:
+    @kernel_settings
+    @given(library_specs, st.booleans())
+    def test_call_is_the_batch_of_one(self, spec, disturbed):
+        state_dim, dist_dim, flags, seed = spec
+        rng = np.random.default_rng(seed)
+        library = random_library(state_dim, dist_dim, flags, rng)
+        for member in library:
+            x = rng.uniform(-1.0, 1.0, state_dim)
+            d = rng.uniform(-1.0, 1.0, dist_dim) if disturbed else None
+            batch = member.map.apply_batch(x[None], None if d is None else d[None])[0]
+            assert np.array_equal(member.map(x, d), batch)
+
+    @kernel_settings
+    @given(library_specs, st.integers(2, 8), st.integers(1, 20))
+    def test_batch_statistics_match_per_episode_runs(self, spec, count, horizon):
+        state_dim, dist_dim, flags, seed = spec
+        rng = np.random.default_rng(seed)
+        library = random_library(state_dim, dist_dim, flags, rng)
+        x0s = rng.uniform(-0.3, 0.3, (count, state_dim))
+        sigmas = rng.choice(library.ids, size=(count, horizon))
+        dists = rng.uniform(-0.05, 0.05, (count, horizon, dist_dim))
+        first, max_min, max_ratio = _batch_stats(library, x0s, sigmas, dists)
+        traces = [
+            run(library, SwitchingSignal(sigmas[e]), x0s[e],
+                DisturbanceSequence.from_values(dists[e]), horizon)
+            for e in range(count)
+        ]
+        violating = {e for e, trace in enumerate(traces) if trace.first_violation is not None}
+        assert set(np.flatnonzero(first >= 0).tolist()) == violating
+        for e, trace in enumerate(traces):
+            assert first[e] == (-1 if trace.first_violation is None else trace.first_violation)
+            assert max_min[e] == pytest.approx(trace.max_min_level, rel=1e-12, abs=0.0)
+            assert max_ratio[e] == pytest.approx(trace.max_active_step_ratio, rel=1e-12, abs=0.0)

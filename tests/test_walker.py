@@ -13,7 +13,6 @@ from switchcert import (
     Pose,
     StrideForce,
     budget_from_certificate,
-    heading_estimate,
     impedance_force,
     integrate_stride_force,
     load_scenario,
@@ -130,7 +129,7 @@ class TestStrideForceIntegration:
             leader, Pose(position=np.zeros(2), heading=0.0), np.array([0.5, 0.0]), 0.0, 0.5
         )
         assert force.fx == 0.0 and force.fy == 0.0
-        assert heading_estimate(force) == 0.0
+        assert force.phi == 0.0
 
     def test_constant_force_integrates_exactly(self):
         # a stationary leader a fixed offset ahead of a stationary walker
@@ -168,7 +167,7 @@ class TestStrideForceIntegration:
         expected = stiffness @ (np.array([3.0, 0.5]) - mean_position) * duration
         assert abs(force.fx - expected[0]) <= 1e-12
         assert abs(force.fy - expected[1]) <= 1e-12
-        assert abs(heading_estimate(force)) < 0.2
+        assert abs(force.phi) < 0.2
 
     def test_body_frame_rotation(self):
         # same geometry rotated by 90 degrees gives the same body-frame force
@@ -209,12 +208,12 @@ class TestStrideForceIntegration:
 
 class TestHeadingEstimate:
     def test_quadrants(self):
-        assert heading_estimate(StrideForce(fx=1.0, fy=0.0)) == 0.0
-        assert abs(heading_estimate(StrideForce(fx=1.0, fy=1.0)) - np.pi / 4) <= 1e-15
-        assert heading_estimate(StrideForce(fx=-1.0, fy=0.0)) == np.pi
+        assert StrideForce(fx=1.0, fy=0.0).phi == 0.0
+        assert abs(StrideForce(fx=1.0, fy=1.0).phi - np.pi / 4) <= 1e-15
+        assert StrideForce(fx=-1.0, fy=0.0).phi == np.pi
 
     def test_zero_force_maps_to_straight(self):
-        assert heading_estimate(StrideForce.zero()) == 0.0
+        assert StrideForce.zero().phi == 0.0
 
 
 class TestStrideUpdate:
