@@ -34,6 +34,7 @@ from .switching import (
     admit_switch,
     count_switches,
     heading_policy,
+    supervise_batch,
     validate_dwell_time,
 )
 from .simulation import (

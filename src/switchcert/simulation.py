@@ -16,7 +16,7 @@ import numpy as np
 
 from .library_io import library_fingerprint
 from .primitives import PrimitiveLibrary
-from .switching import DwellTimeBudget, Supervisor, SwitchingSignal
+from .switching import DwellTimeBudget, SwitchingSignal, supervise_batch
 
 _NORM_TOL = 1e-12
 _X0_BATCH = 128
@@ -246,13 +246,9 @@ def empirical_trapping_level(traces, library: PrimitiveLibrary) -> float:
     return level
 
 
-def sample_initial_state(library: PrimitiveLibrary, level: float, rng: np.random.Generator) -> np.ndarray:
-    """Uniform sample from the intersection of all members' sublevel sets.
-
-    Rejection sampling from the intersection of the per-member bounding
-    boxes; the intersection is nonempty because it contains the fixed points
-    whenever the library certifies (level at or above the cross values).
-    """
+def _initial_state_sampler(library: PrimitiveLibrary,
+                           level: float) -> Callable[[np.random.Generator], np.ndarray]:
+    """``sample_initial_state`` with the bounding box computed once."""
     if not (level > 0.0 and np.isfinite(level)):
         raise ValueError("level must be positive and finite")
     los, his = [], []
@@ -264,15 +260,44 @@ def sample_initial_state(library: PrimitiveLibrary, level: float, rng: np.random
     hi = np.min(his, axis=0)
     if np.any(lo > hi):
         raise ValueError("intersection of sublevel sets appears empty at this level")
-    for _ in range(_MAX_X0_BATCHES):
-        pts = rng.uniform(lo, hi, size=(_X0_BATCH, library.state_dim))
-        ok = np.ones(_X0_BATCH, dtype=bool)
-        for p in library:
-            ok &= p.lyapunov.values(pts) <= level
-        hits = np.flatnonzero(ok)
-        if hits.size:
-            return pts[hits[0]].copy()
-    raise RuntimeError("failed to sample the sublevel intersection")
+
+    def draw(rng: np.random.Generator) -> np.ndarray:
+        for _ in range(_MAX_X0_BATCHES):
+            pts = rng.uniform(lo, hi, size=(_X0_BATCH, library.state_dim))
+            ok = np.ones(_X0_BATCH, dtype=bool)
+            for p in library:
+                ok &= p.lyapunov.values(pts) <= level
+            hits = np.flatnonzero(ok)
+            if hits.size:
+                return pts[hits[0]].copy()
+        raise RuntimeError("failed to sample the sublevel intersection")
+
+    return draw
+
+
+def sample_initial_state(library: PrimitiveLibrary, level: float, rng: np.random.Generator) -> np.ndarray:
+    """Uniform sample from the intersection of all members' sublevel sets.
+
+    Rejection sampling from the intersection of the per-member bounding
+    boxes; the intersection is nonempty because it contains the fixed points
+    whenever the library certifies (level at or above the cross values).
+    """
+    return _initial_state_sampler(library, level)(rng)
+
+
+def _draw_signal(ids: tuple[int, ...], horizon: int, switch_rate: float, rng: np.random.Generator,
+                 initial_id: int | None = None) -> tuple[int, np.ndarray]:
+    """A signal's randomness in ``supervise_batch`` form, in stream order:
+    the initial member (unless given), one block of Bernoulli proposals for
+    steps 1..horizon-1, then one block of picks, uniform among the other
+    members, for the proposing steps; the requests are -1 elsewhere."""
+    if initial_id is None:
+        initial_id = ids[rng.integers(len(ids))]
+    requests = np.full(horizon - 1, -1, dtype=np.int64)
+    if len(ids) > 1 and horizon > 1:
+        proposals = rng.random(horizon - 1) < switch_rate
+        requests[proposals] = rng.integers(len(ids) - 1, size=int(np.count_nonzero(proposals)))
+    return initial_id, requests
 
 
 def sample_admissible_signal(
@@ -285,22 +310,39 @@ def sample_admissible_signal(
 ) -> SwitchingSignal:
     """Random signal at the budget limit: switch proposals arrive as a
     Bernoulli stream (rate 1/na, capped at 1) and pass through the
-    supervisor, which defers any proposal that would break the budget."""
-    ids = list(library.ids)
+    supervisor, which defers any proposal that would break the budget.
+
+    Draws the initial member (unless given), then the proposals, then the
+    picks, and supervises them with ``supervise_batch`` as a batch of one.
+    """
     if horizon < 1:
         raise ValueError("horizon must be at least 1")
     if switch_rate is None:
         switch_rate = min(1.0, 1.0 / budget.na)
-    if initial_id is None:
-        initial_id = int(ids[rng.integers(len(ids))])
-    supervisor = Supervisor(initial_id, budget, known_ids=ids)
-    for _ in range(horizon - 1):
-        if len(ids) > 1 and rng.random() < switch_rate:
-            others = [i for i in ids if i != supervisor.current]
-            supervisor.request(others[rng.integers(len(others))])
-        else:
-            supervisor.request(supervisor.current)
-    return supervisor.signal
+    initial, requests = _draw_signal(library.ids, horizon, switch_rate, rng, initial_id)
+    assignments, _ = supervise_batch(library.ids, [initial], requests[None], budget)
+    return SwitchingSignal(assignments[0])
+
+
+def _draw_disturbances(dist_dim: int, horizon: int, amplitude: float, rng: np.random.Generator,
+                       exact_sup: bool) -> np.ndarray:
+    """(horizon, dist_dim) vectors uniform in the amplitude ball: Gaussian
+    directions, then radii U^(1/dist_dim); with ``exact_sup`` rescaled so
+    the largest norm equals the amplitude."""
+    if amplitude < 0.0:
+        raise ValueError("amplitude must be nonnegative")
+    if amplitude == 0.0:
+        return np.zeros((horizon, dist_dim))
+    directions = rng.standard_normal((horizon, dist_dim))
+    radii = rng.random(horizon) ** (1.0 / dist_dim)
+    norms = np.linalg.norm(directions, axis=1)
+    norms[norms == 0.0] = np.inf  # a zero direction becomes the zero vector
+    values = directions * (amplitude * radii / norms)[:, None]
+    if exact_sup:
+        peak = float(np.max(np.linalg.norm(values, axis=1)))
+        if peak > 0.0:
+            values = values * (amplitude / peak)
+    return values
 
 
 def sample_disturbances(
@@ -312,24 +354,8 @@ def sample_disturbances(
 ) -> DisturbanceSequence:
     """Per-step vectors uniform in the amplitude ball; with ``exact_sup`` the
     sequence is rescaled so its sup norm equals the amplitude exactly."""
-    if amplitude < 0.0:
-        raise ValueError("amplitude must be nonnegative")
-    if amplitude == 0.0:
-        return DisturbanceSequence.zeros(horizon, dist_dim)
-    raw = rng.uniform(-1.0, 1.0, size=(horizon, dist_dim))
-    norms = np.linalg.norm(raw, axis=1)
-    keep = norms <= 1.0
-    while not np.all(keep):
-        redo = np.flatnonzero(~keep)
-        raw[redo] = rng.uniform(-1.0, 1.0, size=(redo.size, dist_dim))
-        norms[redo] = np.linalg.norm(raw[redo], axis=1)
-        keep = norms <= 1.0
-    values = raw * amplitude
-    if exact_sup:
-        peak = float(np.max(np.linalg.norm(values, axis=1)))
-        if peak > 0.0:
-            values = values * (amplitude / peak)
-    return DisturbanceSequence.from_values(values)
+    return DisturbanceSequence.from_values(
+        _draw_disturbances(dist_dim, horizon, amplitude, rng, exact_sup))
 
 
 def budget_from_certificate(certificate) -> DwellTimeBudget:
@@ -344,6 +370,17 @@ def budget_from_certificate(certificate) -> DwellTimeBudget:
 
 @dataclass(frozen=True)
 class CampaignReport:
+    """Statistics of a Monte Carlo campaign.
+
+    ``max_step_ratio`` is the largest V_active(x_{k+1}) / V_active(x_k) over
+    all episodes and steps.  Only at amplitude 0 does it compare to the
+    contraction rate: under disturbance it is dominated by steps that start
+    near the active fixed point, where V_active is tiny and the disturbance
+    alone sets the next value (1000 episodes x 200 steps at amplitude 0.1
+    report values of order 1e5).  ``deferred_requests`` counts the switch proposals the
+    supervisor deferred, summed over episodes.
+    """
+
     episodes: int
     horizon: int
     amplitude: float
@@ -352,6 +389,7 @@ class CampaignReport:
     violation_rate: float
     trapping_level: float
     max_step_ratio: float
+    deferred_requests: int
     first_violations: tuple[tuple[int, int], ...]  # (episode, step), capped
 
     def to_dict(self) -> dict:
@@ -364,6 +402,7 @@ class CampaignReport:
             "violation_rate": self.violation_rate,
             "trapping_level": self.trapping_level,
             "max_step_ratio": self.max_step_ratio,
+            "deferred_requests": self.deferred_requests,
             "first_violations": [list(v) for v in self.first_violations],
         }
 
@@ -372,14 +411,28 @@ _EPISODE_STREAM = 0
 _MAX_RECORDED_VIOLATIONS = 64
 
 
-def _draw_episode(library: PrimitiveLibrary, certificate, horizon: int, amplitude: float,
-                  exact_sup: bool, rng: np.random.Generator):
-    """One episode's inputs from ``rng``: the start state, then the signal,
-    then the disturbances."""
-    x0 = sample_initial_state(library, certificate.omega, rng)
-    signal = sample_admissible_signal(library, horizon, budget_from_certificate(certificate), rng)
-    dist = sample_disturbances(library.dist_dim, horizon, amplitude, rng, exact_sup=exact_sup)
-    return x0, signal, dist
+def _episode_drawer(library: PrimitiveLibrary, certificate, horizon: int, amplitude: float,
+                    exact_sup: bool):
+    """The one episode draw, shared by ``run_episode`` and campaigns.
+
+    Sets up once what every episode needs and returns the supervisor budget
+    and ``draw(rng)``, which returns one episode's raw inputs in stream
+    order: the start state, the initial member, the switch requests
+    (proposals, then picks) and the disturbances (directions, then radii).
+    """
+    if horizon < 1:
+        raise ValueError("horizon must be at least 1")
+    budget = budget_from_certificate(certificate)
+    rate = min(1.0, 1.0 / budget.na)
+    draw_x0 = _initial_state_sampler(library, certificate.omega)
+
+    def draw(rng: np.random.Generator):
+        x0 = draw_x0(rng)
+        initial, requests = _draw_signal(library.ids, horizon, rate, rng)
+        return x0, initial, requests, _draw_disturbances(
+            library.dist_dim, horizon, amplitude, rng, exact_sup)
+
+    return budget, draw
 
 
 def run_episode(
@@ -392,8 +445,11 @@ def run_episode(
 ) -> Trace:
     """One campaign episode: random start in the intersection of the
     omega-sublevel sets, random budget-limit signal, random disturbances."""
-    x0, signal, dist = _draw_episode(library, certificate, horizon, amplitude, exact_sup, rng)
-    return run(library, signal, x0, dist, horizon)
+    budget, draw = _episode_drawer(library, certificate, horizon, amplitude, exact_sup)
+    x0, initial, requests, dist = draw(rng)
+    assignments, _ = supervise_batch(library.ids, [initial], requests[None], budget)
+    return run(library, SwitchingSignal(assignments[0]), x0,
+               DisturbanceSequence.from_values(dist), horizon)
 
 
 def _draw_campaign_inputs(
@@ -405,19 +461,21 @@ def _draw_campaign_inputs(
     seed: int,
     stream: int,
     exact_sup: bool = False,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
     """Per-episode start states, signal assignments and disturbances,
-    episode ``e`` drawn from ``derive_rng(seed, stream, e)``."""
+    episode ``e`` drawn from ``derive_rng(seed, stream, e)``, plus the number
+    of switch requests the supervisor deferred.  All episodes' requests go
+    through one ``supervise_batch`` call."""
+    budget, draw = _episode_drawer(library, certificate, horizon, amplitude, exact_sup)
     x0s = np.empty((episode_count, library.state_dim))
-    sigmas = np.empty((episode_count, horizon), dtype=np.int64)
+    initial = np.empty(episode_count, dtype=np.int64)
+    requests = np.empty((episode_count, horizon - 1), dtype=np.int64)
     dists = np.empty((episode_count, horizon, library.dist_dim))
     for episode in range(episode_count):
-        rng = derive_rng(seed, stream, episode)
-        x0s[episode], signal, dist = _draw_episode(
-            library, certificate, horizon, amplitude, exact_sup, rng)
-        sigmas[episode] = signal.assignments
-        dists[episode] = dist.values
-    return x0s, sigmas, dists
+        x0s[episode], initial[episode], requests[episode], dists[episode] = draw(
+            derive_rng(seed, stream, episode))
+    sigmas, admitted = supervise_batch(library.ids, initial, requests, budget)
+    return x0s, sigmas, dists, int(np.count_nonzero(~admitted))
 
 
 def _batch_stats(
@@ -471,7 +529,7 @@ def campaign_has_violation(
 ) -> bool:
     """True if any of the episodes drawn from ``derive_rng(seed, stream, e)``
     leaves the basin intersection."""
-    x0s, sigmas, dists = _draw_campaign_inputs(
+    x0s, sigmas, dists, _ = _draw_campaign_inputs(
         library, certificate, episode_count, horizon, amplitude, seed, stream, exact_sup
     )
     first, _, _ = _batch_stats(library, x0s, sigmas, dists)
@@ -500,7 +558,7 @@ def monte_carlo(
         raise ValueError("keep_traces must be nonnegative")
     if certificate.library_fingerprint != library_fingerprint(library):
         raise ValueError("certificate fingerprint does not match this library")
-    x0s, sigmas, dists = _draw_campaign_inputs(
+    x0s, sigmas, dists, deferred = _draw_campaign_inputs(
         library, certificate, episode_count, horizon, disturbance_amplitude,
         seed, _EPISODE_STREAM,
     )
@@ -528,6 +586,7 @@ def monte_carlo(
         violation_rate=float(bad_episodes.size) / episode_count,
         trapping_level=float(np.max(max_min)),
         max_step_ratio=float(np.max(max_ratio)),
+        deferred_requests=deferred,
         first_violations=recorded,
     )
     return report, kept

@@ -11,7 +11,8 @@ Validation and admission read one profile, g(j) = j/Na - P[j], where P[j]
 counts the switches before step j.  The slack of [a, b) is N0 + g(b) - g(a):
 the validator takes a suffix minimum of g, and admission tests the deficit
 max_{a<=j} g(a) - g(j), a prefix maximum of g, which the supervisor keeps up
-to date in O(1) per step.
+to date in O(1) per step.  ``supervise_batch`` runs the same update for many
+signals at once, one numpy step per step, for Monte Carlo campaigns.
 """
 from __future__ import annotations
 
@@ -269,6 +270,50 @@ class Supervisor:
     @property
     def signal(self) -> SwitchingSignal:
         return SwitchingSignal(np.array(self._ids, dtype=np.int64))
+
+
+def supervise_batch(ids, initial, requests, budget: DwellTimeBudget) -> tuple[np.ndarray, np.ndarray]:
+    """``Supervisor.request`` for a batch of signals, one numpy step per step.
+
+    Row e starts at ``initial[e]``, one of ``ids``.  At step k + 1 it
+    requests, for r = ``requests[e, k]`` >= 0, the member r + 1 places after
+    its current one in ``ids``, counted cyclically (so r in 0..len(ids) - 2
+    names each other member once), and its current id where r is -1.  Every
+    row keeps its own deficit and applies the admission rule of
+    ``Supervisor.request`` with the same float operations, so the result
+    equals a per-row replay of ``Supervisor`` bit for bit.  Returns the
+    (E, K + 1) assignments and the (E, K) admitted mask, which is False
+    exactly where a requested switch was deferred.
+    """
+    ids = np.asarray(ids, dtype=np.int64)
+    initial = np.asarray(initial, dtype=np.int64)
+    requests = np.asarray(requests, dtype=np.int64)
+    if ids.ndim != 1 or ids.size == 0 or np.unique(ids).size != ids.size:
+        raise ValueError("ids must be a nonempty sequence of distinct integers")
+    if requests.ndim != 2 or initial.shape != requests.shape[:1]:
+        raise ValueError("requests must have shape (len(initial), steps)")
+    match = initial[:, None] == ids
+    if not np.all(np.any(match, axis=1)):
+        unknown = sorted(set(initial.tolist()) - set(ids.tolist()))
+        raise ValueError(f"unknown primitive id in {unknown}")
+    if requests.size and not (requests.min() >= -1 and requests.max() <= ids.size - 2):
+        raise ValueError(f"requests must lie in -1..{ids.size - 2}")
+    count, steps = requests.shape
+    cols = np.empty((count, steps + 1), dtype=np.intp)
+    cols[:, 0] = np.argmax(match, axis=1)
+    admitted = np.ones((count, steps), dtype=bool)
+    deficit = np.zeros(count)
+    decay = 1.0 / budget.na
+    limit = budget.n0 + _SLACK_TOL
+    for k in range(steps):
+        current = cols[:, k]
+        pick = requests[:, k]
+        switch = (pick >= 0) & (deficit + 1.0 - decay <= limit)
+        admitted[:, k] = switch | (pick < 0)
+        deficit = np.where(switch, deficit + 1.0 - decay, deficit - decay)
+        np.maximum(deficit, 0.0, out=deficit)
+        cols[:, k + 1] = np.where(switch, (current + 1 + pick) % ids.size, current)
+    return ids[cols], admitted
 
 
 def heading_policy(phi: float, dead_zone: float = 0.0) -> int:

@@ -274,6 +274,8 @@ class TestSimulate:
         summary = json.loads((tmp_path / "campaign_summary.json").read_text())
         assert summary["episodes"] == 20
         assert summary["violation_count"] == 0
+        # the shipped na_bar is below 1, so no proposed switch is ever deferred
+        assert summary["deferred_requests"] == 0
         for index in range(3):
             assert (tmp_path / f"trace_{index:04d}.csv").exists()
 

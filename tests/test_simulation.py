@@ -1,6 +1,8 @@
 """Switched-system execution, diagnostics, safety monitoring, and Monte
 Carlo campaigns."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -9,6 +11,7 @@ from hypothesis import strategies as st
 from switchcert import (
     DisturbanceSequence,
     DwellTimeBudget,
+    Supervisor,
     SwitchingSignal,
     budget_from_certificate,
     derive_rng,
@@ -29,8 +32,8 @@ from switchcert.simulation import _batch_stats
 
 # Regression values for the shipped library captured from a seeded run
 # (seed path (424242, 7) for the signal, (424242, 8) for the start state).
-SHIPPED_RUN_STATE_5 = (9.589942012187536e-05, -0.0002395497208020806)
-SHIPPED_RUN_STATE_200 = (4.4241058623088045e-05, 0.0003765013739423428)
+SHIPPED_RUN_STATE_5 = (2.2015616801366836e-05, -9.530985694347292e-05)
+SHIPPED_RUN_STATE_200 = (4.119610338028307e-05, -6.98368850945439e-05)
 SHIPPED_RUN_MAX_MIN_LEVEL = 2.9757824897515896e-07
 SHIPPED_RUN_MAX_STEP_RATIO = 0.143865414053178
 # 300 episodes, horizon 200, amplitude ten times the shipped margin, seed 777
@@ -237,6 +240,47 @@ class TestSamplers:
         seq = sample_disturbances(2, 10, 0.0, derive_rng(4, 0))
         assert np.all(seq.values == 0.0)
 
+    @pytest.mark.parametrize("dist_dim", [1, 2, 3])
+    def test_disturbances_are_uniform_in_the_ball(self, dist_dim):
+        amplitude = 0.3
+        seq = sample_disturbances(dist_dim, 10_000, amplitude, derive_rng(5, dist_dim))
+        norms = np.linalg.norm(seq.values, axis=1)
+        assert np.all(norms <= amplitude)
+        # half the volume of the ball lies within radius amplitude * 2^(-1/m)
+        inner = np.mean(norms < amplitude * 2.0 ** (-1.0 / dist_dim))
+        assert abs(inner - 0.5) <= 0.03
+        scaled = sample_disturbances(dist_dim, 10_000, amplitude, derive_rng(5, dist_dim),
+                                     exact_sup=True)
+        assert abs(scaled.sup_norm - amplitude) <= 1e-12
+
+    def test_one_member_library_draws_no_switch_requests(self):
+        library = PrimitiveLibrary((make_primitive(5),))
+        rng, reference = derive_rng(6, 0), derive_rng(6, 0)
+        signal = sample_admissible_signal(library, 30, DwellTimeBudget(2.0, 0.5), rng)
+        assert signal.assignments.tolist() == [5] * 30
+        reference.integers(1)  # only the initial member is drawn
+        assert rng.random() == reference.random()
+
+    def test_horizon_one_draws_no_switch_requests(self):
+        library = make_pair_library()
+        rng, reference = derive_rng(6, 1), derive_rng(6, 1)
+        signal = sample_admissible_signal(library, 1, DwellTimeBudget(2.0, 0.5), rng)
+        assert signal.assignments.tolist() == [library.ids[reference.integers(2)]]
+        assert rng.random() == reference.random()
+
+    def test_initial_id_and_switch_rate_are_honoured(self):
+        library = make_pair_library()
+        budget = DwellTimeBudget(2.0, 0.5)
+        held = sample_admissible_signal(library, 20, budget, derive_rng(7, 0),
+                                        initial_id=1, switch_rate=0.0)
+        assert held.assignments.tolist() == [1] * 20
+        # na below 1 admits every proposal, so rate 1 switches at every step
+        flipping = sample_admissible_signal(library, 6, budget, derive_rng(7, 1),
+                                            initial_id=0, switch_rate=1.0)
+        assert flipping.assignments.tolist() == [0, 1, 0, 1, 0, 1]
+        with pytest.raises(ValueError, match="unknown primitive id"):
+            sample_admissible_signal(library, 6, budget, derive_rng(7, 2), initial_id=9)
+
 
 class TestMonteCarlo:
     def test_zero_amplitude_campaign_is_clean(self, walker_library, walker_certificate):
@@ -277,6 +321,34 @@ class TestMonteCarlo:
             assert np.array_equal(kept.states, again.states)
             assert np.array_equal(kept.signal.assignments, again.signal.assignments)
             assert np.array_equal(kept.disturbances, again.disturbances)
+
+    def test_deferred_requests_match_a_scalar_supervisor_replay(
+        self, walker_library, walker_certificate
+    ):
+        # At na = 3 proposals arrive at rate 1/3 and some are deferred.
+        certificate = replace(walker_certificate, na_bar=3.0)
+        budget = budget_from_certificate(certificate)
+        episodes, horizon, ids = 30, 60, list(walker_library.ids)
+        report, traces = monte_carlo(
+            walker_library, certificate, episodes, horizon, 0.0, 5, keep_traces=episodes
+        )
+        deferred = 0
+        for e, trace in enumerate(traces):
+            # the per-episode stream: start state, initial member, proposals, picks
+            rng = derive_rng(5, 0, e)
+            assert np.array_equal(trace.states[0],
+                                  sample_initial_state(walker_library, certificate.omega, rng))
+            supervisor = Supervisor(ids[rng.integers(len(ids))], budget, known_ids=ids)
+            proposals = rng.random(horizon - 1) < 1.0 / 3.0
+            picks = iter(rng.integers(len(ids) - 1, size=int(np.count_nonzero(proposals))))
+            for proposed in proposals:
+                wanted = supervisor.current
+                if proposed:
+                    wanted = ids[(ids.index(wanted) + 1 + next(picks)) % len(ids)]
+                deferred += not supervisor.request(wanted)
+            assert np.array_equal(trace.signal.assignments, supervisor.signal.assignments)
+        assert deferred > 0
+        assert report.deferred_requests == deferred
 
     def test_report_is_reproducible_from_the_seed(self, walker_library, walker_certificate):
         a, _ = monte_carlo(walker_library, walker_certificate, 60, 80, 0.05, 31)

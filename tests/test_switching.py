@@ -15,6 +15,7 @@ from switchcert import (
     admit_switch,
     count_switches,
     heading_policy,
+    supervise_batch,
     validate_dwell_time,
 )
 
@@ -265,6 +266,65 @@ class TestProperties:
         # additive across a split, hence subadditive
         total = count_switches(sig, lower, upper)
         assert total == count_switches(sig, lower, mid) + count_switches(sig, mid, upper)
+
+
+# Libraries of 1-4 distinct, non-contiguous ids in arbitrary order.
+member_ids = st.lists(st.integers(-4, 12), min_size=1, max_size=4, unique=True).map(
+    lambda ids: [3 * i + 1 for i in ids]
+)
+# na on both sides of 1 (below 1 every proposal may switch at once); the
+# dyadic budgets make the admission test meet its limit exactly.
+any_na = st.one_of(st.floats(0.2, 1.0, exclude_max=True), st.floats(1.0, 5.0), dyadic_na)
+any_n0 = st.one_of(st.floats(0.5, 3.0), half_integer_n0)
+
+
+def replay_supervisor(ids, initial, requests, budget):
+    """Per-step ``Supervisor.request`` replay of a ``supervise_batch`` row."""
+    supervisor = Supervisor(initial_id=initial, budget=budget, known_ids=ids)
+    admitted = []
+    for r in requests:
+        wanted = supervisor.current
+        if r >= 0:
+            wanted = ids[(ids.index(supervisor.current) + 1 + r) % len(ids)]
+        admitted.append(supervisor.request(wanted))
+    return supervisor.signal.assignments, admitted
+
+
+class TestSuperviseBatch:
+    @property_settings
+    @given(member_ids, any_n0, any_na, st.integers(1, 5), st.integers(0, 40),
+           st.data())
+    def test_matches_the_scalar_supervisor_bit_for_bit(self, ids, n0, na, rows, steps, data):
+        budget = DwellTimeBudget(n0=n0, na=na)
+        initial = data.draw(st.lists(st.sampled_from(ids), min_size=rows, max_size=rows))
+        requests = np.array(
+            data.draw(st.lists(st.lists(st.integers(-1, len(ids) - 2), min_size=steps,
+                                        max_size=steps), min_size=rows, max_size=rows)),
+            dtype=np.int64,
+        ).reshape(rows, steps)
+        assignments, admitted = supervise_batch(ids, initial, requests, budget)
+        assert assignments.shape == (rows, steps + 1)
+        assert admitted.shape == (rows, steps)
+        for e in range(rows):
+            expected, expected_admitted = replay_supervisor(ids, initial[e], requests[e], budget)
+            assert np.array_equal(assignments[e], expected)
+            assert admitted[e].tolist() == expected_admitted
+            assert validate_dwell_time(SwitchingSignal(assignments[e]), budget).valid
+
+    def test_a_deferral_holds_the_current_member(self):
+        budget = DwellTimeBudget(n0=1.0, na=3.0)
+        assignments, admitted = supervise_batch((4, 7), [4], [[0, 0, -1]], budget)
+        assert assignments.tolist() == [[4, 7, 7, 7]]
+        assert admitted.tolist() == [[True, False, True]]
+
+    def test_unknown_initial_id_rejected(self):
+        with pytest.raises(ValueError, match="unknown primitive id"):
+            supervise_batch((0, 1), [2], [[-1]], DwellTimeBudget(n0=1.0, na=1.0))
+
+    @pytest.mark.parametrize("request_code", [-2, 1])
+    def test_request_outside_the_other_members_rejected(self, request_code):
+        with pytest.raises(ValueError, match="requests must lie in"):
+            supervise_batch((0, 1), [0], [[request_code]], DwellTimeBudget(n0=1.0, na=1.0))
 
 
 class TestHeadingPolicy:
