@@ -17,14 +17,13 @@ analytic value is always an upper bound for the grid value.
 """
 from __future__ import annotations
 
-import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from .library_io import library_fingerprint
+from .library_io import library_fingerprint, read_document, write_document
 from .primitives import PrimitiveLibrary, QuadraticLyapunov
 from . import simulation
 
@@ -258,7 +257,6 @@ def feasibility_check(
     n0_bar: int,
     omega: float,
     mu: float,
-    resolution: int | None = None,
 ) -> ContainmentReport:
     """Check that the mu^n0 * omega sublevel sets sit strictly inside every basin.
 
@@ -287,7 +285,7 @@ def feasibility_check(
             if slack > 0.0:
                 pairs.append(PairContainment(q.id, p.id, "ball", float(slack), True))
                 continue
-            res = _resolve_resolution(library.state_dim, resolution)
+            res = _resolve_resolution(library.state_dim, None)
             lo, hi = _box_of(q.lyapunov, level)
             pts = _grid_points(lo, hi, res)
             pts = pts[q.lyapunov.values(pts) <= level]
@@ -376,14 +374,12 @@ class Certificate:
         )
 
     def save(self, path: str | Path) -> None:
-        Path(path).write_text(json.dumps(self.to_dict(), indent=2, sort_keys=True) + "\n")
+        write_document(path, self.to_dict())
 
     @classmethod
-    def load(cls, path: str | Path) -> "Certificate":
-        try:
-            return cls.from_dict(json.loads(Path(path).read_text()))
-        except ValueError as exc:  # a JSONDecodeError is a ValueError too
-            raise ValueError(f"{path}: {exc}") from exc
+    def load(cls, source: str | Path) -> "Certificate":
+        """Load a certificate from a path, or the packaged one as ``"shipped"``."""
+        return read_document(source, cls.from_dict)[0]
 
 
 @dataclass(frozen=True)
@@ -394,16 +390,6 @@ class KappaDiagnostic:
     na_bar: float
     feasible_n0: tuple[int, ...]
     note: str = ""
-
-    def to_dict(self) -> dict:
-        return {
-            "kappa": self.kappa,
-            "omega": self.omega,
-            "mu": self.mu,
-            "na_bar": self.na_bar,
-            "feasible_n0": list(self.feasible_n0),
-            "note": self.note,
-        }
 
 
 @dataclass(frozen=True)
@@ -420,7 +406,6 @@ def synthesize_certificate(
     epsilon: float | None = None,
     n0_candidates=DEFAULT_N0_CANDIDATES,
     method: str = "grid",
-    resolution: int | None = None,
 ) -> SynthesisResult:
     """Sweep candidate core levels (ascending) and return the first feasible certificate.
 
@@ -465,14 +450,13 @@ def synthesize_certificate(
         if not (0.0 < kappa < library.min_basin_level):
             diagnostics.append(KappaDiagnostic(float(kappa), np.nan, np.nan, np.nan, (), "kappa out of range"))
             continue
-        kwargs = {} if method == "analytic" else {"resolution": resolution}
-        omega = omega_fn(library, float(kappa), **kwargs)
-        mu = mu_fn(library, float(kappa), **kwargs)
+        omega = omega_fn(library, float(kappa))
+        mu = mu_fn(library, float(kappa))
         na = dwell_time_bound(mu, rate, epsilon)
         feasible_n0 = []
         reports = {}
         for n0 in n0_candidates:
-            report = feasibility_check(library, float(kappa), n0, omega, mu, resolution=resolution)
+            report = feasibility_check(library, float(kappa), n0, omega, mu)
             reports[n0] = report
             if report.passed:
                 feasible_n0.append(n0)

@@ -13,6 +13,9 @@ Environment variables prefixed ``SWITCHCERT_`` provide defaults for the
 global options (``SWITCHCERT_SEED``, ``SWITCHCERT_OUT_DIR``,
 ``SWITCHCERT_CONFIG``); explicit flags win.
 
+Paths given as flags resolve against the working directory; a path inside
+a scenario config resolves against the config file's directory.
+
 Exit codes: 0 success (certify: feasible), 1 input error, 2 infeasible,
 3 invalid signal.
 """
@@ -21,36 +24,31 @@ from __future__ import annotations
 
 import argparse
 import hashlib
-import json
 import os
 import sys
 import time
-from importlib import resources
 from pathlib import Path
 
-from . import __version__
+# Libraries are parsed by library_io.library_from_dict, looked up at call
+# time: perfbench's tracer wraps it on its module.
+from . import __version__, library_io
 from .certificates import (
     Certificate,
     DEFAULT_N0_CANDIDATES,
     estimate_disturbance_margin,
     synthesize_certificate,
 )
+from .library_io import SHIPPED_CERTIFICATE, SHIPPED_LIBRARY, read_document, write_document
 from .simulation import monte_carlo
 from .switching import DwellTimeBudget, SwitchingSignal, validate_dwell_time
-from .walker import load_scenario, run_scenario
+from .walker import load_scenario, run_scenario, scenario_certificate_source
 
 EXIT_OK = 0
 EXIT_INPUT = 1
 EXIT_INFEASIBLE = 2
 EXIT_INVALID_SIGNAL = 3
 
-SHIPPED_LIBRARY = "shipped-walker"
-SHIPPED_CERTIFICATE = "shipped"
 _ENV_PREFIX = "SWITCHCERT_"
-
-
-class InputError(Exception):
-    """Anything wrong with the inputs; maps to exit code 1."""
 
 
 class _Parser(argparse.ArgumentParser):
@@ -63,48 +61,8 @@ def _env_default(name: str, fallback=None):
     return os.environ.get(_ENV_PREFIX + name, fallback)
 
 
-def _shipped_bytes(name: str) -> bytes:
-    return resources.files("switchcert").joinpath("data", name).read_bytes()
-
-
-def _load_library_arg(value: str):
-    if value == SHIPPED_LIBRARY:
-        raw = _shipped_bytes("walker_library.json")
-    else:
-        path = Path(value)
-        if not path.is_file():
-            raise InputError(f"library file not found: {value}")
-        raw = path.read_bytes()
-    from .library_io import library_from_dict
-
-    try:
-        library = library_from_dict(json.loads(raw.decode()))
-    except (ValueError, KeyError, TypeError, json.JSONDecodeError) as exc:
-        raise InputError(f"bad library {value}: {exc}") from exc
-    return library, raw
-
-
-def _load_certificate_arg(value: str):
-    if value == SHIPPED_CERTIFICATE:
-        raw = _shipped_bytes("walker_certificate.json")
-    else:
-        path = Path(value)
-        if not path.is_file():
-            raise InputError(f"certificate file not found: {value}")
-        raw = path.read_bytes()
-    try:
-        certificate = Certificate.from_dict(json.loads(raw.decode()))
-    except (ValueError, KeyError, TypeError, json.JSONDecodeError) as exc:
-        raise InputError(f"bad certificate {value}: {exc}") from exc
-    return certificate, raw
-
-
 def _sha256(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
-
-
-def _write_json(path: Path, payload: dict) -> None:
-    path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
 def _write_manifest(out_dir: Path, subcommand: str, seed: int,
@@ -123,12 +81,12 @@ def _write_manifest(out_dir: Path, subcommand: str, seed: int,
         "resolved": resolved,
         "duration_seconds": time.time() - started,
     }
-    _write_json(out_dir / "run_manifest.json", manifest)
+    write_document(out_dir / "run_manifest.json", manifest)
 
 
 def _out_dir(args) -> Path:
     if args.out_dir is None:
-        raise InputError("--out-dir is required for this subcommand")
+        raise ValueError("--out-dir is required for this subcommand")
     out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     return out
@@ -136,14 +94,11 @@ def _out_dir(args) -> Path:
 
 def cmd_certify(args) -> int:
     started = time.time()
-    library, raw = _load_library_arg(args.library)
+    library, raw = read_document(args.library, library_io.library_from_dict)
     if args.margin_trials < 0:
-        raise InputError("--margin-trials must be nonnegative")
+        raise ValueError("--margin-trials must be nonnegative")
     out = _out_dir(args)
-    try:
-        result = synthesize_certificate(library, method=args.method, epsilon=args.epsilon)
-    except ValueError as exc:
-        raise InputError(str(exc)) from exc
+    result = synthesize_certificate(library, method=args.method, epsilon=args.epsilon)
     lines = [
         f"library: {args.library}  members: {len(library)}  "
         f"contraction rate: {library.contraction_rate!r}",
@@ -193,15 +148,9 @@ def cmd_certify(args) -> int:
 
 def cmd_validate(args) -> int:
     started = time.time()
-    path = Path(args.signal)
-    if not path.is_file():
-        raise InputError(f"signal file not found: {args.signal}")
-    raw = path.read_bytes()
-    try:
-        signal = SwitchingSignal.from_csv(path)
-        budget = DwellTimeBudget(n0=args.n0, na=args.na)
-    except ValueError as exc:
-        raise InputError(str(exc)) from exc
+    raw = Path(args.signal).read_bytes()
+    signal = SwitchingSignal.from_csv(args.signal)
+    budget = DwellTimeBudget(n0=args.n0, na=args.na)
     report = validate_dwell_time(signal, budget)
     verdict = "VALID" if report.valid else "INVALID"
     text = (
@@ -216,7 +165,7 @@ def cmd_validate(args) -> int:
     if args.out_dir is not None:
         out = _out_dir(args)
         (out / "validation_report.txt").write_text(text)
-        _write_json(out / "validation_report.json", {
+        write_document(out / "validation_report.json", {
             "valid": report.valid,
             "switch_count": report.switch_count,
             "worst_interval": list(report.worst_interval),
@@ -231,21 +180,18 @@ def cmd_validate(args) -> int:
 
 def cmd_simulate(args) -> int:
     started = time.time()
-    library, lraw = _load_library_arg(args.library)
-    certificate, craw = _load_certificate_arg(args.certificate)
+    library, lraw = read_document(args.library, library_io.library_from_dict)
+    certificate, craw = read_document(args.certificate, Certificate.from_dict)
     out = _out_dir(args)
-    try:
-        report, traces = monte_carlo(
-            library, certificate,
-            episode_count=args.episodes,
-            horizon=args.horizon,
-            disturbance_amplitude=args.amplitude,
-            seed=args.seed,
-            keep_traces=args.keep_traces,
-        )
-    except ValueError as exc:
-        raise InputError(str(exc)) from exc
-    _write_json(out / "campaign_summary.json", report.to_dict())
+    report, traces = monte_carlo(
+        library, certificate,
+        episode_count=args.episodes,
+        horizon=args.horizon,
+        disturbance_amplitude=args.amplitude,
+        seed=args.seed,
+        keep_traces=args.keep_traces,
+    )
+    write_document(out / "campaign_summary.json", report.to_dict())
     for index, trace in enumerate(traces):
         trace.to_csv(out / f"trace_{index:04d}.csv")
     resolved = {
@@ -268,27 +214,23 @@ def cmd_simulate(args) -> int:
 def cmd_scenario(args) -> int:
     started = time.time()
     if args.config is None:
-        raise InputError("--config is required for scenario")
-    cfg_path = Path(args.config)
-    if not cfg_path.is_file():
-        raise InputError(f"config file not found: {args.config}")
-    raw = cfg_path.read_bytes()
+        raise ValueError("--config is required for scenario")
+    base_dir = Path(args.config).parent
+
+    def build(config):
+        source = args.certificate
+        if source is None:
+            source = scenario_certificate_source(config, base_dir)
+        certificate, raw = read_document(source, Certificate.from_dict)
+        return load_scenario(config, base_dir, args.mode, certificate), (source, raw)
+
+    (scenario, certificate_input), raw = read_document(args.config, build)
     out = _out_dir(args)
-    try:
-        scenario = load_scenario(
-            cfg_path,
-            mode_override=args.mode,
-            certificate_override=args.certificate,
-        )
-        trace = run_scenario(scenario)
-    except (ValueError, KeyError, TypeError, json.JSONDecodeError) as exc:
-        raise InputError(str(exc)) from exc
+    trace = run_scenario(scenario)
     trace.write_outputs(out, leader=scenario.leader)
     trace.write_ellipses(out, scenario.reduced_library, scenario.certificate)
-    _write_json(out / "summary.json", trace.summary())
-    inputs = {"config": (args.config, raw)}
-    if args.certificate is not None and args.certificate != SHIPPED_CERTIFICATE:
-        inputs["certificate"] = (args.certificate, Path(args.certificate).read_bytes())
+    write_document(out / "summary.json", trace.summary())
+    inputs = {"config": (args.config, raw), "certificate": certificate_input}
     resolved = {
         "mode": trace.mode,
         "strides": trace.stride_count,
@@ -359,7 +301,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mode", default=None,
                    help="override the config mode: adaptive or fixed:<id>")
     p.add_argument("--certificate", default=None,
-                   help="override the config certificate path")
+                   help=f"certificate JSON path, or '{SHIPPED_CERTIFICATE}'; "
+                        "overrides the config's certificate")
     p.set_defaults(func=cmd_scenario)
     return parser
 
@@ -374,10 +317,7 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args)
-    except InputError as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return EXIT_INPUT
-    except OSError as exc:
+    except (ValueError, OSError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_INPUT
 

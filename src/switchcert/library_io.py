@@ -1,14 +1,19 @@
-"""JSON serialization for primitive libraries.
+"""JSON documents: the one reader and writer, and the library format.
 
-The on-disk format stores matrices as row-major nested lists of IEEE-754
-doubles.  ``library_fingerprint`` hashes the canonical serialization so
-certificates can be pinned to the exact library they were computed for.
+``read_document`` and ``write_document`` are the only places the package
+reads or writes a JSON document (libraries, certificates, scenario configs,
+reports and manifests).  The library format stores matrices as row-major
+nested lists of IEEE-754 doubles.  ``library_fingerprint`` hashes the
+canonical serialization so certificates can be pinned to the exact library
+they were computed for.
 """
 from __future__ import annotations
 
 import hashlib
 import json
+from importlib import resources
 from pathlib import Path
+from typing import Callable
 
 import numpy as np
 
@@ -16,6 +21,44 @@ from .primitives import Primitive, PrimitiveLibrary, PrimitiveMap, QuadraticLyap
 
 FORMAT_NAME = "switchcert-library"
 FORMAT_VERSION = 1
+
+SHIPPED_LIBRARY = "shipped-walker"
+SHIPPED_CERTIFICATE = "shipped"
+SHIPPED_STRIDES = "shipped-strides"
+# Source names that stand for a document packaged in ``switchcert/data``.
+_SHIPPED_FILES = {
+    SHIPPED_LIBRARY: "walker_library.json",
+    SHIPPED_CERTIFICATE: "walker_certificate.json",
+    SHIPPED_STRIDES: "walker_strides.json",
+}
+
+
+def read_document(source: str | Path, parse: Callable) -> tuple:
+    """Read one JSON document and return ``(parse(document), raw bytes)``.
+
+    ``source`` is a shipped name (``"shipped-walker"``, ``"shipped"``,
+    ``"shipped-strides"``) or a path.  The bytes are read once and parsed
+    once, so a caller that hashes the returned bytes hashes exactly what it
+    parsed.  A document that is not UTF-8 JSON, or that ``parse`` rejects
+    with ``ValueError``, ``KeyError`` or ``TypeError``, raises ``ValueError``
+    naming the source; a file that cannot be read raises ``OSError``.
+    """
+    shipped = _SHIPPED_FILES.get(str(source))
+    if shipped is not None:
+        raw = resources.files(__package__).joinpath("data", shipped).read_bytes()
+    else:
+        raw = Path(source).read_bytes()
+    try:
+        return parse(json.loads(raw.decode())), raw
+    except KeyError as exc:
+        raise ValueError(f"{source}: missing field {exc}") from exc
+    except (ValueError, TypeError) as exc:  # JSON and UTF-8 errors are ValueErrors
+        raise ValueError(f"{source}: {exc}") from exc
+
+
+def write_document(path: str | Path, document: dict) -> None:
+    """Write ``document`` as indented JSON with sorted keys and a final newline."""
+    Path(path).write_text(json.dumps(document, indent=2, sort_keys=True) + "\n")
 
 
 def primitive_to_dict(primitive: Primitive) -> dict:
@@ -85,12 +128,9 @@ def library_fingerprint(library: PrimitiveLibrary) -> str:
 
 
 def save_library(library: PrimitiveLibrary, path: str | Path) -> None:
-    Path(path).write_text(json.dumps(library_to_dict(library), indent=2, sort_keys=True) + "\n")
+    write_document(path, library_to_dict(library))
 
 
-def load_library(path: str | Path) -> PrimitiveLibrary:
-    try:
-        data = json.loads(Path(path).read_text())
-    except json.JSONDecodeError as exc:
-        raise ValueError(f"{path} is not valid JSON: {exc}") from exc
-    return library_from_dict(data)
+def load_library(source: str | Path) -> PrimitiveLibrary:
+    """Load a library from a path, or the packaged one as ``"shipped-walker"``."""
+    return read_document(source, library_from_dict)[0]

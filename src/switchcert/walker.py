@@ -13,17 +13,22 @@ primitive, step.
 from __future__ import annotations
 
 import csv
-import json
 import math
 from dataclasses import dataclass
-from importlib import resources
 from pathlib import Path
 
 import numpy as np
 from scipy.interpolate import CubicSpline
 
 from .certificates import Certificate
-from .library_io import library_fingerprint, library_from_dict
+from .library_io import (
+    SHIPPED_CERTIFICATE,
+    SHIPPED_LIBRARY,
+    SHIPPED_STRIDES,
+    library_fingerprint,
+    library_from_dict,
+    read_document,
+)
 from .primitives import Primitive, PrimitiveLibrary
 from .simulation import budget_from_certificate
 from .switching import Supervisor, SwitchingSignal, heading_policy, validate_dwell_time
@@ -612,24 +617,20 @@ def run_scenario(scenario: WalkerScenario) -> ScenarioTrace:
 # ---------------------------------------------------------------------------
 # shipped data and scenario configs
 
-def _data_text(name: str) -> str:
-    return resources.files("switchcert").joinpath("data", name).read_text()
-
-
 def shipped_walker_library() -> PrimitiveLibrary:
     """The packaged 3-member reduced stride library."""
-    return library_from_dict(json.loads(_data_text("walker_library.json")))
+    return read_document(SHIPPED_LIBRARY, library_from_dict)[0]
 
 
 def shipped_certificate() -> Certificate:
     """The packaged certificate for the shipped stride library."""
-    return Certificate.from_dict(json.loads(_data_text("walker_certificate.json")))
+    return Certificate.load(SHIPPED_CERTIFICATE)
 
 
 def shipped_stride_primitives() -> tuple[StridePrimitive, ...]:
     """The packaged stride primitives (reduced dynamics plus pose data)."""
     library = shipped_walker_library()
-    meta = json.loads(_data_text("walker_strides.json"))
+    meta = read_document(SHIPPED_STRIDES, dict)[0]
     by_id = {entry["id"]: entry for entry in meta["primitives"]}
     out = []
     for member in library:
@@ -646,23 +647,37 @@ def shipped_stride_primitives() -> tuple[StridePrimitive, ...]:
     return tuple(out)
 
 
+def scenario_certificate_source(config: dict, base_dir: str | Path) -> str:
+    """The certificate a scenario config names: "shipped" (the default) or
+    the configured path, resolved against ``base_dir`` when relative."""
+    if not isinstance(config, dict):
+        raise ValueError("a scenario config must be a JSON object")
+    ref = str(config.get("certificate", SHIPPED_CERTIFICATE))
+    return ref if ref == SHIPPED_CERTIFICATE else str(Path(base_dir) / ref)
+
+
 def load_scenario(
     config: dict | str | Path,
     base_dir: str | Path | None = None,
     mode_override: str | None = None,
-    certificate_override: str | Path | None = None,
+    certificate: Certificate | None = None,
 ) -> WalkerScenario:
     """Build a scenario from a JSON config (path or already-parsed dict).
 
-    Relative certificate paths resolve against ``base_dir`` (defaults to the
-    config file's directory).  The special certificate value "shipped" loads
-    the packaged certificate; the stride library is always the shipped one.
+    ``certificate`` is an already-loaded certificate.  Without one, the
+    certificate the config names is loaded (see
+    ``scenario_certificate_source``): a relative path resolves against
+    ``base_dir``, which defaults to the config file's directory, or to the
+    working directory for a dict.  The stride library is always the shipped
+    one.
     """
-    if not isinstance(config, dict):
+    if isinstance(config, (str, Path)):
         path = Path(config)
-        base_dir = path.parent if base_dir is None else Path(base_dir)
-        config = json.loads(path.read_text())
-    base = Path(base_dir) if base_dir is not None else Path.cwd()
+        base = path.parent if base_dir is None else base_dir
+        return read_document(
+            path, lambda data: load_scenario(data, base, mode_override, certificate))[0]
+    if not isinstance(config, dict):
+        raise ValueError("a scenario config must be a JSON object")
 
     leader_cfg = config.get("leader")
     if not isinstance(leader_cfg, dict) or "waypoints" not in leader_cfg:
@@ -679,17 +694,13 @@ def load_scenario(
             waypoints, speed=float(leader_cfg.get("speed", DEFAULT_SPEED)),
             stiffness=stiffness, damping=damping)
 
-    cert_ref = certificate_override if certificate_override is not None \
-        else config.get("certificate", "shipped")
-    if str(cert_ref) == "shipped":
-        certificate = shipped_certificate()
-    else:
-        cert_path = Path(cert_ref)
-        if not cert_path.is_absolute():
-            cert_path = base / cert_path
-        certificate = Certificate.load(cert_path)
+    if certificate is None:
+        certificate = Certificate.load(
+            scenario_certificate_source(config, "." if base_dir is None else base_dir))
 
     pose_cfg = config.get("initial_pose", {})
+    if not isinstance(pose_cfg, dict):
+        raise ValueError("initial_pose must be an object")
     pose = Pose(
         position=np.array(pose_cfg.get("position", [0.0, 0.0]), dtype=float),
         heading=float(pose_cfg.get("heading", 0.0)))

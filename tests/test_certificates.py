@@ -313,6 +313,15 @@ class TestCertificateDocument:
         again = Certificate.load(path)
         assert again == walker_certificate
 
+    def test_shipped_name_loads_the_packaged_certificate(self, walker_certificate):
+        assert Certificate.load("shipped") == walker_certificate
+
+    def test_missing_field_is_a_value_error_naming_the_file(self, tmp_path):
+        path = tmp_path / "certificate.json"
+        path.write_text('{"format": "switchcert-certificate"}')
+        with pytest.raises(ValueError, match="certificate.json: missing field 'containment'"):
+            Certificate.load(path)
+
     def test_validation_rejects_bad_fields(self, walker_certificate):
         data = walker_certificate.to_dict()
         bad = dict(data)

@@ -1,11 +1,13 @@
 """Command-line interface: exit codes, output bundles, environment
 overrides, and byte-level determinism of repeated runs."""
 
+import hashlib
 import json
 import os
 import subprocess
 import sys
 import tracemalloc
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -365,6 +367,103 @@ class TestScenario:
         code = main(["scenario"])
         assert code == EXIT_OK
         assert (tmp_path / "summary.json").exists()
+
+    def curved_config_in(self, directory, **fields):
+        directory.mkdir(exist_ok=True)
+        config = json.loads((EXAMPLES / "curved_leader.json").read_text())
+        config.update(fields)
+        path = directory / "leader.json"
+        path.write_text(json.dumps(config))
+        return path
+
+    def test_certificate_flag_resolves_against_the_working_directory(
+        self, tmp_path, monkeypatch
+    ):
+        config = self.curved_config_in(tmp_path / "cfg")
+        work = tmp_path / "work"
+        work.mkdir()
+        shipped_certificate().save(work / "mycert.json")
+        monkeypatch.chdir(work)
+        argv = ["scenario", "--config", str(config), "--certificate", "mycert.json"]
+        assert main(argv + ["--out-dir", str(tmp_path / "only_cwd")]) == EXIT_OK
+
+        # A certificate of the same name beside the config, with a much longer
+        # dwell time, must be ignored: the run switches as under the shipped one.
+        slow = replace(shipped_certificate(), n0_bar=1, na_bar=50.0)
+        slow.save(tmp_path / "cfg" / "mycert.json")
+        out = tmp_path / "both"
+        assert main(argv + ["--out-dir", str(out)]) == EXIT_OK
+        loaded = (work / "mycert.json").read_bytes()
+        manifest = json.loads((out / "run_manifest.json").read_text())
+        assert manifest["inputs"]["certificate"] == {
+            "path": "mycert.json", "sha256": hashlib.sha256(loaded).hexdigest()}
+        reference = tmp_path / "reference"
+        assert main(["scenario", "--config", str(EXAMPLES / "curved_leader.json"),
+                     "--out-dir", str(reference)]) == EXIT_OK
+        assert (out / "summary.json").read_bytes() == (reference / "summary.json").read_bytes()
+
+    def test_manifest_records_the_certificate_the_run_used(self, tmp_path):
+        simulate = tmp_path / "simulate"
+        assert main(["simulate", "--library", "shipped-walker", "--certificate", "shipped",
+                     "--episodes", "1", "--horizon", "1", "--out-dir", str(simulate)]) == EXIT_OK
+        shipped = json.loads((simulate / "run_manifest.json").read_text())
+        out = tmp_path / "shipped"
+        assert main(["scenario", "--config", str(EXAMPLES / "straight_leader.json"),
+                     "--out-dir", str(out)]) == EXIT_OK
+        manifest = json.loads((out / "run_manifest.json").read_text())
+        assert manifest["inputs"]["certificate"] == shipped["inputs"]["certificate"]
+
+        cert = tmp_path / "cfg" / "cert.json"
+        config = self.curved_config_in(cert.parent, certificate="cert.json")
+        shipped_certificate().save(cert)
+        out = tmp_path / "from_config"
+        assert main(["scenario", "--config", str(config), "--out-dir", str(out)]) == EXIT_OK
+        manifest = json.loads((out / "run_manifest.json").read_text())
+        assert manifest["inputs"]["certificate"] == {
+            "path": str(cert), "sha256": hashlib.sha256(cert.read_bytes()).hexdigest()}
+
+
+_POSE_LIST_CONFIG = json.loads((EXAMPLES / "straight_leader.json").read_text())
+_POSE_LIST_CONFIG["initial_pose"] = [0, 0]
+_MALFORMED = {
+    "library": {"entry-not-object": b'{"primitives": ["x"]}',
+                "primitives-not-array": b'{"primitives": 5}',
+                "not-utf8": b'\xff{"primitives": []}'},
+    "certificate": {"no-fields": b'{"format": "switchcert-certificate"}',
+                    "not-utf8": b"\xff{}"},
+    "config": {"list": b"[1, 2]",
+               "pose-list": json.dumps(_POSE_LIST_CONFIG).encode(),
+               "not-utf8": b"\xff{}"},
+}
+# Every subcommand that reads each kind of document; BAD is the malformed file.
+_READERS = {
+    "library": [["certify", "--library", "BAD"],
+                ["simulate", "--library", "BAD", "--certificate", "shipped"]],
+    "certificate": [["simulate", "--library", "shipped-walker", "--certificate", "BAD"],
+                    ["scenario", "--config", str(EXAMPLES / "straight_leader.json"),
+                     "--certificate", "BAD"]],
+    "config": [["scenario", "--config", "BAD"]],
+}
+
+
+@pytest.mark.parametrize(
+    "body, argv",
+    [
+        pytest.param(body, argv, id=f"{kind}-{case}-{argv[0]}")
+        for kind, cases in _MALFORMED.items()
+        for case, body in cases.items()
+        for argv in _READERS[kind]
+    ],
+)
+def test_malformed_document_is_a_one_line_input_error(tmp_path, capsys, body, argv):
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(body)
+    argv = [str(bad) if a == "BAD" else a for a in argv]
+    assert main(argv + ["--out-dir", str(tmp_path / "out")]) == EXIT_INPUT
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    assert str(bad) in err
+    assert "Traceback" not in err
 
 
 class TestArgumentErrors:

@@ -1,6 +1,7 @@
 """Serialization round-trips and content fingerprints for primitive libraries."""
 
 import json
+import re
 from pathlib import Path
 
 import numpy as np
@@ -70,6 +71,10 @@ def test_fingerprint_changes_when_content_changes():
     assert library_fingerprint(base) != library_fingerprint(bumped)
 
 
+def test_shipped_name_loads_the_packaged_library(walker_library):
+    assert library_fingerprint(load_library("shipped-walker")) == library_fingerprint(walker_library)
+
+
 def test_shipped_library_matches_certificate_fingerprint(walker_library, walker_certificate):
     assert library_fingerprint(walker_library) == walker_certificate.library_fingerprint
 
@@ -97,13 +102,11 @@ def test_serialized_document_is_plain_json(tmp_path):
 
 def test_malformed_documents_are_rejected(tmp_path):
     bad = tmp_path / "bad.json"
-    bad.write_text("not json at all")
-    try:
-        load_library(bad)
-    except ValueError:
-        pass
-    else:
-        raise AssertionError("malformed JSON must raise ValueError")
+    for body in (b"not json at all", b'{"primitives": ["x"]}', b'{"primitives": 5}',
+                 b'{"primitives": [{"id": 0}]}', b"\xff{}"):
+        bad.write_bytes(body)
+        with pytest.raises(ValueError, match=re.escape(str(bad))):
+            load_library(bad)
     try:
         library_from_dict({"primitives": [{"id": 0}]})
     except ValueError:

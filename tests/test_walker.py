@@ -369,6 +369,14 @@ class TestScenarios:
         with pytest.raises(ValueError):
             load_scenario(config, mode_override="sideways")
 
+    def test_config_and_initial_pose_must_be_objects(self):
+        with pytest.raises(ValueError, match="JSON object"):
+            load_scenario([1, 2])
+        config = straight_config()
+        config["initial_pose"] = [0, 0]
+        with pytest.raises(ValueError, match="initial_pose"):
+            load_scenario(config)
+
     def test_leader_span_must_cover_the_run(self):
         config = straight_config()
         config["strides"] = 100  # needs 50 s of path, the leader has 20 s
