@@ -31,7 +31,6 @@ from .switching import (
     DwellTimeReport,
     Supervisor,
     SwitchingSignal,
-    admit_switch,
     count_switches,
     heading_policy,
     supervise_batch,

@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import argparse
 import hashlib
+import locale  # noqa: F401  argparse's gettext would import it inside build_parser
 import os
 import sys
 import time

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 import numpy as np
+import numpy.random  # numpy 2 loads it lazily, on the first default_rng
 
 FIXED_POINT_TOL = 1e-12
 SYMMETRY_TOL = 1e-10

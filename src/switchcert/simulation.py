@@ -13,6 +13,7 @@ from pathlib import Path
 from typing import Callable
 
 import numpy as np
+import numpy.random  # numpy 2 loads it lazily, on the first default_rng
 
 from .library_io import library_fingerprint
 from .primitives import PrimitiveLibrary

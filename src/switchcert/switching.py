@@ -198,36 +198,17 @@ def validate_dwell_time(signal: SwitchingSignal, budget: DwellTimeBudget) -> Dwe
     )
 
 
-def admit_switch(history: SwitchingSignal, step: int, requested: int, budget: DwellTimeBudget) -> bool:
-    """Causal admission test for a switch activating at ``step``.
-
-    ``history`` must cover steps 0..step-1.  Returns True when appending the
-    requested id keeps the dwell-time bound satisfied for every interval
-    ending at the new step (intervals ending earlier are unchanged).
-    A request equal to the current id is no switch and always admitted.
-
-    The deficit max_{a <= step} g(a) - g(step), the prefix maximum of g less
-    g at ``step``, is the worst excess of the intervals ending at ``step``;
-    the switch adds 1 - 1/na to it.
-    """
-    if step != len(history):
-        raise ValueError(f"step must equal len(history)={len(history)}, got {step}")
-    current = int(history.assignments[-1])
-    if int(requested) == current:
-        return True
-    g = _slack_profile(_switch_prefix(history), budget)
-    deficit = float(g.max() - g[-1])
-    return deficit + 1.0 - 1.0 / budget.na <= budget.n0 + _SLACK_TOL
-
-
 class Supervisor:
     """Online gatekeeper that defers switches violating the dwell-time budget.
 
     ``request`` is called once per step with the id that should be active
-    next; it either admits the switch or holds the current primitive.  It is
-    the online form of ``admit_switch``: it keeps the deficit
-    max_{a <= j} g(a) - g(j) as a scalar, which a step changes by its switch
-    count minus 1/na, floored at zero, so each call is O(1).
+    next; it either admits the switch or holds the current primitive.  A
+    switch is admitted when every interval ending at the new step keeps its
+    budget.  With g(j) = j/na - (switches before j), the worst excess of
+    those intervals is the deficit max_{a <= j} g(a) - g(j), and a switch
+    adds 1 - 1/na to it.  The supervisor keeps the deficit as a scalar,
+    which a step changes by its switch count minus 1/na, floored at zero,
+    so each call is O(1).
     """
 
     def __init__(self, initial_id: int, budget: DwellTimeBudget, known_ids=None):
@@ -288,7 +269,8 @@ def supervise_batch(ids, initial, requests, budget: DwellTimeBudget) -> tuple[np
     ids = np.asarray(ids, dtype=np.int64)
     initial = np.asarray(initial, dtype=np.int64)
     requests = np.asarray(requests, dtype=np.int64)
-    if ids.ndim != 1 or ids.size == 0 or np.unique(ids).size != ids.size:
+    # A set, not np.unique: numpy 2 imports numpy.ma on the first np.unique.
+    if ids.ndim != 1 or ids.size == 0 or len(set(ids.tolist())) != ids.size:
         raise ValueError("ids must be a nonempty sequence of distinct integers")
     if requests.ndim != 2 or initial.shape != requests.shape[:1]:
         raise ValueError("requests must have shape (len(initial), steps)")

@@ -18,7 +18,6 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
-from scipy.interpolate import CubicSpline
 
 from .certificates import Certificate
 from .library_io import (
@@ -41,6 +40,8 @@ _SPAN_SLACK = 1e-9
 # Integrals this small are quadrature roundoff; snapping them to the exact
 # zero vector keeps the zero-force bearing convention meaningful.
 _FORCE_SNAP = 1e-9
+# Exponents of d in the leader spline's power basis.
+_POWERS = np.arange(4.0)
 
 
 def wrap_angle(angle: float) -> float:
@@ -201,8 +202,7 @@ class LeaderModel:
         object.__setattr__(self, "waypoints", points)
         object.__setattr__(self, "stiffness", stiffness)
         object.__setattr__(self, "damping", damping)
-        object.__setattr__(
-            self, "_path", CubicSpline(times, points, axis=0, bc_type="natural"))
+        object.__setattr__(self, "_coef", _natural_spline(times, points))
 
     @classmethod
     def from_waypoints(
@@ -233,21 +233,70 @@ class LeaderModel:
     def span(self) -> tuple[float, float]:
         return float(self.times[0]), float(self.times[-1])
 
-    def _check_span(self, t) -> None:
+    def _path(self, t) -> tuple[np.ndarray, np.ndarray]:
+        """Path position and velocity at ``t``, each shaped ``t.shape + (2,)``.
+
+        Times may leave the span by ``_SPAN_SLACK``; the end intervals'
+        cubics extend over that slack.
+        """
+        t = np.asarray(t, dtype=float)
         t0, t1 = self.span
-        tmin = float(np.min(t))
-        tmax = float(np.max(t))
+        tmin = float(t.min())
+        tmax = float(t.max())
         if tmin < t0 - _SPAN_SLACK or tmax > t1 + _SPAN_SLACK:
             raise ValueError(
                 f"time {tmin if tmin < t0 else tmax} outside the leader span [{t0}, {t1}]")
+        interval = self.times[1:-1].searchsorted(t, "right")
+        powers = (t - self.times[interval])[..., None] ** _POWERS
+        out = np.einsum("...j,...jc->...c", powers, self._coef.take(interval, axis=0))
+        return out[..., :2], out[..., 2:]
 
     def position(self, t):
-        self._check_span(t)
-        return self._path(t)
+        return self._path(t)[0]
 
     def velocity(self, t):
-        self._check_span(t)
-        return self._path(t, 1)
+        return self._path(t)[1]
+
+
+def _natural_spline(times: np.ndarray, points: np.ndarray) -> np.ndarray:
+    """Power-form coefficients of the natural cubic spline through the knots.
+
+    Entry [i, j] holds the coefficients of d^j, d = t - times[i], on
+    [times[i], times[i+1]], for position x, y and then velocity x, y.  The
+    second derivatives M vanish at both end knots and solve the tridiagonal
+    system h[i-1] M[i-1] + 2 (h[i-1] + h[i]) M[i] + h[i] M[i+1]
+    = 6 (s[i] - s[i-1]) at the interior ones, with h the interval lengths
+    and s the chord slopes.  One Thomas sweep solves it on Python floats,
+    which beats numpy's per-element overhead here.
+    """
+    h = np.diff(times)[:, None]
+    slope = np.diff(points, axis=0) / h
+    hs = h[:, 0].tolist()
+    rhs = (6.0 * np.diff(slope, axis=0)).tolist()
+    n = len(hs) + 1
+    upper = [0.0] * n
+    mx = [0.0] * n
+    my = [0.0] * n
+    for i in range(1, n - 1):
+        prev = hs[i - 1]
+        pivot = 2.0 * (prev + hs[i]) - prev * upper[i - 1]
+        upper[i] = hs[i] / pivot
+        mx[i] = (rhs[i - 1][0] - prev * mx[i - 1]) / pivot
+        my[i] = (rhs[i - 1][1] - prev * my[i - 1]) / pivot
+    for i in range(n - 2, 0, -1):
+        mx[i] -= upper[i] * mx[i + 1]
+        my[i] -= upper[i] * my[i + 1]
+    m = np.array([mx, my]).T
+    position = np.stack((
+        points[:-1],
+        slope - h * (2.0 * m[:-1] + m[1:]) / 6.0,
+        0.5 * m[:-1],
+        (m[1:] - m[:-1]) / (6.0 * h),
+    ), axis=1)
+    coef = np.concatenate((position, np.zeros_like(position)), axis=2)
+    coef[:, :3, 2:] = position[:, 1:] * np.array([[1.0], [2.0], [3.0]])
+    coef.flags.writeable = False
+    return coef
 
 
 def impedance_force(leader: LeaderModel, p_e, v_e, t: float) -> np.ndarray:
@@ -258,8 +307,7 @@ def impedance_force(leader: LeaderModel, p_e, v_e, t: float) -> np.ndarray:
     """
     p_e = np.asarray(p_e, dtype=float)
     v_e = np.asarray(v_e, dtype=float)
-    pos = leader.position(t)
-    vel = leader.velocity(t)
+    pos, vel = leader._path(t)
     return leader.stiffness @ (pos - p_e) + leader.damping @ (vel - v_e)
 
 
@@ -291,9 +339,7 @@ def integrate_stride_force(
     frac = (nodes - t_start) / duration
     p_e = start_pose.position[None, :] + frac[:, None] * (end_position - start_pose.position)[None, :]
     v_e = (end_position - start_pose.position) / duration
-    leader._check_span(nodes)
-    p_l = leader._path(nodes)
-    v_l = leader._path(nodes, 1)
+    p_l, v_l = leader._path(nodes)
     force = (p_l - p_e) @ leader.stiffness.T + (v_l - v_e[None, :]) @ leader.damping.T
     weights = np.ones(panels + 1)
     weights[1:-1:2] = 4.0
@@ -587,8 +633,7 @@ def run_scenario(scenario: WalkerScenario) -> ScenarioTrace:
     levels = np.array([p.basin_level for p in members])
     in_all = np.all(lyap <= levels[None, :], axis=1)
 
-    leader_pts = scenario.leader.position(times)
-    leader_vel = scenario.leader.velocity(times)
+    leader_pts, leader_vel = scenario.leader._path(times)
     speed = np.linalg.norm(leader_vel, axis=1)
     if np.any(speed <= 0.0):
         raise ValueError("leader velocity vanishes at a stride boundary")

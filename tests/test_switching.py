@@ -12,7 +12,6 @@ from switchcert import (
     DwellTimeBudget,
     Supervisor,
     SwitchingSignal,
-    admit_switch,
     count_switches,
     heading_policy,
     supervise_batch,
@@ -43,6 +42,28 @@ def brute_force_worst(assignments, n0, na):
             if slack < best[0]:
                 best = (slack, (lower, upper))
     return best
+
+
+def admit_switch(history, step, requested, budget):
+    """Independent admission oracle for a switch activating at ``step``.
+
+    ``history`` covers steps 0..step-1.  Scans every interval [lower,
+    step + 1) ending at the new step and admits the request when each keeps
+    count <= n0 + width / na, up to the validator's 1e-9 tolerance.  A
+    request equal to the current id is no switch and always admitted.
+    """
+    if step != len(history):
+        raise ValueError(f"step must equal len(history)={len(history)}, got {step}")
+    ids = history.assignments.tolist() + [int(requested)]
+    if ids[-1] == ids[-2]:
+        return True
+    count = 0
+    for lower in range(step, -1, -1):
+        if lower > 0 and ids[lower] != ids[lower - 1]:
+            count += 1
+        if count > budget.n0 + (step + 1 - lower) / budget.na + 1e-9:
+            return False
+    return True
 
 
 class TestCountSwitches:
@@ -316,6 +337,11 @@ class TestSuperviseBatch:
         assignments, admitted = supervise_batch((4, 7), [4], [[0, 0, -1]], budget)
         assert assignments.tolist() == [[4, 7, 7, 7]]
         assert admitted.tolist() == [[True, False, True]]
+
+    @pytest.mark.parametrize("ids", [(), (3, 3), (0, 1, 0)])
+    def test_ids_must_be_nonempty_and_distinct(self, ids):
+        with pytest.raises(ValueError, match="distinct integers"):
+            supervise_batch(ids, [0], [[-1]], DwellTimeBudget(n0=1.0, na=1.0))
 
     def test_unknown_initial_id_rejected(self):
         with pytest.raises(ValueError, match="unknown primitive id"):

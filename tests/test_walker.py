@@ -3,11 +3,17 @@ pose composition, and the closed switching loop."""
 
 import csv
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import switchcert
 from switchcert import (
     LeaderModel,
     Pose,
@@ -21,6 +27,7 @@ from switchcert import (
     validate_dwell_time,
     wrap_angle,
 )
+from switchcert.walker import _SPAN_SLACK
 
 EXAMPLES = Path(__file__).resolve().parent.parent / "docs" / "examples"
 
@@ -117,6 +124,48 @@ class TestImpedanceForce:
                 stiffness=np.diag([1.0, -1.0]),
                 damping=np.zeros((2, 2)),
             )
+
+
+class TestLeaderSpline:
+    @settings(max_examples=100, derandomize=True, deadline=None, database=None)
+    @given(st.integers(2, 40), st.integers(0, 2**32 - 1))
+    def test_matches_scipy_natural_cubic_spline(self, knots, seed):
+        from scipy.interpolate import CubicSpline
+
+        rng = np.random.default_rng(seed)
+        gaps = np.exp(rng.uniform(np.log(0.01), np.log(10.0), knots - 1))
+        times = rng.uniform(-5.0, 5.0) + np.concatenate(([0.0], np.cumsum(gaps)))
+        points = rng.normal(size=(knots, 2)) * np.exp(rng.uniform(-3.0, 3.0))
+        leader = LeaderModel(times=times, waypoints=points,
+                             stiffness=np.eye(2), damping=np.eye(2))
+        t0, t1 = leader.span
+        inside = times[:-1] + rng.uniform(0.0, 1.0, knots - 1) * gaps
+        ends = [t0 - _SPAN_SLACK, t0 - 0.5 * _SPAN_SLACK, t0 + _SPAN_SLACK,
+                t1 - _SPAN_SLACK, t1 + 0.5 * _SPAN_SLACK, t1 + _SPAN_SLACK]
+        t = np.concatenate((times, inside, ends))
+        reference = CubicSpline(times, points, axis=0, bc_type="natural")
+        for method, order in ((leader.position, 0), (leader.velocity, 1)):
+            expected = reference(t, order)
+            tolerance = 1e-13 * np.max(np.abs(expected))
+            values = method(t)
+            assert values.shape == t.shape + (2,)
+            assert np.max(np.abs(values - expected)) <= tolerance
+            for tk, row in zip(t, expected):
+                value = method(float(tk))
+                assert value.shape == (2,)
+                assert np.max(np.abs(value - row)) <= tolerance
+
+    def test_cli_import_does_not_load_scipy(self):
+        package_root = str(Path(switchcert.__file__).resolve().parents[1])
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, (package_root, env.get("PYTHONPATH"))))
+        proc = subprocess.run(
+            [sys.executable, "-c",
+             "import sys, switchcert.cli; "
+             "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"],
+            capture_output=True, text=True, env=env, check=True,
+        )
+        assert proc.stdout.strip() == "[]"
 
 
 class TestStrideForceIntegration:
