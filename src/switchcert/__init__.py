@@ -39,15 +39,11 @@ from .switching import (
 from .simulation import (
     CampaignReport,
     DisturbanceSequence,
-    SafetyReport,
     Trace,
     budget_from_certificate,
     derive_rng,
-    empirical_trapping_level,
     monte_carlo,
     run,
-    run_episode,
-    safety_monitor,
     sample_admissible_signal,
     sample_disturbances,
     sample_initial_state,
@@ -61,7 +57,6 @@ from .certificates import (
     default_epsilon,
     default_kappa_grid,
     dwell_time_bound,
-    ellipsoid_radii,
     estimate_disturbance_margin,
     feasibility_check,
     mu_analytic,

@@ -47,15 +47,6 @@ def default_kappa_grid(library: PrimitiveLibrary) -> np.ndarray:
     return np.geomspace(KAPPA_GRID_SPAN[0] * floor, KAPPA_GRID_SPAN[1] * floor, KAPPA_GRID_SIZE)
 
 
-def ellipsoid_radii(weight: np.ndarray, level: float) -> tuple[float, float]:
-    """Inscribed and circumscribed ball radii of {x : x^T weight x <= level}."""
-    if not (level > 0.0 and np.isfinite(level)):
-        raise ValueError("level must be positive and finite")
-    lyap = QuadraticLyapunov(weight=np.asarray(weight, dtype=float), center=np.zeros(np.asarray(weight).shape[0]))
-    lo, hi = lyap.eig_bounds()
-    return float(np.sqrt(level / hi)), float(np.sqrt(level / lo))
-
-
 def _eig_bounds(library: PrimitiveLibrary) -> list[tuple[float, float]]:
     return [p.lyapunov.eig_bounds() for p in library]
 
@@ -488,9 +479,12 @@ def synthesize_certificate(
 class MarginEstimate:
     """Empirical disturbance amplitude margin from bisection.
 
-    ``delta_hat`` is the largest tested amplitude whose trial campaign saw
-    zero basin escapes.  Purely falsification-based: larger budgets tighten
-    it, and it is not a proof of robustness.
+    ``delta_hat`` is the largest tested amplitude at which none of the
+    ``trial_budget`` episodes escaped.  One sample of episodes is shared by
+    every tested amplitude, only its disturbances scaled, so a larger
+    amplitude is tested on the same starts and signals as a smaller one.
+    Purely falsification-based: larger budgets tighten it, and it is not a
+    proof of robustness.
     """
 
     delta_hat: float
@@ -513,12 +507,15 @@ def estimate_disturbance_margin(
 ) -> MarginEstimate:
     """Bisect the disturbance amplitude for the largest zero-violation level.
 
-    Each candidate amplitude runs ``trial_budget`` episodes (random
-    admissible signal at the dwell-time limit, random start in the
-    omega-intersection, random disturbances rescaled to the candidate sup
-    norm) and counts any basin escape as a violation.  With zero
-    disturbance gains everywhere no amplitude can violate, so the estimate
-    equals the upper search limit.
+    The ``trial_budget`` episodes (random admissible signal at the
+    dwell-time limit, random start in the omega-intersection, random
+    disturbances) are drawn once, from streams ``derive_rng(seed, 1, e)``,
+    with disturbances whose sup norm is exactly 1.  Every candidate
+    amplitude reuses that one sample with the disturbances scaled to it,
+    and counts a violation as soon as any episode leaves the basin
+    intersection; its rollout stops there.  With zero disturbance gains
+    everywhere no amplitude can violate, so the estimate equals the upper
+    search limit.
     """
     if trial_budget < 1:
         raise ValueError("trial_budget must be positive")
@@ -526,24 +523,21 @@ def estimate_disturbance_margin(
         raise ValueError("upper must be positive and finite")
     if certificate.library_fingerprint != library_fingerprint(library):
         raise ValueError("certificate fingerprint does not match this library")
+    x0s, sigmas, unit_dists, _ = simulation._draw_campaign_inputs(
+        library, certificate, trial_budget, horizon, 1.0, seed, stream=1, exact_sup=True)
     evaluations: list[tuple[float, bool]] = []
 
-    def violated(amplitude: float, trial_index: int) -> bool:
-        bad = simulation.campaign_has_violation(
-            library, certificate, trial_budget, horizon, amplitude,
-            seed, stream=1 + trial_index, exact_sup=True,
-        )
+    def violated(amplitude: float) -> bool:
+        bad = simulation._escapes(library, x0s, sigmas, amplitude * unit_dists)
         evaluations.append((amplitude, bad))
         return bad
 
-    trial = 0
-    if not violated(upper, trial):
+    if not violated(upper):
         return MarginEstimate(upper, upper, trial_budget, horizon, int(seed), tuple(evaluations))
     lo, hi = 0.0, upper
     for _ in range(iterations):
-        trial += 1
         mid = 0.5 * (lo + hi)
-        if violated(mid, trial):
+        if violated(mid):
             hi = mid
         else:
             lo = mid

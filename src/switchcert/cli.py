@@ -28,6 +28,7 @@ import locale  # noqa: F401  argparse's gettext would import it inside build_par
 import os
 import sys
 import time
+from dataclasses import replace
 from pathlib import Path
 
 # Libraries are parsed by library_io.library_from_dict, looked up at call
@@ -124,11 +125,10 @@ def cmd_certify(args) -> int:
         if args.margin_trials:
             estimate = estimate_disturbance_margin(
                 library, certificate, trial_budget=args.margin_trials, seed=args.seed)
-            from dataclasses import replace
-
             certificate = replace(certificate, delta_hat=estimate.delta_hat)
             lines.append(f"disturbance margin estimate: {estimate.delta_hat!r} "
-                         f"(upper {estimate.upper!r}, {args.margin_trials} trials/level)")
+                         f"(upper {estimate.upper!r}, {args.margin_trials} episodes "
+                         f"shared by every amplitude)")
         lines.append(
             "FEASIBLE: "
             f"kappa={certificate.kappa!r} n0_bar={certificate.n0_bar} "
@@ -272,8 +272,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--epsilon", type=float, default=None,
                    help="decay target in (rate, 1); default rate + 0.9*(1 - rate)")
     p.add_argument("--margin-trials", type=int, default=0,
-                   help="episodes per level for the disturbance margin "
-                        "estimate (0 skips it)")
+                   help="episodes for the disturbance margin estimate, drawn "
+                        "once and shared by every amplitude (0 skips it)")
     p.set_defaults(func=cmd_certify)
 
     p = sub.add_parser("validate", parents=[common],

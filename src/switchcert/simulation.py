@@ -1,7 +1,10 @@
 """Closed-loop rollouts of switched primitive libraries and Monte Carlo campaigns.
 
-Rollouts never abort on a safety violation; they record per-step Lyapunov
-values and basin membership so that monitors can locate the first escape.
+Runs and campaigns never abort on a safety violation; they record per-step
+Lyapunov values and basin membership so that the first escape can be
+located.  Only ``_escapes``, the margin's yes/no question, stops stepping
+at the first escape.
+
 All campaign randomness derives from one root seed through a counter-based
 scheme: episode e uses ``default_rng(SeedSequence([seed, stream, e]))``.
 """
@@ -145,9 +148,10 @@ def _member_columns(ids, assignments: np.ndarray) -> np.ndarray:
 
 
 def _rollout(library: PrimitiveLibrary, x0s: np.ndarray, cols: np.ndarray, dists: np.ndarray,
-             observe: Callable[[int, np.ndarray], None]) -> None:
+             observe: Callable[[int, np.ndarray], object]) -> None:
     """Step a batch of episodes jointly, passing ``observe(k, x_k)`` the
-    (episodes, n) states for k = 0..horizon.
+    (episodes, n) states for k = 0..horizon, and stop early once it returns
+    a truthy value.
 
     At step k, member ``cols[e, k]`` (a library index) drives episode e
     under disturbance ``dists[e, k]``; every member updates the rows it
@@ -157,7 +161,8 @@ def _rollout(library: PrimitiveLibrary, x0s: np.ndarray, cols: np.ndarray, dists
     members = list(library)
     x = np.array(x0s, dtype=float)
     with np.errstate(over="ignore", invalid="ignore"):
-        observe(0, x)
+        if observe(0, x):
+            return
         for k in range(cols.shape[1]):
             col = cols[:, k]
             x_next = np.empty_like(x)
@@ -166,7 +171,8 @@ def _rollout(library: PrimitiveLibrary, x0s: np.ndarray, cols: np.ndarray, dists
                 if rows.size:
                     x_next[rows] = p.map.apply_batch(x[rows], dists[rows, k])
             x = x_next
-            observe(k + 1, x)
+            if observe(k + 1, x):
+                return
 
 
 def run(
@@ -216,35 +222,6 @@ def run(
         basin_levels=levels,
         in_all_basins=in_all,
     )
-
-
-@dataclass(frozen=True)
-class SafetyReport:
-    safe: bool
-    violations: tuple[tuple[int, int], ...]  # (step, member id)
-    fixed_points_contained: bool
-
-
-def safety_monitor(trace: Trace, library: PrimitiveLibrary) -> SafetyReport:
-    """Safe iff every state lies in every basin and every fixed point does too."""
-    if trace.member_ids != library.ids:
-        raise ValueError("trace and library member ids differ")
-    with np.errstate(invalid="ignore"):
-        outside = ~(trace.lyapunov <= trace.basin_levels[None, :])
-    steps, cols = np.nonzero(outside)
-    violations = tuple((int(k), int(trace.member_ids[c])) for k, c in zip(steps, cols))
-    contained = library.fixed_points_contained()
-    return SafetyReport(safe=not violations and contained, violations=violations, fixed_points_contained=contained)
-
-
-def empirical_trapping_level(traces, library: PrimitiveLibrary) -> float:
-    """Max over traces and steps of the min over members of the Lyapunov value."""
-    level = 0.0
-    for trace in traces:
-        if trace.member_ids != library.ids:
-            raise ValueError("trace and library member ids differ")
-        level = max(level, trace.max_min_level)
-    return level
 
 
 def _initial_state_sampler(library: PrimitiveLibrary,
@@ -412,47 +389,6 @@ _EPISODE_STREAM = 0
 _MAX_RECORDED_VIOLATIONS = 64
 
 
-def _episode_drawer(library: PrimitiveLibrary, certificate, horizon: int, amplitude: float,
-                    exact_sup: bool):
-    """The one episode draw, shared by ``run_episode`` and campaigns.
-
-    Sets up once what every episode needs and returns the supervisor budget
-    and ``draw(rng)``, which returns one episode's raw inputs in stream
-    order: the start state, the initial member, the switch requests
-    (proposals, then picks) and the disturbances (directions, then radii).
-    """
-    if horizon < 1:
-        raise ValueError("horizon must be at least 1")
-    budget = budget_from_certificate(certificate)
-    rate = min(1.0, 1.0 / budget.na)
-    draw_x0 = _initial_state_sampler(library, certificate.omega)
-
-    def draw(rng: np.random.Generator):
-        x0 = draw_x0(rng)
-        initial, requests = _draw_signal(library.ids, horizon, rate, rng)
-        return x0, initial, requests, _draw_disturbances(
-            library.dist_dim, horizon, amplitude, rng, exact_sup)
-
-    return budget, draw
-
-
-def run_episode(
-    library: PrimitiveLibrary,
-    certificate,
-    horizon: int,
-    amplitude: float,
-    rng: np.random.Generator,
-    exact_sup: bool = False,
-) -> Trace:
-    """One campaign episode: random start in the intersection of the
-    omega-sublevel sets, random budget-limit signal, random disturbances."""
-    budget, draw = _episode_drawer(library, certificate, horizon, amplitude, exact_sup)
-    x0, initial, requests, dist = draw(rng)
-    assignments, _ = supervise_batch(library.ids, [initial], requests[None], budget)
-    return run(library, SwitchingSignal(assignments[0]), x0,
-               DisturbanceSequence.from_values(dist), horizon)
-
-
 def _draw_campaign_inputs(
     library: PrimitiveLibrary,
     certificate,
@@ -466,15 +402,26 @@ def _draw_campaign_inputs(
     """Per-episode start states, signal assignments and disturbances,
     episode ``e`` drawn from ``derive_rng(seed, stream, e)``, plus the number
     of switch requests the supervisor deferred.  All episodes' requests go
-    through one ``supervise_batch`` call."""
-    budget, draw = _episode_drawer(library, certificate, horizon, amplitude, exact_sup)
+    through one ``supervise_batch`` call.
+
+    Each stream holds, in order: the start state, the initial member, the
+    switch requests (proposals, then picks) and the disturbances
+    (directions, then radii).
+    """
+    if horizon < 1:
+        raise ValueError("horizon must be at least 1")
+    budget = budget_from_certificate(certificate)
+    rate = min(1.0, 1.0 / budget.na)
+    draw_x0 = _initial_state_sampler(library, certificate.omega)
     x0s = np.empty((episode_count, library.state_dim))
     initial = np.empty(episode_count, dtype=np.int64)
     requests = np.empty((episode_count, horizon - 1), dtype=np.int64)
     dists = np.empty((episode_count, horizon, library.dist_dim))
     for episode in range(episode_count):
-        x0s[episode], initial[episode], requests[episode], dists[episode] = draw(
-            derive_rng(seed, stream, episode))
+        rng = derive_rng(seed, stream, episode)
+        x0s[episode] = draw_x0(rng)
+        initial[episode], requests[episode] = _draw_signal(library.ids, horizon, rate, rng)
+        dists[episode] = _draw_disturbances(library.dist_dim, horizon, amplitude, rng, exact_sup)
     sigmas, admitted = supervise_batch(library.ids, initial, requests, budget)
     return x0s, sigmas, dists, int(np.count_nonzero(~admitted))
 
@@ -518,23 +465,29 @@ def _batch_stats(
     return first, max_min, max_ratio
 
 
-def campaign_has_violation(
+def _escapes(
     library: PrimitiveLibrary,
-    certificate,
-    episode_count: int,
-    horizon: int,
-    amplitude: float,
-    seed: int,
-    stream: int,
-    exact_sup: bool = True,
+    x0s: np.ndarray,
+    sigmas: np.ndarray,
+    dists: np.ndarray,
 ) -> bool:
-    """True if any of the episodes drawn from ``derive_rng(seed, stream, e)``
-    leaves the basin intersection."""
-    x0s, sigmas, dists, _ = _draw_campaign_inputs(
-        library, certificate, episode_count, horizon, amplitude, seed, stream, exact_sup
-    )
-    first, _, _ = _batch_stats(library, x0s, sigmas, dists)
-    return bool(np.any(first >= 0))
+    """True if any episode leaves the basin intersection, by the predicate
+    of ``_batch_stats`` (a NaN or overflowed state counts as an escape).
+
+    Steps the episodes jointly, as ``_batch_stats`` does, but stops at the
+    first step at which any episode has escaped.
+    """
+    cols = _member_columns(library.ids, sigmas)
+    levels = np.array([p.basin_level for p in library])
+    escaped = False
+
+    def observe(k: int, x: np.ndarray) -> bool:
+        nonlocal escaped
+        escaped = not np.all(_member_values(library, x) <= levels[None, :])
+        return escaped
+
+    _rollout(library, x0s, cols, dists, observe)
+    return escaped
 
 
 def monte_carlo(

@@ -178,10 +178,13 @@ def validate_dwell_time(signal: SwitchingSignal, budget: DwellTimeBudget) -> Dwe
     The worst slack n0 + (b - a)/na - switches(a, b) over 0 <= a <= b <= K is
     n0 + min_a (min_{b >= a} g(b) - g(a)), read off a suffix minimum of g.
     Ties go to the lexicographically smallest (a, b): the first a, then the
-    first b at which g attains its suffix minimum.  The reported slack is
-    recomputed at that pair from integer switch counts, so its rounding does
-    not grow with K.  Valid means that slack is nonnegative up to a tiny
-    float tolerance.
+    first b at which g attains its suffix minimum.  The tie-break is exact
+    only when 1/na is a power of two, so that every product j * (1/na) is
+    a float without rounding; otherwise two intervals of equal exact slack
+    can differ in the last bit, and the one that rounds lower wins.  The
+    reported slack is recomputed at that pair from integer switch counts, so
+    its rounding does not grow with K.  Valid means that slack is
+    nonnegative up to a tiny float tolerance.
     """
     prefix = _switch_prefix(signal)
     g = _slack_profile(prefix, budget)

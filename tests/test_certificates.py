@@ -8,7 +8,6 @@ from switchcert import (
     Certificate,
     PrimitiveLibrary,
     dwell_time_bound,
-    ellipsoid_radii,
     estimate_disturbance_margin,
     feasibility_check,
     library_fingerprint,
@@ -21,6 +20,8 @@ from switchcert import (
 )
 
 from conftest import make_pair_library, make_primitive
+from switchcert import simulation
+from switchcert.simulation import _batch_stats, _draw_campaign_inputs
 
 # Grid-oracle values computed once at the default 2-D resolution (201 per
 # axis) and frozen; the analytic bounds are exact closed forms.
@@ -51,40 +52,6 @@ def random_library(rng, member_count):
             )
         )
     return PrimitiveLibrary(tuple(primitives))
-
-
-class TestEllipsoidRadii:
-    def test_sphere(self):
-        assert ellipsoid_radii(np.eye(2), 4.0) == (2.0, 2.0)
-
-    def test_diagonal(self):
-        inner, outer = ellipsoid_radii(np.diag([4.0, 1.0]), 4.0)
-        assert abs(inner - 1.0) <= 1e-12 and abs(outer - 2.0) <= 1e-12
-
-    def test_coupled(self):
-        inner, outer = ellipsoid_radii(np.array([[2.0, 1.0], [1.0, 2.0]]), 3.0)
-        assert abs(inner - 1.0) <= 1e-12
-        assert abs(outer - np.sqrt(3.0)) <= 1e-12
-
-    def test_non_spd_rejected(self):
-        with pytest.raises(ValueError):
-            ellipsoid_radii(np.diag([1.0, 0.0]), 1.0)
-
-    def test_radii_bracket_the_set(self):
-        rng = np.random.default_rng(8)
-        for _ in range(30):
-            angle = rng.uniform(0.0, np.pi)
-            rot = np.array([[np.cos(angle), -np.sin(angle)], [np.sin(angle), np.cos(angle)]])
-            weight = rot @ np.diag(rng.uniform(0.2, 5.0, size=2)) @ rot.T
-            weight = 0.5 * (weight + weight.T)
-            level = float(rng.uniform(0.5, 4.0))
-            inner, outer = ellipsoid_radii(weight, level)
-            direction = rng.normal(size=2)
-            direction /= np.linalg.norm(direction)
-            assert direction @ (level * np.linalg.inv(weight)) @ direction >= inner**2 - 1e-12
-            boundary = inner * direction
-            assert boundary @ weight @ boundary <= level + 1e-12
-            assert outer >= inner
 
 
 class TestOmega:
@@ -392,3 +359,30 @@ class TestDisturbanceMargin:
         library = make_pair_library()
         with pytest.raises(ValueError):
             estimate_disturbance_margin(library, walker_certificate, 10, seed=1)
+
+    def test_verdicts_match_full_rollouts_of_the_shared_episodes(
+        self, walker_library, walker_certificate
+    ):
+        # Replays the shipped bisection: every early-stopped verdict must be
+        # what full rollouts of the same episodes say at that amplitude.
+        estimate = estimate_disturbance_margin(
+            walker_library, walker_certificate, trial_budget=200, seed=20260822
+        )
+        x0s, sigmas, unit, _ = _draw_campaign_inputs(
+            walker_library, walker_certificate, 200, 200, 1.0, 20260822, 1, exact_sup=True)
+        verdicts = set()
+        for amplitude, violated in estimate.evaluations:
+            first, _, _ = _batch_stats(walker_library, x0s, sigmas, amplitude * unit)
+            assert violated == bool(np.any(first >= 0)), amplitude
+            verdicts.add(violated)
+        assert verdicts == {True, False}
+
+    def test_episodes_are_drawn_once(self, monkeypatch, walker_library, walker_certificate):
+        streams = []
+        derive_rng = simulation.derive_rng
+        monkeypatch.setattr(simulation, "derive_rng",
+                            lambda *path: streams.append(path) or derive_rng(*path))
+        estimate = estimate_disturbance_margin(
+            walker_library, walker_certificate, trial_budget=7, seed=3, horizon=40)
+        assert len(estimate.evaluations) > 2
+        assert streams == [(3, 1, e) for e in range(7)]

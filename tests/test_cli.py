@@ -28,6 +28,7 @@ from switchcert.cli import (
     EXIT_OK,
     main,
 )
+from switchcert.library_io import read_document
 
 from conftest import make_pair_library, make_primitive
 from switchcert import PrimitiveLibrary
@@ -108,6 +109,13 @@ class TestCertify:
         assert not (tmp_path / "certificate.json").exists()
         report = (tmp_path / "certify_report.txt").read_text()
         assert "INFEASIBLE" in report
+
+    def test_shipped_certificate_is_reproduced_by_its_margin_run(self, tmp_path):
+        code = main(["certify", "--library", "shipped-walker", "--margin-trials", "200",
+                     "--seed", "20260822", "--out-dir", str(tmp_path)])
+        assert code == EXIT_OK
+        _, shipped = read_document("shipped", dict)
+        assert (tmp_path / "certificate.json").read_bytes() == shipped
 
     def test_missing_library_file_is_an_input_error(self, tmp_path):
         code = main(

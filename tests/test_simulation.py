@@ -15,11 +15,8 @@ from switchcert import (
     SwitchingSignal,
     budget_from_certificate,
     derive_rng,
-    empirical_trapping_level,
     monte_carlo,
     run,
-    run_episode,
-    safety_monitor,
     sample_admissible_signal,
     sample_disturbances,
     sample_initial_state,
@@ -28,7 +25,8 @@ from switchcert import (
 
 from conftest import make_pair_library, make_primitive
 from switchcert import Primitive, PrimitiveLibrary, PrimitiveMap, QuadraticLyapunov
-from switchcert.simulation import _batch_stats
+from switchcert import simulation
+from switchcert.simulation import _batch_stats, _draw_disturbances, _escapes
 
 # Regression values for the shipped library captured from a seeded run
 # (seed path (424242, 7) for the signal, (424242, 8) for the start state).
@@ -159,29 +157,18 @@ class TestSafetyMonitor:
         )
         signal = SwitchingSignal((0,) * 11)
         trace = run(library, signal, np.zeros(2), None, 10)
-        report = safety_monitor(trace, library)
-        assert report.safe
-        assert report.violations == ()
-        assert report.fixed_points_contained
+        assert trace.in_all_basins.all()
+        assert trace.first_violation is None
+        assert library.fixed_points_contained()
 
     def test_escaping_state_is_flagged_with_location(self):
         library = PrimitiveLibrary((make_primitive(0, basin_level=1.0),))
         signal = SwitchingSignal((0,) * 3)
         trace = run(library, signal, np.array([5.0, 0.0]), None, 2)
-        report = safety_monitor(trace, library)
-        assert not report.safe
-        assert (0, 0) in report.violations
-        for k, p in report.violations:
-            value = library.by_id(p).lyapunov.value(trace.states[k])
-            assert value > library.by_id(p).basin_level
-
-    def test_monitor_is_idempotent(self):
-        library = make_pair_library()
-        signal = SwitchingSignal((0, 1, 0, 1))
-        trace = run(library, signal, np.array([0.3, 0.0]), None, 3)
-        first = safety_monitor(trace, library)
-        second = safety_monitor(trace, library)
-        assert first == second
+        assert trace.first_violation == 0
+        for k in np.flatnonzero(~trace.in_all_basins):
+            value = library.by_id(0).lyapunov.value(trace.states[k])
+            assert value > library.by_id(0).basin_level
 
 
 class TestTrappingLevel:
@@ -191,7 +178,7 @@ class TestTrappingLevel:
         )
         signal = SwitchingSignal((0,) * 6)
         trace = run(library, signal, np.zeros(2), None, 5)
-        assert empirical_trapping_level([trace], library) == 0.0
+        assert trace.max_min_level == 0.0
 
     def test_level_is_the_max_over_steps_of_the_min_member_value(self):
         library = make_pair_library()
@@ -202,7 +189,7 @@ class TestTrappingLevel:
             manual = max(
                 manual, min(p.lyapunov.value(state) for p in library)
             )
-        assert abs(empirical_trapping_level([trace], library) - manual) <= 1e-12
+        assert abs(trace.max_min_level - manual) <= 1e-12
 
 
 class TestSamplers:
@@ -239,6 +226,17 @@ class TestSamplers:
     def test_zero_amplitude_is_all_zeros(self):
         seq = sample_disturbances(2, 10, 0.0, derive_rng(4, 0))
         assert np.all(seq.values == 0.0)
+
+    @pytest.mark.parametrize("dist_dim", [1, 2, 3])
+    @pytest.mark.parametrize("amplitude", [1e-3, 0.39, 7.5])
+    def test_unit_draws_scale_to_any_amplitude(self, dist_dim, amplitude):
+        # The margin draws its disturbances once at amplitude 1 and scales
+        # them; that must match drawing at the amplitude from the same stream.
+        unit = _draw_disturbances(dist_dim, 200, 1.0, derive_rng(8, dist_dim), exact_sup=True)
+        direct = _draw_disturbances(dist_dim, 200, amplitude, derive_rng(8, dist_dim),
+                                    exact_sup=True)
+        assert np.max(np.linalg.norm(unit, axis=1)) == pytest.approx(1.0, rel=1e-15, abs=0.0)
+        np.testing.assert_allclose(amplitude * unit, direct, rtol=0.0, atol=1e-15 * amplitude)
 
     @pytest.mark.parametrize("dist_dim", [1, 2, 3])
     def test_disturbances_are_uniform_in_the_ball(self, dist_dim):
@@ -282,6 +280,16 @@ class TestSamplers:
             sample_admissible_signal(library, 6, budget, derive_rng(7, 2), initial_id=9)
 
 
+def run_episode(library, certificate, horizon, amplitude, rng):
+    """Reference for one campaign episode, drawn with the public samplers in
+    the campaign's stream order: the start state, the signal, then the
+    disturbances."""
+    x0 = sample_initial_state(library, certificate.omega, rng)
+    signal = sample_admissible_signal(library, horizon, budget_from_certificate(certificate), rng)
+    disturbances = sample_disturbances(library.dist_dim, horizon, amplitude, rng)
+    return run(library, signal, x0, disturbances, horizon)
+
+
 class TestMonteCarlo:
     def test_zero_amplitude_campaign_is_clean(self, walker_library, walker_certificate):
         report, traces = monte_carlo(walker_library, walker_certificate, 300, 200, 0.0, 2024)
@@ -309,7 +317,7 @@ class TestMonteCarlo:
             walker_library, walker_certificate, episodes, 120, 0.02, 99, keep_traces=episodes
         )
         assert len(traces) == episodes
-        level = empirical_trapping_level(traces, walker_library)
+        level = max(trace.max_min_level for trace in traces)
         assert abs(level - report.trapping_level) <= 1e-12
         violations = sum(1 for t in traces if not t.in_all_basins.all())
         assert violations == report.violation_count
@@ -424,3 +432,52 @@ class TestSharedKernel:
             assert first[e] == (-1 if trace.first_violation is None else trace.first_violation)
             assert max_min[e] == pytest.approx(trace.max_min_level, rel=1e-12, abs=0.0)
             assert max_ratio[e] == pytest.approx(trace.max_active_step_ratio, rel=1e-12, abs=0.0)
+
+    @kernel_settings
+    @given(library_specs, st.integers(1, 8), st.integers(1, 20),
+           st.sampled_from([0.0, 1e-3, 0.05, 1.0, 30.0, 1e200]))
+    def test_early_stop_verdict_matches_batch_statistics(self, spec, count, horizon, scale):
+        # 1e200 overflows the state to inf and then NaN, which must count as
+        # an escape on both paths.
+        state_dim, dist_dim, flags, seed = spec
+        rng = np.random.default_rng(seed)
+        library = random_library(state_dim, dist_dim, flags, rng)
+        x0s = rng.uniform(-0.1, 0.1, (count, state_dim))
+        sigmas = rng.choice(library.ids, size=(count, horizon))
+        dists = scale * rng.uniform(-1.0, 1.0, (count, horizon, dist_dim))
+        first, _, _ = _batch_stats(library, x0s, sigmas, dists)
+        assert _escapes(library, x0s, sigmas, dists) == bool(np.any(first >= 0))
+
+    @pytest.mark.parametrize("bad_value", [np.nan, np.inf, 1e200])
+    def test_non_finite_states_are_escapes(self, bad_value):
+        library = make_pair_library()
+        x0s = np.array([[0.1, 0.0], [bad_value, 0.0]])
+        sigmas = np.zeros((2, 5), dtype=np.int64)
+        dists = np.zeros((2, 5, 2))
+        first, _, _ = _batch_stats(library, x0s, sigmas, dists)
+        assert first.tolist() == [-1, 0]
+        assert _escapes(library, x0s, sigmas, dists) is True
+        assert _escapes(library, x0s[:1], sigmas[:1], dists[:1]) is False
+
+    @pytest.mark.parametrize("escape_step", [0, 3, 40])
+    def test_early_stop_steps_no_further_than_the_first_escape(self, monkeypatch, escape_step):
+        # The first episode rests at the fixed point.  The second starts at
+        # |x| = 3 (V = 9 > 4) or is kicked there by the disturbance driving
+        # step escape_step - 1, so it first leaves the basin at escape_step.
+        library = PrimitiveLibrary((make_primitive(0, basin_level=4.0),))
+        horizon = 60
+        x0s = np.zeros((2, 2))
+        sigmas = np.zeros((2, horizon), dtype=np.int64)
+        dists = np.zeros((2, horizon, 2))
+        if escape_step == 0:
+            x0s[1, 0] = 3.0
+        else:
+            dists[1, escape_step - 1, 0] = 3.0
+        evaluated = []
+        member_values = simulation._member_values
+        monkeypatch.setattr(simulation, "_member_values",
+                            lambda lib, x: evaluated.append(1) or member_values(lib, x))
+        assert _escapes(library, x0s, sigmas, dists)
+        assert len(evaluated) == escape_step + 1
+        first, _, _ = _batch_stats(library, x0s, sigmas, dists)
+        assert first.tolist() == [-1, escape_step]
