@@ -230,7 +230,8 @@ def cmd_scenario(args) -> int:
     trace = run_scenario(scenario)
     trace.write_outputs(out, leader=scenario.leader)
     trace.write_ellipses(out, scenario.reduced_library, scenario.certificate)
-    write_document(out / "summary.json", trace.summary())
+    summary = trace.summary()
+    write_document(out / "summary.json", summary)
     inputs = {"config": (args.config, raw), "certificate": certificate_input}
     resolved = {
         "mode": trace.mode,
@@ -239,7 +240,6 @@ def cmd_scenario(args) -> int:
         "initial_primitive": scenario.initial_primitive,
     }
     _write_manifest(out, "scenario", args.seed, inputs, resolved, started)
-    summary = trace.summary()
     sys.stdout.write(
         f"mode: {summary['mode']}  strides: {summary['strides']}  "
         f"switches: {summary['switch_count']}\n"

@@ -1,11 +1,12 @@
-"""JSON documents: the one reader and writer, and the library format.
+"""Document I/O: the one JSON reader and writer, the one CSV writer, and
+the library format.
 
 ``read_document`` and ``write_document`` are the only places the package
 reads or writes a JSON document (libraries, certificates, scenario configs,
-reports and manifests).  The library format stores matrices as row-major
-nested lists of IEEE-754 doubles.  ``library_fingerprint`` hashes the
-canonical serialization so certificates can be pinned to the exact library
-they were computed for.
+reports and manifests); ``write_table`` writes every CSV table.  The library
+format stores matrices as row-major nested lists of IEEE-754 doubles.
+``library_fingerprint`` hashes the canonical serialization so certificates
+can be pinned to the exact library they were computed for.
 """
 from __future__ import annotations
 
@@ -59,6 +60,24 @@ def read_document(source: str | Path, parse: Callable) -> tuple:
 def write_document(path: str | Path, document: dict) -> None:
     """Write ``document`` as indented JSON with sorted keys and a final newline."""
     Path(path).write_text(json.dumps(document, indent=2, sort_keys=True) + "\n")
+
+
+_TABLE_BLOCK = 512
+
+
+def write_table(path: str | Path, header: list[str], columns) -> None:
+    """Write equal-length columns under a header row as CSV: floats as their
+    ``repr`` (the shortest text that reads back to the same double), integer
+    and boolean columns as integers, ``,`` between cells and ``\\r\\n`` after
+    each line, as ``csv.writer`` writes them.  Rows go out in blocks."""
+    columns = [np.asarray(c) for c in columns]
+    cells = ["{:d}".format if c.dtype.kind in "biu" else repr for c in columns]
+    with open(path, "w", newline="") as fh:
+        fh.write(",".join(header) + "\r\n")
+        for start in range(0, len(columns[0]) if columns else 0, _TABLE_BLOCK):
+            block = [map(cell, c[start:start + _TABLE_BLOCK].tolist())
+                     for c, cell in zip(columns, cells)]
+            fh.write("\r\n".join(map(",".join, zip(*block))) + "\r\n")
 
 
 def primitive_to_dict(primitive: Primitive) -> dict:

@@ -10,7 +10,6 @@ scheme: episode e uses ``default_rng(SeedSequence([seed, stream, e]))``.
 """
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable
@@ -18,7 +17,7 @@ from typing import Callable
 import numpy as np
 import numpy.random  # numpy 2 loads it lazily, on the first default_rng
 
-from .library_io import library_fingerprint
+from .library_io import library_fingerprint, write_table
 from .primitives import PrimitiveLibrary
 from .switching import DwellTimeBudget, SwitchingSignal, supervise_batch
 
@@ -117,19 +116,14 @@ class Trace:
         return float(np.max(num[ok] / den[ok]))
 
     def to_csv(self, path: str | Path) -> None:
-        n = self.states.shape[1]
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            header = ["k", "sigma"] + [f"x{i}" for i in range(n)]
-            header += [f"V_{pid}" for pid in self.member_ids] + ["in_all_basins"]
-            writer.writerow(header)
-            sigma = self.signal.assignments
-            for k in range(self.states.shape[0]):
-                sig = int(sigma[k]) if k < sigma.size else int(sigma[-1])
-                row = [k, sig] + [repr(float(v)) for v in self.states[k]]
-                row += [repr(float(v)) for v in self.lyapunov[k]]
-                row.append(int(self.in_all_basins[k]))
-                writer.writerow(row)
+        """Write the rollout as ``k, sigma, x*, V_*, in_all_basins`` rows; the
+        last state repeats the signal's last entry."""
+        steps = np.arange(self.states.shape[0])
+        sigma = self.signal.assignments
+        header = ["k", "sigma"] + [f"x{i}" for i in range(self.states.shape[1])]
+        header += [f"V_{pid}" for pid in self.member_ids] + ["in_all_basins"]
+        write_table(path, header, [steps, sigma[np.minimum(steps, sigma.size - 1)],
+                                   *self.states.T, *self.lyapunov.T, self.in_all_basins])
 
 
 def _member_values(library: PrimitiveLibrary, states: np.ndarray) -> np.ndarray:

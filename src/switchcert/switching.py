@@ -18,11 +18,14 @@ from __future__ import annotations
 
 import csv
 import io
+import math
 import warnings
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
+
+from .library_io import write_table
 
 _SLACK_TOL = 1e-9
 
@@ -53,11 +56,7 @@ class SwitchingSignal:
         return np.flatnonzero(np.diff(self.assignments) != 0) + 1
 
     def to_csv(self, path: str | Path) -> None:
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["k", "id"])
-            for k, v in enumerate(self.assignments):
-                writer.writerow([k, int(v)])
+        write_table(path, ["k", "id"], [np.arange(len(self)), self.assignments])
 
     @classmethod
     def from_csv(cls, path: str | Path) -> "SwitchingSignal":
@@ -305,7 +304,7 @@ def heading_policy(phi: float, dead_zone: float = 0.0) -> int:
     """Map a heading estimate to a primitive id: 0 right of the dead zone,
     1 inside it, 2 left of it."""
     phi = float(phi)
-    if not np.isfinite(phi):
+    if not math.isfinite(phi):
         raise ValueError("heading estimate must be finite")
     if dead_zone < 0.0:
         raise ValueError("dead_zone must be nonnegative")

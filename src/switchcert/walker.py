@@ -12,8 +12,8 @@ primitive, step.
 
 from __future__ import annotations
 
-import csv
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -27,6 +27,7 @@ from .library_io import (
     library_fingerprint,
     library_from_dict,
     read_document,
+    write_table,
 )
 from .primitives import Primitive, PrimitiveLibrary
 from .simulation import budget_from_certificate
@@ -35,10 +36,9 @@ from .switching import Supervisor, SwitchingSignal, heading_policy, validate_dwe
 STRIDE_IDS = (0, 1, 2)
 DEFAULT_SPEED = 0.65
 DEFAULT_STRIDE_DURATION = 0.5
-SIMPSON_PANELS = 64
 _SPAN_SLACK = 1e-9
-# Integrals this small are quadrature roundoff; snapping them to the exact
-# zero vector keeps the zero-force bearing convention meaningful.
+# Integrals this small are roundoff; snapping them to the exact zero vector
+# keeps the zero-force bearing convention meaningful.
 _FORCE_SNAP = 1e-9
 # Exponents of d in the leader spline's power basis.
 _POWERS = np.arange(4.0)
@@ -64,7 +64,7 @@ def _vec2(value, name: str) -> np.ndarray:
     arr = np.array(value, dtype=float)
     if arr.shape != (2,):
         raise ValueError(f"{name} must be a 2-vector")
-    if not np.all(np.isfinite(arr)):
+    if not all(map(math.isfinite, arr.tolist())):
         raise ValueError(f"{name} must be finite")
     arr.flags.writeable = False
     return arr
@@ -92,7 +92,7 @@ class Pose:
 
     def __post_init__(self):
         object.__setattr__(self, "position", _vec2(self.position, "position"))
-        if not np.isfinite(self.heading):
+        if not math.isfinite(self.heading):
             raise ValueError("heading must be finite")
         object.__setattr__(self, "heading", wrap_angle(float(self.heading)))
 
@@ -202,7 +202,13 @@ class LeaderModel:
         object.__setattr__(self, "waypoints", points)
         object.__setattr__(self, "stiffness", stiffness)
         object.__setattr__(self, "damping", damping)
-        object.__setattr__(self, "_coef", _natural_spline(times, points))
+        coef = _natural_spline(times, points)
+        object.__setattr__(self, "_coef", coef)
+        # Python floats for integrate_stride_force: the knots, each piece's
+        # (c0x, c0y, ..., c3x, c3y) and the gains row by row, K then D.
+        object.__setattr__(self, "_knots", times.tolist())
+        object.__setattr__(self, "_pieces", coef[:, :, :2].reshape(-1, 8).tolist())
+        object.__setattr__(self, "_gains", stiffness.ravel().tolist() + damping.ravel().tolist())
 
     @classmethod
     def from_waypoints(
@@ -317,39 +323,62 @@ def integrate_stride_force(
     end_position,
     t_start: float,
     t_end: float,
-    panels: int = SIMPSON_PANELS,
 ) -> StrideForce:
     """Integrals of the interaction force over one stride, body frame.
 
     The application point moves in a straight line from the stride-start
-    position to ``end_position`` at constant speed; each world force
-    component is integrated by composite Simpson quadrature and the result
-    is rotated into the stride-start body frame.
+    position p0 to e = ``end_position`` at constant speed, so the world
+    force K (p_l - p_e) + D (v_l - v_e) integrates over [t_start, t_end] to
+    K times the integral of p_l - m, with m = (p0 + e)/2 the walker's mean
+    position, plus D (p_l(t_end) - p_l(t_start) - (e - p0)).  The stride is
+    split at the spline knots it crosses; on a piece p_l = c0 + c1 d +
+    c2 d^2 + c3 d^3, d = t - t_i, over d in [a, b], with s = a + b,
+    q = a^2 + b^2 and w = q + a b (the factored differences b^k - a^k),
+
+        integral of (p_l - m) = (b - a) ((c0 - m) + c1 s/2 + c2 w/3 + c3 s q/4)
+        p_l(b) - p_l(a)       = (b - a) (c1 + c2 s + c3 w).
+
+    Recentring c0 on m keeps every term the size of the stride's own force.
+    A global antiderivative of p_l would not: on a 2000 s path it reaches
+    about 1e6, and its difference at the stride ends loses about 1e-9 to
+    cancellation.  The sums run on Python floats over coefficient rows the
+    leader prepares once, since numpy's per-call overhead would cost more
+    than the arithmetic.  The result is rotated into the stride-start body
+    frame.
     """
     if not t_end > t_start:
         raise ValueError("stride interval must have positive length")
-    panels = int(panels)
-    if panels < 2:
-        raise ValueError("need at least two quadrature panels")
-    if panels % 2:
-        panels += 1
-    end_position = _vec2(end_position, "end_position")
-    duration = t_end - t_start
-    nodes = t_start + duration * np.arange(panels + 1) / panels
-    frac = (nodes - t_start) / duration
-    p_e = start_pose.position[None, :] + frac[:, None] * (end_position - start_pose.position)[None, :]
-    v_e = (end_position - start_pose.position) / duration
-    p_l, v_l = leader._path(nodes)
-    force = (p_l - p_e) @ leader.stiffness.T + (v_l - v_e[None, :]) @ leader.damping.T
-    weights = np.ones(panels + 1)
-    weights[1:-1:2] = 4.0
-    weights[2:-1:2] = 2.0
-    weights *= duration / panels / 3.0
-    world = weights @ force
-    body = rotation(-start_pose.heading) @ world
-    if np.max(np.abs(body)) <= _FORCE_SNAP:
+    knots = leader._knots
+    last = len(knots) - 2
+    if t_start < knots[0] - _SPAN_SLACK or t_end > knots[-1] + _SPAN_SLACK:
+        raise ValueError(
+            f"stride [{t_start}, {t_end}] outside the leader span [{knots[0]}, {knots[-1]}]")
+    x0, y0 = start_pose.position.tolist()
+    x1, y1 = _vec2(end_position, "end_position").tolist()
+    mx, my = 0.5 * (x0 + x1), 0.5 * (y0 + y1)
+    ix, iy, vx, vy = 0.0, 0.0, x0 - x1, y0 - y1
+    a = t_start
+    for i in range(bisect_right(knots, t_start, 1, last + 1) - 1, last + 1):
+        b = t_end if i == last else min(t_end, knots[i + 1])
+        c0x, c0y, c1x, c1y, c2x, c2y, c3x, c3y = leader._pieces[i]
+        da, db, h = a - knots[i], b - knots[i], b - a
+        s, q = da + db, da * da + db * db
+        w = q + da * db
+        ix += h * ((c0x - mx) + 0.5 * c1x * s + c2x * w / 3.0 + 0.25 * c3x * s * q)
+        iy += h * ((c0y - my) + 0.5 * c1y * s + c2y * w / 3.0 + 0.25 * c3y * s * q)
+        vx += h * (c1x + c2x * s + c3x * w)
+        vy += h * (c1y + c2y * s + c3y * w)
+        if b == t_end:
+            break
+        a = b
+    kxx, kxy, kyx, kyy, dxx, dxy, dyx, dyy = leader._gains
+    wx = kxx * ix + kxy * iy + dxx * vx + dxy * vy
+    wy = kyx * ix + kyy * iy + dyx * vx + dyy * vy
+    c, s = math.cos(start_pose.heading), math.sin(start_pose.heading)
+    fx, fy = c * wx + s * wy, c * wy - s * wx
+    if max(abs(fx), abs(fy)) <= _FORCE_SNAP:
         return StrideForce.zero()
-    return StrideForce(float(body[0]), float(body[1]))
+    return StrideForce(fx, fy)
 
 
 def stride_update(
@@ -367,7 +396,7 @@ def stride_update(
     stride-start body frame.
     """
     z = np.asarray(z, dtype=float)
-    if z.shape != (2,) or not np.all(np.isfinite(z)):
+    if z.shape != (2,) or not all(map(math.isfinite, z.tolist())):
         raise ValueError("reduced state must be a finite 2-vector")
     disturbance = prim.force_coupling @ np.array([force.fx, force.fy])
     z_next = prim.reduced.map(z, disturbance)
@@ -439,19 +468,6 @@ class WalkerScenario:
         raise ValueError(f"mode must be 'adaptive' or 'fixed:<id>', got {self.mode!r}")
 
 
-def _fmt(value) -> str:
-    """Shortest round-trip text of a number; numpy >= 2 scalars would
-    otherwise print as ``np.float64(...)``."""
-    return repr(float(value))
-
-
-def _write_rows(path: Path, header: list[str], rows) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        writer.writerows(rows)
-
-
 @dataclass(frozen=True)
 class ScenarioTrace:
     """Everything one scenario run produced, at stride resolution."""
@@ -470,6 +486,7 @@ class ScenarioTrace:
     lateral: np.ndarray           # (K+1,) signed cross-track offset from the leader
     leader_positions: np.ndarray  # (K+1, 2) leader at stride boundaries
     mode: str
+    deferred_requests: int        # supervisor requests that returned False
 
     @property
     def stride_count(self) -> int:
@@ -493,6 +510,7 @@ class ScenarioTrace:
             "mode": self.mode,
             "strides": self.stride_count,
             "switch_count": len(self.signal.switch_steps),
+            "deferred_requests": self.deferred_requests,
             "usage_counts": {str(k): v for k, v in sorted(self.usage_counts.items())},
             "final_lateral_deviation": self.final_lateral_deviation,
             "max_lateral_deviation": self.max_lateral_deviation,
@@ -507,41 +525,22 @@ class ScenarioTrace:
         plot data (paths plus basin ellipse parameters)."""
         out = Path(out_dir)
         out.mkdir(parents=True, exist_ok=True)
-        k_all = range(self.times.size)
-        _write_rows(
-            out / "poses.csv",
-            ["k", "t", "x", "y", "heading", "lateral_deviation"],
-            ([k, _fmt(self.times[k]), _fmt(self.positions[k, 0]), _fmt(self.positions[k, 1]),
-              _fmt(self.headings[k]), _fmt(self.lateral[k])] for k in k_all),
-        )
-        _write_rows(
-            out / "forces.csv",
-            ["k", "fx", "fy", "phi"],
-            ([k, _fmt(self.forces[k, 0]), _fmt(self.forces[k, 1]), _fmt(self.phis[k])]
-             for k in range(self.stride_count)),
-        )
+        k = np.arange(self.times.size)
+        x, y = self.positions.T
+        write_table(out / "poses.csv", ["k", "t", "x", "y", "heading", "lateral_deviation"],
+                    [k, self.times, x, y, self.headings, self.lateral])
+        write_table(out / "forces.csv", ["k", "fx", "fy", "phi"],
+                    [k[:-1], *self.forces.T, self.phis])
         self.signal.to_csv(out / "sigma.csv")
-        _write_rows(
+        write_table(
             out / "reduced.csv",
             ["k", "z0", "z1"] + [f"V_{pid}" for pid in self.member_ids] + ["in_all_basins"],
-            ([k, _fmt(self.reduced[k, 0]), _fmt(self.reduced[k, 1])]
-             + [_fmt(v) for v in self.lyapunov[k]] + [int(self.in_all_basins[k])]
-             for k in k_all),
-        )
-        _write_rows(
-            out / "plot_walker_path.csv",
-            ["t", "x", "y"],
-            ([_fmt(self.times[k]), _fmt(self.positions[k, 0]), _fmt(self.positions[k, 1])]
-             for k in k_all),
-        )
+            [k, *self.reduced.T, *self.lyapunov.T, self.in_all_basins])
+        write_table(out / "plot_walker_path.csv", ["t", "x", "y"], [self.times, x, y])
         if leader is not None:
             dense = np.linspace(self.times[0], self.times[-1], 10 * self.stride_count + 1)
-            pts = leader.position(dense)
-            _write_rows(
-                out / "plot_leader_path.csv",
-                ["t", "x", "y"],
-                ([_fmt(t), _fmt(p[0]), _fmt(p[1])] for t, p in zip(dense, pts)),
-            )
+            write_table(out / "plot_leader_path.csv", ["t", "x", "y"],
+                        [dense, *leader.position(dense).T])
 
     def write_ellipses(self, out_dir: str | Path, library: PrimitiveLibrary,
                        certificate: Certificate) -> None:
@@ -549,20 +548,16 @@ class ScenarioTrace:
         out = Path(out_dir)
         out.mkdir(parents=True, exist_ok=True)
         trap = certificate.mu ** certificate.n0_bar * certificate.omega
-        rows = []
-        for p in library:
-            w = p.lyapunov.weight
-            c = p.lyapunov.center
-            rows.append([
-                p.id, _fmt(c[0]), _fmt(c[1]),
-                _fmt(w[0, 0]), _fmt(w[0, 1]), _fmt(w[1, 1]),
-                _fmt(p.basin_level), _fmt(certificate.kappa), _fmt(trap),
-            ])
-        _write_rows(
+        members = list(library)
+        centers = np.array([p.lyapunov.center for p in members])
+        weights = np.array([p.lyapunov.weight for p in members])
+        write_table(
             out / "plot_basin_ellipses.csv",
             ["id", "center_x", "center_y", "w_xx", "w_xy", "w_yy",
              "basin_level", "core_level", "trapping_level"],
-            rows,
+            [[p.id for p in members], *centers.T, weights[:, 0, 0], weights[:, 0, 1],
+             weights[:, 1, 1], [float(p.basin_level) for p in members],
+             [float(certificate.kappa)] * len(members), [float(trap)] * len(members)],
         )
 
 
@@ -581,6 +576,7 @@ def run_scenario(scenario: WalkerScenario) -> ScenarioTrace:
     count = scenario.stride_count
     active = fixed if fixed is not None else scenario.initial_primitive
     supervisor = None
+    deferred = 0
     if fixed is None:
         supervisor = Supervisor(
             active, budget_from_certificate(scenario.certificate), known_ids=STRIDE_IDS)
@@ -608,7 +604,7 @@ def run_scenario(scenario: WalkerScenario) -> ScenarioTrace:
         force = integrate_stride_force(
             scenario.leader, pose, nominal_end, t, t + prim.stride_duration)
         forces[k] = (force.fx, force.fy)
-        phis[k] = force.phi
+        phis[k] = phi = force.phi
         pose, z = stride_update(pose, prim, z, force)
         t += prim.stride_duration
         times[k + 1] = t
@@ -617,8 +613,8 @@ def run_scenario(scenario: WalkerScenario) -> ScenarioTrace:
         reduced[k + 1] = z
         if k + 1 < count:
             if fixed is None:
-                wanted = heading_policy(phis[k], scenario.dead_zone)
-                supervisor.request(wanted)
+                wanted = heading_policy(phi, scenario.dead_zone)
+                deferred += not supervisor.request(wanted)
                 active = supervisor.current
             # ablation keeps the primitive constant
 
@@ -656,6 +652,7 @@ def run_scenario(scenario: WalkerScenario) -> ScenarioTrace:
         lateral=lateral,
         leader_positions=leader_pts,
         mode=scenario.mode,
+        deferred_requests=deferred,
     )
 
 

@@ -17,7 +17,10 @@ from switchcert import (
     Primitive,
     PrimitiveMap,
     QuadraticLyapunov,
+    Supervisor,
     SwitchingSignal,
+    budget_from_certificate,
+    heading_policy,
     save_library,
     shipped_certificate,
 )
@@ -409,6 +412,29 @@ class TestScenario:
         assert main(["scenario", "--config", str(EXAMPLES / "curved_leader.json"),
                      "--out-dir", str(reference)]) == EXIT_OK
         assert (out / "summary.json").read_bytes() == (reference / "summary.json").read_bytes()
+
+    def test_summary_counts_the_deferred_requests(self, tmp_path):
+        # The slow certificate of the test above defers switches on the
+        # curved leader; replay its requests from the written bearings.
+        config = self.curved_config_in(tmp_path / "cfg")
+        slow = replace(shipped_certificate(), n0_bar=1, na_bar=50.0)
+        slow.save(tmp_path / "slow.json")
+        argv = ["scenario", "--config", str(config), "--certificate", str(tmp_path / "slow.json")]
+        assert main(argv + ["--out-dir", str(tmp_path / "adaptive")]) == EXIT_OK
+        settings = json.loads(config.read_text())
+        supervisor = Supervisor(settings["initial_primitive"], budget_from_certificate(slow))
+        phis = np.loadtxt(tmp_path / "adaptive" / "forces.csv", delimiter=",", skiprows=1)[:, 3]
+        deferred = sum(not supervisor.request(heading_policy(phi, settings["dead_zone"]))
+                       for phi in phis[:-1])
+        summary = json.loads((tmp_path / "adaptive" / "summary.json").read_text())
+        assert deferred > 0
+        assert summary["deferred_requests"] == deferred
+        sigma = SwitchingSignal.from_csv(tmp_path / "adaptive" / "sigma.csv")
+        assert np.array_equal(sigma.assignments, supervisor.signal.assignments)
+
+        assert main(argv + ["--mode", "fixed:2", "--out-dir", str(tmp_path / "fixed")]) == EXIT_OK
+        summary = json.loads((tmp_path / "fixed" / "summary.json").read_text())
+        assert summary["deferred_requests"] == 0
 
     def test_manifest_records_the_certificate_the_run_used(self, tmp_path):
         simulate = tmp_path / "simulate"

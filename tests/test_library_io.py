@@ -1,19 +1,27 @@
-"""Serialization round-trips and content fingerprints for primitive libraries."""
+"""Serialization round-trips and content fingerprints for primitive
+libraries, and the CSV table writer."""
 
+import csv
 import json
 import re
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from switchcert import (
+    SwitchingSignal,
     library_from_dict,
     library_fingerprint,
     library_to_dict,
     load_library,
+    load_scenario,
+    run_scenario,
     save_library,
 )
+from switchcert.library_io import _TABLE_BLOCK, write_table
 
 from conftest import make_pair_library, make_primitive
 from switchcert import PrimitiveLibrary
@@ -127,3 +135,63 @@ def test_shipped_documents_conform_to_the_published_schema(walker_library):
         pass
     else:
         raise AssertionError("schema must reject a wrong format tag and empty member list")
+
+
+def csv_writer_table(path, header, columns):
+    """Oracle: ``csv.writer`` rows of ``repr(float(v))`` and ``int(v)`` cells."""
+    integral = [np.asarray(c).dtype.kind in "biu" for c in columns]
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        for row in zip(*columns):
+            writer.writerow([int(v) if whole else repr(float(v))
+                             for v, whole in zip(row, integral)])
+
+
+SPECIAL_FLOATS = (0.0, -0.0, np.nan, np.inf, -np.inf, 1e-300, -1e-300, 1e300, 5e-324, 0.1)
+
+
+@settings(max_examples=60, derandomize=True, deadline=None, database=None)
+@given(st.sampled_from([0, 1, 2, 7, _TABLE_BLOCK - 1, _TABLE_BLOCK, _TABLE_BLOCK + 1, 5000]),
+       st.integers(0, 2**32 - 1))
+def test_write_table_matches_the_csv_writer(tmp_path_factory, rows, seed):
+    rng = np.random.default_rng(seed)
+    floats = rng.normal(size=rows) * 10.0 ** rng.integers(-300, 300, rows)
+    special = rng.random(rows) < 0.3
+    floats[special] = rng.choice(SPECIAL_FLOATS, int(special.sum()))
+    columns = [
+        np.arange(rows),
+        floats,
+        rng.uniform(-1.0, 1.0, rows),
+        rng.integers(-2**62, 2**62, rows),
+        rng.random(rows) < 0.5,
+        rng.normal(size=(rows, 2)).astype(np.float32)[:, 1],
+    ]
+    header = ["k", "x", "u", "n", "flag", "single"]
+    directory = tmp_path_factory.mktemp("table")
+    write_table(directory / "table.csv", header, columns)
+    csv_writer_table(directory / "oracle.csv", header, columns)
+    assert (directory / "table.csv").read_bytes() == (directory / "oracle.csv").read_bytes()
+
+
+def test_zero_row_table_is_the_header_line(tmp_path):
+    write_table(tmp_path / "empty.csv", ["k", "x"], [np.arange(0), np.zeros(0)])
+    assert (tmp_path / "empty.csv").read_bytes() == b"k,x\r\n"
+
+
+# Switching signals of the shipped example scenarios.  A numeric change in
+# the force integral, the stride update or the policy that flips one
+# decision changes these.
+GOLDEN_SIGNALS = {
+    "curved_leader.json": "1112200012222000122210012220",
+    "straight_leader.json": "1" * 30,
+}
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_SIGNALS))
+def test_example_scenario_signals_are_golden(tmp_path, name):
+    examples = Path(__file__).resolve().parent.parent / "docs" / "examples"
+    trace = run_scenario(load_scenario(examples / name))
+    trace.signal.to_csv(tmp_path / "sigma.csv")
+    signal = SwitchingSignal.from_csv(tmp_path / "sigma.csv")
+    assert "".join(map(str, signal.assignments.tolist())) == GOLDEN_SIGNALS[name]

@@ -27,7 +27,7 @@ from switchcert import (
     validate_dwell_time,
     wrap_angle,
 )
-from switchcert.walker import _SPAN_SLACK
+from switchcert.walker import _FORCE_SNAP, _SPAN_SLACK
 
 EXAMPLES = Path(__file__).resolve().parent.parent / "docs" / "examples"
 
@@ -253,6 +253,82 @@ class TestStrideForceIntegration:
         pose = Pose(position=np.zeros(2), heading=0.0)
         with pytest.raises(ValueError):
             integrate_stride_force(leader, pose, np.zeros(2), 0.5, 0.5)
+
+
+def simpson_stride_force(leader, start, end, t_start, t_end, panels=8192):
+    """Composite Simpson oracle for the body-frame stride force integral."""
+    nodes = t_start + (t_end - t_start) * np.arange(panels + 1) / panels
+    nodes[-1] = t_end
+    frac = (nodes - t_start) / (t_end - t_start)
+    p_e = start.position + frac[:, None] * (end - start.position)
+    v_e = (end - start.position) / (t_end - t_start)
+    force = ((leader.position(nodes) - p_e) @ leader.stiffness.T
+             + (leader.velocity(nodes) - v_e) @ leader.damping.T)
+    weights = np.ones(panels + 1)
+    weights[1:-1:2] = 4.0
+    weights[2:-1:2] = 2.0
+    return rotation(-start.heading) @ (weights @ force) * ((t_end - t_start) / panels / 3.0)
+
+
+def random_gain(rng):
+    factor = rng.normal(size=(2, 2))
+    return factor @ factor.T * np.exp(rng.uniform(-2.0, 2.5))
+
+
+def random_stride(rng, times, kind):
+    """A stride inside one piece (0), across one knot (1), across two to
+    four knots (2), from a knot (3), or from and to the span ends widened
+    by the slack (4, 5); kinds 1 and 2 fall back to 0 on too few knots."""
+    pieces = times.size - 1
+    inside = lambda i: times[i] + rng.uniform(0.05, 0.95) * (times[i + 1] - times[i])
+    piece = rng.integers(pieces)
+    if kind == 1 and pieces >= 2:
+        knot = rng.integers(1, pieces)
+        return inside(knot - 1), inside(knot)
+    if kind == 2 and pieces >= 3:
+        first = rng.integers(pieces - 2)
+        return inside(first), inside(rng.integers(first + 2, min(first + 5, pieces)))
+    if kind == 3:
+        return times[piece], inside(rng.integers(piece, min(piece + 2, pieces)))
+    if kind == 4:
+        return times[0] - _SPAN_SLACK, inside(rng.integers(min(2, pieces)))
+    if kind == 5:
+        return inside(rng.integers(max(0, pieces - 2), pieces)), times[-1] + _SPAN_SLACK
+    return tuple(sorted((inside(piece), inside(piece))))
+
+
+class TestExactStrideForce:
+    # The exact integral matches the 8192-panel oracle within RTOL times the
+    # largest gain, position and duration; on about half of these strides a
+    # 64-panel Simpson rule misses by more.
+    RTOL = 2e-13
+
+    @settings(max_examples=300, derandomize=True, deadline=None, database=None)
+    @given(st.integers(2, 40), st.integers(0, 5), st.integers(0, 2**32 - 1))
+    def test_matches_dense_simpson_oracle(self, knots, kind, seed):
+        # A leader wandering at up to 2 m/s, up to 1 km from the origin.
+        rng = np.random.default_rng(seed)
+        gaps = np.exp(rng.uniform(np.log(0.1), np.log(3.0), knots - 1))
+        times = rng.uniform(-5.0, 5.0) + np.concatenate(([0.0], np.cumsum(gaps)))
+        turns = rng.uniform(-np.pi, np.pi) + np.cumsum(0.3 * rng.normal(size=knots - 1))
+        steps = np.column_stack((np.cos(turns), np.sin(turns))) * gaps[:, None]
+        steps *= np.exp(rng.uniform(np.log(0.2), np.log(2.0)))
+        points = rng.uniform(-1e3, 1e3, 2) + np.concatenate(([[0.0, 0.0]], np.cumsum(steps, axis=0)))
+        leader = LeaderModel(times=times, waypoints=points,
+                             stiffness=random_gain(rng), damping=random_gain(rng))
+        t_start, t_end = random_stride(rng, times, kind)
+        offset = rng.normal(size=2) * np.exp(rng.uniform(-3.0, 1.0))
+        start = Pose(position=leader.position(t_start) + offset,
+                     heading=rng.uniform(-np.pi, np.pi))
+        end = leader.position(t_end) + rng.normal(size=2) * np.exp(rng.uniform(-3.0, 1.0))
+        force = integrate_stride_force(leader, start, end, t_start, t_end)
+        expected = simpson_stride_force(leader, start, end, t_start, t_end)
+        gain = np.max(np.abs(leader.stiffness)) + np.max(np.abs(leader.damping))
+        tolerance = self.RTOL * gain * np.max(np.abs(points)) * max(1.0, t_end - t_start)
+        if force == StrideForce.zero():
+            assert np.max(np.abs(expected)) <= _FORCE_SNAP + tolerance
+        else:
+            assert np.max(np.abs(np.array([force.fx, force.fy]) - expected)) <= tolerance
 
 
 class TestHeadingEstimate:
