@@ -523,7 +523,7 @@ def estimate_disturbance_margin(
         raise ValueError("upper must be positive and finite")
     if certificate.library_fingerprint != library_fingerprint(library):
         raise ValueError("certificate fingerprint does not match this library")
-    x0s, sigmas, unit_dists, _ = simulation._draw_campaign_inputs(
+    x0s, sigmas, unit_dists, *_ = simulation._draw_campaign_inputs(
         library, certificate, trial_budget, horizon, 1.0, seed, stream=1, exact_sup=True)
     evaluations: list[tuple[float, bool]] = []
 

@@ -150,7 +150,7 @@ def cmd_certify(args) -> int:
 def cmd_validate(args) -> int:
     started = time.time()
     raw = Path(args.signal).read_bytes()
-    signal = SwitchingSignal.from_csv(args.signal)
+    signal = SwitchingSignal.from_csv(args.signal, raw)
     budget = DwellTimeBudget(n0=args.n0, na=args.na)
     report = validate_dwell_time(signal, budget)
     verdict = "VALID" if report.valid else "INVALID"

@@ -218,9 +218,9 @@ def run(
     )
 
 
-def _initial_state_sampler(library: PrimitiveLibrary,
-                           level: float) -> Callable[[np.random.Generator], np.ndarray]:
-    """``sample_initial_state`` with the bounding box computed once."""
+def _sampling_box(library: PrimitiveLibrary, level: float) -> tuple[np.ndarray, np.ndarray]:
+    """Corners ``(lo, hi)`` of the intersection of the members' bounding
+    boxes of their ``level`` sublevel sets."""
     if not (level > 0.0 and np.isfinite(level)):
         raise ValueError("level must be positive and finite")
     los, his = [], []
@@ -232,19 +232,38 @@ def _initial_state_sampler(library: PrimitiveLibrary,
     hi = np.min(his, axis=0)
     if np.any(lo > hi):
         raise ValueError("intersection of sublevel sets appears empty at this level")
+    return lo, hi
 
-    def draw(rng: np.random.Generator) -> np.ndarray:
-        for _ in range(_MAX_X0_BATCHES):
-            pts = rng.uniform(lo, hi, size=(_X0_BATCH, library.state_dim))
-            ok = np.ones(_X0_BATCH, dtype=bool)
-            for p in library:
-                ok &= p.lyapunov.values(pts) <= level
-            hits = np.flatnonzero(ok)
-            if hits.size:
-                return pts[hits[0]].copy()
-        raise RuntimeError("failed to sample the sublevel intersection")
 
-    return draw
+# numpy's einsum sums a batch of one or two 2-D points in another order
+# than a longer batch, so smaller batches are padded to this many rows.
+_MIN_ROWS = 8
+
+
+def _inside(library: PrimitiveLibrary, level: float, points: np.ndarray) -> np.ndarray:
+    """Whether each of the (N, n) points lies in every member's ``level``
+    sublevel set, each point's verdict independent of the rest of the batch."""
+    count = len(points)
+    if count < _MIN_ROWS:
+        points = np.concatenate((points, np.zeros((_MIN_ROWS - count, points.shape[1]))))
+    ok = np.ones(len(points), dtype=bool)
+    for p in library:
+        ok &= p.lyapunov.values(points) <= level
+    return ok[:count]
+
+
+def _draw_initial_state(library: PrimitiveLibrary, level: float,
+                        box: tuple[np.ndarray, np.ndarray],
+                        rng: np.random.Generator) -> tuple[np.ndarray, int]:
+    """One rejection-sampled start from batches of ``_X0_BATCH`` box points,
+    and the number of box points drawn up to and including it."""
+    lo, hi = box
+    for batch in range(_MAX_X0_BATCHES):
+        pts = rng.uniform(lo, hi, size=(_X0_BATCH, library.state_dim))
+        hits = np.flatnonzero(_inside(library, level, pts))
+        if hits.size:
+            return pts[hits[0]].copy(), batch * _X0_BATCH + int(hits[0]) + 1
+    raise RuntimeError("failed to sample the sublevel intersection")
 
 
 def sample_initial_state(library: PrimitiveLibrary, level: float, rng: np.random.Generator) -> np.ndarray:
@@ -254,7 +273,7 @@ def sample_initial_state(library: PrimitiveLibrary, level: float, rng: np.random
     boxes; the intersection is nonempty because it contains the fixed points
     whenever the library certifies (level at or above the cross values).
     """
-    return _initial_state_sampler(library, level)(rng)
+    return _draw_initial_state(library, level, _sampling_box(library, level), rng)[0]
 
 
 def _draw_signal(ids: tuple[int, ...], horizon: int, switch_rate: float, rng: np.random.Generator,
@@ -296,6 +315,22 @@ def sample_admissible_signal(
     return SwitchingSignal(assignments[0])
 
 
+def _shape_disturbances(values: np.ndarray, radii: np.ndarray, amplitude: float,
+                        exact_sup: bool) -> None:
+    """Turn Gaussian directions ``values`` (..., steps, dist_dim) in place
+    into vectors uniform in the amplitude ball, with lengths amplitude ·
+    radii^(1/dist_dim) for uniforms ``radii`` (..., steps); with
+    ``exact_sup`` each sequence is rescaled so its largest norm equals the
+    amplitude.  Every sequence is shaped as it would be on its own."""
+    norms = np.linalg.norm(values, axis=-1)
+    norms[norms == 0.0] = np.inf  # a zero direction becomes the zero vector
+    values *= (amplitude * radii ** (1.0 / values.shape[-1]) / norms)[..., None]
+    if exact_sup:
+        peaks = np.max(np.linalg.norm(values, axis=-1), axis=-1, keepdims=True)
+        values *= np.divide(amplitude, peaks, out=np.ones_like(peaks),
+                            where=peaks > 0.0)[..., None]
+
+
 def _draw_disturbances(dist_dim: int, horizon: int, amplitude: float, rng: np.random.Generator,
                        exact_sup: bool) -> np.ndarray:
     """(horizon, dist_dim) vectors uniform in the amplitude ball: Gaussian
@@ -305,15 +340,8 @@ def _draw_disturbances(dist_dim: int, horizon: int, amplitude: float, rng: np.ra
         raise ValueError("amplitude must be nonnegative")
     if amplitude == 0.0:
         return np.zeros((horizon, dist_dim))
-    directions = rng.standard_normal((horizon, dist_dim))
-    radii = rng.random(horizon) ** (1.0 / dist_dim)
-    norms = np.linalg.norm(directions, axis=1)
-    norms[norms == 0.0] = np.inf  # a zero direction becomes the zero vector
-    values = directions * (amplitude * radii / norms)[:, None]
-    if exact_sup:
-        peak = float(np.max(np.linalg.norm(values, axis=1)))
-        if peak > 0.0:
-            values = values * (amplitude / peak)
+    values = rng.standard_normal((horizon, dist_dim))
+    _shape_disturbances(values, rng.random(horizon), amplitude, exact_sup)
     return values
 
 
@@ -350,7 +378,10 @@ class CampaignReport:
     near the active fixed point, where V_active is tiny and the disturbance
     alone sets the next value (1000 episodes x 200 steps at amplitude 0.1
     report values of order 1e5).  ``deferred_requests`` counts the switch proposals the
-    supervisor deferred, summed over episodes.
+    supervisor deferred, summed over episodes.  ``x0_proposals`` counts the
+    box points the start-state sampler drew, up to and including each
+    episode's accepted start, summed over episodes: ``episodes /
+    x0_proposals`` is the sampler's acceptance rate.
     """
 
     episodes: int
@@ -362,6 +393,7 @@ class CampaignReport:
     trapping_level: float
     max_step_ratio: float
     deferred_requests: int
+    x0_proposals: int
     first_violations: tuple[tuple[int, int], ...]  # (episode, step), capped
 
     def to_dict(self) -> dict:
@@ -375,12 +407,41 @@ class CampaignReport:
             "trapping_level": self.trapping_level,
             "max_step_ratio": self.max_step_ratio,
             "deferred_requests": self.deferred_requests,
+            "x0_proposals": self.x0_proposals,
             "first_violations": [list(v) for v in self.first_violations],
         }
 
 
 _EPISODE_STREAM = 0
 _MAX_RECORDED_VIOLATIONS = 64
+
+
+def _first_inside(library: PrimitiveLibrary, level: float, lo: np.ndarray, hi: np.ndarray,
+                  uniforms: np.ndarray) -> np.ndarray:
+    """Index of each episode's first box point lo + (hi - lo) · u, over
+    ``uniforms`` (episodes, points, n), that lies in every member's
+    ``level`` sublevel set; -1 where none does.
+
+    Column 0 is tested for every episode, then columns 1, 2-3, 4-7, ... for
+    the episodes still without a hit.
+    """
+    width = hi - lo
+    first = np.full(len(uniforms), -1)
+    pending = np.arange(len(uniforms))
+    start, stop = 0, 1
+    while pending.size and start < uniforms.shape[1]:
+        points = lo + width * uniforms[pending, start:stop]
+        ok = _inside(library, level, points.reshape(-1, lo.size)).reshape(points.shape[:2])
+        hit = np.any(ok, axis=1)
+        first[pending[hit]] = start + np.argmax(ok[hit], axis=1)
+        pending = pending[~hit]
+        start, stop = stop, min(2 * stop, uniforms.shape[1])
+    return first
+
+
+# Episodes per block of the campaign draw: 128-episode blocks were no
+# faster and raised a 1000-episode campaign's peak memory by 0.7 MB.
+_DRAW_BLOCK = 64
 
 
 def _draw_campaign_inputs(
@@ -392,32 +453,75 @@ def _draw_campaign_inputs(
     seed: int,
     stream: int,
     exact_sup: bool = False,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, int, int]:
     """Per-episode start states, signal assignments and disturbances,
     episode ``e`` drawn from ``derive_rng(seed, stream, e)``, plus the number
-    of switch requests the supervisor deferred.  All episodes' requests go
-    through one ``supervise_batch`` call.
+    of switch requests the supervisor deferred and the number of box points
+    drawn for the start states (``CampaignReport.x0_proposals``).  All
+    episodes' requests go through one ``supervise_batch`` call.
 
-    Each stream holds, in order: the start state, the initial member, the
-    switch requests (proposals, then picks) and the disturbances
-    (directions, then radii).
+    Each stream holds, in order: the start state (batches of ``_X0_BATCH``
+    box points, up to the first batch holding a point inside every member's
+    ω sublevel set), the initial member, the switch requests (proposals,
+    then picks) and the disturbances (directions, then radii).
+
+    The loop over episodes makes only the generator calls of that layout,
+    assuming the first batch holds a start.  Start acceptance and the
+    disturbance shaping then run on blocks of ``_DRAW_BLOCK`` episodes; an
+    episode whose first batch holds no start is drawn again from its stream
+    by the sequential samplers.  Either way the draws are bit for bit those
+    of drawing each episode on its own.
     """
     if horizon < 1:
         raise ValueError("horizon must be at least 1")
+    if amplitude < 0.0:
+        raise ValueError("amplitude must be nonnegative")
     budget = budget_from_certificate(certificate)
     rate = min(1.0, 1.0 / budget.na)
-    draw_x0 = _initial_state_sampler(library, certificate.omega)
+    level = certificate.omega
+    lo, hi = _sampling_box(library, level)
+    ids = library.ids
+    switching = len(ids) > 1 and horizon > 1
     x0s = np.empty((episode_count, library.state_dim))
     initial = np.empty(episode_count, dtype=np.int64)
-    requests = np.empty((episode_count, horizon - 1), dtype=np.int64)
-    dists = np.empty((episode_count, horizon, library.dist_dim))
-    for episode in range(episode_count):
-        rng = derive_rng(seed, stream, episode)
-        x0s[episode] = draw_x0(rng)
-        initial[episode], requests[episode] = _draw_signal(library.ids, horizon, rate, rng)
-        dists[episode] = _draw_disturbances(library.dist_dim, horizon, amplitude, rng, exact_sup)
-    sigmas, admitted = supervise_batch(library.ids, initial, requests, budget)
-    return x0s, sigmas, dists, int(np.count_nonzero(~admitted))
+    requests = np.full((episode_count, horizon - 1), -1, dtype=np.int64)
+    dists = np.zeros((episode_count, horizon, library.dist_dim))
+    rows = min(_DRAW_BLOCK, episode_count)
+    box = np.empty((rows, _X0_BATCH, library.state_dim))
+    proposals = np.empty((rows, horizon - 1))
+    radii = np.empty((rows, horizon))
+    x0_proposals = 0
+    for start in range(0, episode_count, _DRAW_BLOCK):
+        count = min(_DRAW_BLOCK, episode_count - start)
+        picks = []
+        for i in range(count):
+            rng = derive_rng(seed, stream, start + i)
+            rng.random(out=box[i])
+            initial[start + i] = ids[rng.integers(len(ids))]
+            if switching:
+                rng.random(out=proposals[i])
+                picks.append(rng.integers(len(ids) - 1,
+                                          size=np.count_nonzero(proposals[i] < rate)))
+            if amplitude:
+                rng.standard_normal(out=dists[start + i])
+                rng.random(out=radii[i])
+        if switching:
+            requests[start:start + count][proposals[:count] < rate] = np.concatenate(picks)
+        if amplitude:
+            _shape_disturbances(dists[start:start + count], radii[:count], amplitude, exact_sup)
+        first = _first_inside(library, level, lo, hi, box[:count])
+        # rows with first = -1 take a wrong point here and are redrawn below
+        x0s[start:start + count] = lo + (hi - lo) * box[np.arange(count), first]
+        x0_proposals += int(np.sum(first + 1))
+        for i in np.flatnonzero(first < 0).tolist():
+            rng = derive_rng(seed, stream, start + i)
+            x0s[start + i], drawn = _draw_initial_state(library, level, (lo, hi), rng)
+            initial[start + i], requests[start + i] = _draw_signal(ids, horizon, rate, rng)
+            dists[start + i] = _draw_disturbances(library.dist_dim, horizon, amplitude, rng,
+                                                  exact_sup)
+            x0_proposals += drawn
+    sigmas, admitted = supervise_batch(ids, initial, requests, budget)
+    return x0s, sigmas, dists, int(np.count_nonzero(~admitted)), x0_proposals
 
 
 def _batch_stats(
@@ -506,7 +610,7 @@ def monte_carlo(
         raise ValueError("keep_traces must be nonnegative")
     if certificate.library_fingerprint != library_fingerprint(library):
         raise ValueError("certificate fingerprint does not match this library")
-    x0s, sigmas, dists, deferred = _draw_campaign_inputs(
+    x0s, sigmas, dists, deferred, x0_proposals = _draw_campaign_inputs(
         library, certificate, episode_count, horizon, disturbance_amplitude,
         seed, _EPISODE_STREAM,
     )
@@ -535,6 +639,7 @@ def monte_carlo(
         trapping_level=float(np.max(max_min)),
         max_step_ratio=float(np.max(max_ratio)),
         deferred_requests=deferred,
+        x0_proposals=x0_proposals,
         first_violations=recorded,
     )
     return report, kept

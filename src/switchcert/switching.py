@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import csv
 import io
+import itertools
 import math
 import warnings
 from dataclasses import dataclass
@@ -59,22 +60,26 @@ class SwitchingSignal:
         write_table(path, ["k", "id"], [np.arange(len(self)), self.assignments])
 
     @classmethod
-    def from_csv(cls, path: str | Path) -> "SwitchingSignal":
+    def from_csv(cls, path: str | Path, data: bytes | None = None) -> "SwitchingSignal":
         """Read a ``k,id`` CSV whose step column counts 0, 1, ...
 
-        Well-formed files are parsed in one vectorised ``np.loadtxt`` pass.
-        That pass sees only bodies made of ASCII digits, signs, commas and
-        whitespace with no bare carriage return, so it splits lines as the
-        row reader does, and any warning it raises counts as a failure
-        (older numpy casts a cell it cannot read as int64, such as ``1e30``,
-        through a float with only a DeprecationWarning).  Anything it
-        rejects, and a blank line it would skip, is read again row by row,
-        so the row reader alone decides which files are accepted and names
-        the first bad row.  ``loadtxt`` is given the path rather than the
-        bytes already read: it reads a path in blocks but a buffer line by
-        line, which takes twice as long.
+        ``data``, when given, is the file's content as already read; it is
+        parsed instead of reading ``path`` again, and ``path`` only names
+        the file in errors, so a caller that hashes ``data`` hashes exactly
+        what was parsed.
+
+        Well-formed files are parsed in one vectorised ``np.loadtxt`` pass
+        over the body's lines.  That pass sees only bodies made of ASCII
+        digits, signs, commas and whitespace with no bare carriage return,
+        so its lines are the row reader's, and any warning it raises counts
+        as a failure (older numpy casts a cell it cannot read as int64, such
+        as ``1e30``, through a float with only a DeprecationWarning).
+        Anything it rejects, and a blank line it would skip, is read again
+        row by row, so the row reader alone decides which files are accepted
+        and names the first bad row.
         """
-        data = Path(path).read_bytes()
+        if data is None:
+            data = Path(path).read_bytes()
         head, newline, body = data.partition(b"\n")
         lines = body.count(b"\n") + (not data.endswith(b"\n"))
         table = None
@@ -84,7 +89,7 @@ class SwitchingSignal:
             try:
                 with warnings.catch_warnings():
                     warnings.simplefilter("error")
-                    table = np.loadtxt(path, delimiter=",", dtype=np.int64, skiprows=1,
+                    table = np.loadtxt(_ascii_lines(body), delimiter=",", dtype=np.int64,
                                        ndmin=2, comments=None)
             except (ValueError, OverflowError, Warning):
                 pass
@@ -95,6 +100,20 @@ class SwitchingSignal:
 
 
 _INTEGER_CSV_BYTES = b"0123456789+-, \t\r\n"
+_LINE_BLOCK = 1 << 18
+
+
+def _ascii_lines(body: bytes):
+    """The lines of an ASCII ``body``, decoded in blocks of about
+    ``_LINE_BLOCK`` bytes cut after a line end, so that only one block's
+    strings are alive at a time."""
+    def blocks():
+        start = 0
+        while start < len(body):
+            stop = body.find(b"\n", start + _LINE_BLOCK) + 1 or len(body)
+            yield body[start:stop].decode().splitlines()
+            start = stop
+    return itertools.chain.from_iterable(blocks())
 
 
 def _read_csv_rows(data: bytes, path: str | Path) -> np.ndarray:

@@ -42,6 +42,8 @@ _SPAN_SLACK = 1e-9
 _FORCE_SNAP = 1e-9
 # Exponents of d in the leader spline's power basis.
 _POWERS = np.arange(4.0)
+# Times per block of LeaderModel._path.
+_PATH_BLOCK = 2048
 
 
 def wrap_angle(angle: float) -> float:
@@ -243,7 +245,10 @@ class LeaderModel:
         """Path position and velocity at ``t``, each shaped ``t.shape + (2,)``.
 
         Times may leave the span by ``_SPAN_SLACK``; the end intervals'
-        cubics extend over that slack.
+        cubics extend over that slack.  The times are evaluated in blocks of
+        ``_PATH_BLOCK``, so the gathered coefficients stay small however
+        many times are asked for; each time's result is the same in any
+        block.
         """
         t = np.asarray(t, dtype=float)
         t0, t1 = self.span
@@ -252,9 +257,14 @@ class LeaderModel:
         if tmin < t0 - _SPAN_SLACK or tmax > t1 + _SPAN_SLACK:
             raise ValueError(
                 f"time {tmin if tmin < t0 else tmax} outside the leader span [{t0}, {t1}]")
-        interval = self.times[1:-1].searchsorted(t, "right")
-        powers = (t - self.times[interval])[..., None] ** _POWERS
-        out = np.einsum("...j,...jc->...c", powers, self._coef.take(interval, axis=0))
+        out = np.empty(t.shape + (4,))
+        flat, rows = t.reshape(-1), out.reshape(-1, 4)
+        for start in range(0, flat.size, _PATH_BLOCK):
+            block = flat[start:start + _PATH_BLOCK]
+            interval = self.times[1:-1].searchsorted(block, "right")
+            powers = (block - self.times[interval])[:, None] ** _POWERS
+            rows[start:start + _PATH_BLOCK] = np.einsum(
+                "nj,njc->nc", powers, self._coef.take(interval, axis=0))
         return out[..., :2], out[..., 2:]
 
     def position(self, t):

@@ -368,7 +368,7 @@ class TestDisturbanceMargin:
         estimate = estimate_disturbance_margin(
             walker_library, walker_certificate, trial_budget=200, seed=20260822
         )
-        x0s, sigmas, unit, _ = _draw_campaign_inputs(
+        x0s, sigmas, unit, *_ = _draw_campaign_inputs(
             walker_library, walker_certificate, 200, 200, 1.0, 20260822, 1, exact_sup=True)
         verdicts = set()
         for amplitude, violated in estimate.evaluations:

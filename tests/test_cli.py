@@ -34,6 +34,7 @@ from switchcert.cli import (
 from switchcert.library_io import read_document
 
 from conftest import make_pair_library, make_primitive
+from test_simulation import draw_campaign_oracle
 from switchcert import PrimitiveLibrary
 
 EXAMPLES = Path(__file__).resolve().parent.parent / "docs" / "examples"
@@ -202,6 +203,30 @@ class TestValidate:
         assert report["worst_slack"] < 0.0
         assert (out / "validation_report.txt").exists()
 
+    def test_signal_is_read_once_and_hashed_as_parsed(self, tmp_path, monkeypatch):
+        path = self.write_signal(tmp_path, (0, 0, 1, 1, 2, 2))
+        parsed = path.read_bytes()
+        reads = []
+        read_bytes = Path.read_bytes
+
+        def read_then_replace(self):
+            data = read_bytes(self)
+            if self == path:
+                reads.append(data)
+                # a second read of the file would see another, invalid signal
+                SwitchingSignal((0, 1) * 5).to_csv(path)
+            return data
+
+        monkeypatch.setattr(Path, "read_bytes", read_then_replace)
+        out = tmp_path / "out"
+        code = main(["validate", "--signal", str(path), "--n0", "1", "--na", "2",
+                     "--out-dir", str(out)])
+        assert code == EXIT_OK
+        assert reads == [parsed]
+        assert "steps: 6  switches: 2" in (out / "validation_report.txt").read_text()
+        manifest = json.loads((out / "run_manifest.json").read_text())
+        assert manifest["inputs"]["signal"]["sha256"] == hashlib.sha256(parsed).hexdigest()
+
     def test_missing_signal_file_is_an_input_error(self, tmp_path):
         code = main(
             ["validate", "--signal", str(tmp_path / "none.csv"), "--n0", "1", "--na", "1"]
@@ -263,7 +288,7 @@ class TestValidate:
 
 
 class TestSimulate:
-    def test_campaign_summary_and_traces(self, tmp_path):
+    def test_campaign_summary_and_traces(self, tmp_path, walker_library, walker_certificate):
         code = main(
             [
                 "simulate",
@@ -289,6 +314,9 @@ class TestSimulate:
         assert summary["violation_count"] == 0
         # the shipped na_bar is below 1, so no proposed switch is ever deferred
         assert summary["deferred_requests"] == 0
+        # box points drawn for the 20 starts, counted one episode at a time
+        drawn = draw_campaign_oracle(walker_library, walker_certificate, 20, 50, 0.0, 7, 0)[4]
+        assert summary["x0_proposals"] == sum(drawn) == 32
         for index in range(3):
             assert (tmp_path / f"trace_{index:04d}.csv").exists()
 

@@ -2,10 +2,11 @@
 Carlo campaigns."""
 
 from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from switchcert import (
@@ -20,13 +21,22 @@ from switchcert import (
     sample_admissible_signal,
     sample_disturbances,
     sample_initial_state,
+    supervise_batch,
     validate_dwell_time,
 )
 
 from conftest import make_pair_library, make_primitive
 from switchcert import Primitive, PrimitiveLibrary, PrimitiveMap, QuadraticLyapunov
 from switchcert import simulation
-from switchcert.simulation import _batch_stats, _draw_disturbances, _escapes
+from switchcert.simulation import (
+    _DRAW_BLOCK,
+    _X0_BATCH,
+    _batch_stats,
+    _draw_campaign_inputs,
+    _draw_disturbances,
+    _escapes,
+    _inside,
+)
 
 # Regression values for the shipped library captured from a seeded run
 # (seed path (424242, 7) for the signal, (424242, 8) for the start state).
@@ -290,6 +300,81 @@ def run_episode(library, certificate, horizon, amplitude, rng):
     return run(library, signal, x0, disturbances, horizon)
 
 
+def draw_campaign_oracle(library, certificate, episode_count, horizon, amplitude, seed, stream,
+                         exact_sup=False):
+    """Reference for ``_draw_campaign_inputs``: each episode drawn on its own
+    from ``derive_rng(seed, stream, e)``, in stream order: batches of 128
+    points of the box around the members' ω sublevel sets up to the first
+    batch with a point inside all of them, the initial member, the
+    Bernoulli proposals and the picks, then the disturbance directions and
+    radii.  Returns the draw's ``(x0s, sigmas, dists, deferred)`` and each
+    episode's number of box points drawn up to and including its start."""
+    level = certificate.omega
+    halves = [np.sqrt(level * np.diag(np.linalg.inv(p.lyapunov.weight))) for p in library]
+    lo = np.max([p.lyapunov.center - h for p, h in zip(library, halves)], axis=0)
+    hi = np.min([p.lyapunov.center + h for p, h in zip(library, halves)], axis=0)
+    budget = budget_from_certificate(certificate)
+    rate = min(1.0, 1.0 / budget.na)
+    ids = library.ids
+    x0s, initial, requests, dists, drawn = [], [], [], [], []
+    for episode in range(episode_count):
+        rng = derive_rng(seed, stream, episode)
+        count = 0
+        while True:
+            points = rng.uniform(lo, hi, size=(128, library.state_dim))
+            ok = np.ones(128, dtype=bool)
+            for p in library:
+                ok &= p.lyapunov.values(points) <= level
+            hits = np.flatnonzero(ok)
+            if hits.size:
+                break
+            count += 128
+        x0s.append(points[hits[0]])
+        drawn.append(count + int(hits[0]) + 1)
+        initial.append(ids[rng.integers(len(ids))])
+        row = np.full(horizon - 1, -1, dtype=np.int64)
+        if len(ids) > 1 and horizon > 1:
+            proposals = rng.random(horizon - 1) < rate
+            row[proposals] = rng.integers(len(ids) - 1, size=int(np.count_nonzero(proposals)))
+        requests.append(row)
+        values = np.zeros((horizon, library.dist_dim))
+        if amplitude != 0.0:
+            directions = rng.standard_normal((horizon, library.dist_dim))
+            radii = rng.random(horizon) ** (1.0 / library.dist_dim)
+            norms = np.linalg.norm(directions, axis=1)
+            norms[norms == 0.0] = np.inf
+            values = directions * (amplitude * radii / norms)[:, None]
+            if exact_sup:
+                peak = float(np.max(np.linalg.norm(values, axis=1)))
+                if peak > 0.0:
+                    values = values * (amplitude / peak)
+        dists.append(values)
+    sigmas, admitted = supervise_batch(
+        ids, np.array(initial), np.array(requests).reshape(episode_count, horizon - 1), budget)
+    return np.array(x0s), sigmas, np.array(dists), int(np.count_nonzero(~admitted)), drawn
+
+
+def crossed_library(aspect=100.0):
+    """Two 2-D members whose unit sublevel sets are thin ellipses along the
+    two diagonals: their intersection fills about 2% of its bounding box,
+    so about one start in thirteen needs a second batch of 128 points."""
+    turn = np.array([[1.0, -1.0], [1.0, 1.0]]) / np.sqrt(2.0)
+    members = []
+    for pid, axes in enumerate(((1.0, aspect), (aspect, 1.0))):
+        weight = turn @ np.diag(axes) @ turn.T
+        members.append(make_primitive(pid, weight=0.5 * (weight + weight.T), basin_level=2.0))
+    return PrimitiveLibrary(tuple(members))
+
+
+def assert_draws_equal(draw, oracle):
+    x0s, sigmas, dists, deferred, x0_proposals = draw
+    assert np.array_equal(x0s, oracle[0])
+    assert np.array_equal(sigmas, oracle[1])
+    assert np.array_equal(dists, oracle[2])
+    assert deferred == oracle[3]
+    assert x0_proposals == sum(oracle[4])
+
+
 class TestMonteCarlo:
     def test_zero_amplitude_campaign_is_clean(self, walker_library, walker_certificate):
         report, traces = monte_carlo(walker_library, walker_certificate, 300, 200, 0.0, 2024)
@@ -481,3 +566,66 @@ class TestSharedKernel:
         assert len(evaluated) == escape_step + 1
         first, _, _ = _batch_stats(library, x0s, sigmas, dists)
         assert first.tolist() == [-1, escape_step]
+
+
+class TestCampaignDraw:
+    @kernel_settings
+    @given(library_specs,
+           st.sampled_from([1, 2, _DRAW_BLOCK - 1, _DRAW_BLOCK, _DRAW_BLOCK + 1,
+                            2 * _DRAW_BLOCK + 5]),
+           st.sampled_from([1, 2, 9]), st.sampled_from([0.0, 0.05, 2.0]), st.booleans(),
+           st.sampled_from([0.5, 1.0, 3.0]))
+    @example((2, 2, [False], 5), _DRAW_BLOCK + 1, 1, 0.05, True, 1.0)  # one member
+    @example((3, 1, [True, False, True], 9), 1, 9, 0.0, False, 3.0)
+    def test_block_draw_matches_the_per_episode_oracle(
+        self, spec, episodes, horizon, amplitude, exact_sup, na
+    ):
+        state_dim, dist_dim, flags, seed = spec
+        library = random_library(state_dim, dist_dim, flags, np.random.default_rng(seed))
+        # a level holding every fixed point, so the ω-intersection is not empty
+        level = 1.5 * max(float(p.lyapunov.value(q.lyapunov.center))
+                          for p in library for q in library) + 0.02
+        certificate = SimpleNamespace(omega=level, n0_bar=1.0, na_bar=na)
+        args = (library, certificate, episodes, horizon, amplitude, seed % 1000, 1, exact_sup)
+        assert_draws_equal(_draw_campaign_inputs(*args), draw_campaign_oracle(*args))
+
+    def test_inside_verdicts_do_not_depend_on_the_batch(self):
+        rng = np.random.default_rng(3)
+        weight = rng.normal(size=(2, 2))
+        library = PrimitiveLibrary((make_primitive(0, weight=weight @ weight.T + np.eye(2)),))
+        lyapunov = library.primitives[0].lyapunov
+        points = rng.normal(size=(_X0_BATCH, 2))
+        batch = lyapunov.values(points)
+        alone = np.array([lyapunov.values(points[i:i + 1])[0] for i in range(len(points))])
+        differ = np.flatnonzero(batch != alone)
+        if not differ.size:
+            pytest.skip("this numpy sums a lone point as it sums a batch")
+        for i in differ:
+            # a level between the two sums: the verdict hangs on the batch size
+            level = min(batch[i], alone[i])
+            inside = _inside(library, level, points)
+            assert inside[i] == (batch[i] <= level)
+            assert _inside(library, level, points[i:i + 1])[0] == inside[i]
+            assert _inside(library, level, points[i:i + 2])[0] == inside[i]
+
+    def test_starts_rejected_by_a_whole_batch_are_redrawn_exactly(self, monkeypatch):
+        library = crossed_library()
+        certificate = SimpleNamespace(omega=1.0, n0_bar=1.0, na_bar=2.0)
+        args = (library, certificate, 2 * _DRAW_BLOCK + 22, 30, 0.2, 4, 0, True)
+        oracle = draw_campaign_oracle(*args)
+        slow = [e for e, drawn in enumerate(oracle[4]) if drawn > 128]
+        assert len(slow) >= 3
+        assert any(e < _DRAW_BLOCK for e in slow) and any(e >= _DRAW_BLOCK for e in slow)
+        streams = []
+        derive = simulation.derive_rng
+        monkeypatch.setattr(simulation, "derive_rng",
+                            lambda *path: streams.append(path[2]) or derive(*path))
+        assert_draws_equal(_draw_campaign_inputs(*args), oracle)
+        # only the episodes that needed a second batch read their stream twice
+        assert sorted(streams) == sorted(list(range(args[2])) + slow)
+
+    def test_shipped_campaign_draw_matches_the_oracle(self, walker_library, walker_certificate):
+        for amplitude, exact_sup in ((0.1, False), (1.0, True), (0.0, False)):
+            args = (walker_library, walker_certificate, _DRAW_BLOCK + 9, 200, amplitude, 11, 0,
+                    exact_sup)
+            assert_draws_equal(_draw_campaign_inputs(*args), draw_campaign_oracle(*args))

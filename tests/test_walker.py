@@ -6,6 +6,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -27,7 +28,7 @@ from switchcert import (
     validate_dwell_time,
     wrap_angle,
 )
-from switchcert.walker import _FORCE_SNAP, _SPAN_SLACK
+from switchcert.walker import _FORCE_SNAP, _PATH_BLOCK, _SPAN_SLACK
 
 EXAMPLES = Path(__file__).resolve().parent.parent / "docs" / "examples"
 
@@ -154,6 +155,25 @@ class TestLeaderSpline:
                 value = method(float(tk))
                 assert value.shape == (2,)
                 assert np.max(np.abs(value - row)) <= tolerance
+
+    def test_dense_path_is_evaluated_in_bounded_blocks(self):
+        rng = np.random.default_rng(8)
+        leader = LeaderModel.from_waypoints(np.cumsum(rng.uniform(0.2, 1.0, (400, 2)), axis=0))
+        t = np.linspace(*leader.span, 20 * _PATH_BLOCK + 3)
+        tracemalloc.start()
+        try:
+            position, velocity = leader._path(t)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # the (N, 4) result plus one block's temporaries; gathering every
+        # time's (4, 4) coefficients at once would take 128 bytes a time
+        assert peak <= 32 * t.size + 512 * _PATH_BLOCK, peak
+        # where a block starts moves no value
+        for start in (0, 1, _PATH_BLOCK - 1, 7 * _PATH_BLOCK + 5):
+            part = leader._path(t[start:start + 3 * _PATH_BLOCK // 2])
+            assert np.array_equal(part[0], position[start:start + 3 * _PATH_BLOCK // 2])
+            assert np.array_equal(part[1], velocity[start:start + 3 * _PATH_BLOCK // 2])
 
     def test_cli_import_does_not_load_scipy(self):
         package_root = str(Path(switchcert.__file__).resolve().parents[1])
