@@ -7,7 +7,7 @@ can switch among them.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 import numpy as np
 import numpy.random  # numpy 2 loads it lazily, on the first default_rng
 
@@ -88,8 +88,13 @@ class PrimitiveMap:
         return self.apply_batch(x[None], d)[0]
 
     def apply_batch(self, points: np.ndarray, disturbances: np.ndarray | None = None) -> np.ndarray:
-        """Update of a stack of states (N, n) under disturbances (N, m), or none."""
-        y = np.asarray(points, dtype=float) - self.fixed_point
+        """Update of a stack of states (N, n) under disturbances (N, m), or none.
+
+        The offsets from the fixed point are stacked column-major, so the
+        quadratic term's einsum loops along the N rows innermost; it sums
+        the same products in the same order as over a row-major stack.
+        """
+        y = np.subtract(points, self.fixed_point, order="F")
         out = self.fixed_point + y @ self.linear.T
         if self.quadratic is not None:
             out = out + np.einsum("ni,kij,nj->nk", y, self.quadratic, y)
@@ -131,7 +136,19 @@ class QuadraticLyapunov:
         return float(y @ self.weight @ y)
 
     def values(self, points: np.ndarray) -> np.ndarray:
-        y = np.asarray(points, dtype=float) - self.center
+        """V at each of a stack of states (N, n).
+
+        numpy's einsum adds each row's n² terms one at a time, i-major and
+        j-minor, except on one or two 2-D rows: there it adds each i's two
+        terms first, so such a value can differ in the last bit from the
+        same state's value in a longer batch.  Three or more rows are
+        stacked column-major, which loops along the rows innermost and sums
+        in the same order.  Fewer stay row-major, so this quirk stays too:
+        one row is the same array in either layout, and a column-major pair
+        of 2-D rows would be summed like a long batch, changing its bits.
+        ``simulation._inside`` pads its batches so no verdict rests on it.
+        """
+        y = np.subtract(points, self.center, order="F" if len(points) > 2 else "C")
         return np.einsum("ni,ij,nj->n", y, self.weight, y)
 
     def eig_bounds(self) -> tuple[float, float]:
@@ -193,6 +210,8 @@ class PrimitiveLibrary:
     """
 
     primitives: tuple[Primitive, ...]
+    centers: np.ndarray = field(init=False, repr=False, compare=False)   # (P, n)
+    weights: np.ndarray = field(init=False, repr=False, compare=False)   # (P, n, n)
 
     def __post_init__(self):
         prims = tuple(self.primitives)
@@ -207,6 +226,8 @@ class PrimitiveLibrary:
             if p.state_dim != n or p.dist_dim != m:
                 raise ValueError("all primitives must share state and disturbance dimensions")
         object.__setattr__(self, "primitives", prims)
+        object.__setattr__(self, "centers", _frozen_array([p.lyapunov.center for p in prims], "centers"))
+        object.__setattr__(self, "weights", _frozen_array([p.lyapunov.weight for p in prims], "weights"))
 
     def __len__(self) -> int:
         return len(self.primitives)

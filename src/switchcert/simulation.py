@@ -127,8 +127,18 @@ class Trace:
 
 
 def _member_values(library: PrimitiveLibrary, states: np.ndarray) -> np.ndarray:
-    """Every member's Lyapunov value at each state, shape (N, P)."""
-    return np.column_stack([p.lyapunov.values(states) for p in library])
+    """Every member's Lyapunov value at each state, shape (N, P), bit for
+    bit each member's ``QuadraticLyapunov.values``.
+
+    Three or more states go through one einsum over the column-major
+    (N, P, n) stack of their offsets from the members' centres; fewer go
+    member by member, because einsum sums one or two 2-D rows in another
+    order (see ``QuadraticLyapunov.values``).
+    """
+    if len(states) < 3:
+        return np.column_stack([p.lyapunov.values(states) for p in library])
+    y = np.subtract(states[:, None, :], library.centers, order="F")
+    return np.einsum("npi,pij,npj->np", y, library.weights, y)
 
 
 def _member_columns(ids, assignments: np.ndarray) -> np.ndarray:
@@ -236,7 +246,9 @@ def _sampling_box(library: PrimitiveLibrary, level: float) -> tuple[np.ndarray, 
 
 
 # numpy's einsum sums a batch of one or two 2-D points in another order
-# than a longer batch, so smaller batches are padded to this many rows.
+# than a longer batch, and ``_member_values`` keeps that order to stay bit
+# for bit (see ``QuadraticLyapunov.values``), so smaller batches are padded
+# to this many rows.
 _MIN_ROWS = 8
 
 
@@ -246,10 +258,7 @@ def _inside(library: PrimitiveLibrary, level: float, points: np.ndarray) -> np.n
     count = len(points)
     if count < _MIN_ROWS:
         points = np.concatenate((points, np.zeros((_MIN_ROWS - count, points.shape[1]))))
-    ok = np.ones(len(points), dtype=bool)
-    for p in library:
-        ok &= p.lyapunov.values(points) <= level
-    return ok[:count]
+    return np.all(_member_values(library, points) <= level, axis=1)[:count]
 
 
 def _draw_initial_state(library: PrimitiveLibrary, level: float,

@@ -30,7 +30,7 @@ from .library_io import (
     write_table,
 )
 from .primitives import Primitive, PrimitiveLibrary
-from .simulation import budget_from_certificate
+from .simulation import _member_values, budget_from_certificate
 from .switching import Supervisor, SwitchingSignal, heading_policy, validate_dwell_time
 
 STRIDE_IDS = (0, 1, 2)
@@ -559,13 +559,12 @@ class ScenarioTrace:
         out.mkdir(parents=True, exist_ok=True)
         trap = certificate.mu ** certificate.n0_bar * certificate.omega
         members = list(library)
-        centers = np.array([p.lyapunov.center for p in members])
-        weights = np.array([p.lyapunov.weight for p in members])
+        weights = library.weights
         write_table(
             out / "plot_basin_ellipses.csv",
             ["id", "center_x", "center_y", "w_xx", "w_xy", "w_yy",
              "basin_level", "core_level", "trapping_level"],
-            [[p.id for p in members], *centers.T, weights[:, 0, 0], weights[:, 0, 1],
+            [[p.id for p in members], *library.centers.T, weights[:, 0, 0], weights[:, 0, 1],
              weights[:, 1, 1], [float(p.basin_level) for p in members],
              [float(certificate.kappa)] * len(members), [float(trap)] * len(members)],
         )
@@ -634,9 +633,8 @@ def run_scenario(scenario: WalkerScenario) -> ScenarioTrace:
         if not report.valid:
             raise RuntimeError("supervisor produced a budget-violating signal")
 
-    members = list(library)
-    lyap = np.column_stack([p.lyapunov.values(reduced) for p in members])
-    levels = np.array([p.basin_level for p in members])
+    lyap = _member_values(library, reduced)
+    levels = np.array([p.basin_level for p in library])
     in_all = np.all(lyap <= levels[None, :], axis=1)
 
     leader_pts, leader_vel = scenario.leader._path(times)

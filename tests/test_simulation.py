@@ -474,7 +474,7 @@ def random_library(state_dim, dist_dim, quadratic_flags, rng):
         basis, _ = np.linalg.qr(rng.normal(size=(state_dim, state_dim)))
         weight = (basis * rng.uniform(0.5, 2.0, state_dim)) @ basis.T
         members.append(Primitive(
-            id=7 - 2 * index,
+            id=9 - 2 * index,
             map=PrimitiveMap(linear, center, rng.normal(size=(state_dim, dist_dim)), quadratic),
             lyapunov=QuadraticLyapunov(weight=0.5 * (weight + weight.T), center=center),
             basin_level=float(rng.uniform(0.01, 0.2)),
@@ -483,7 +483,56 @@ def random_library(state_dim, dist_dim, quadratic_flags, rng):
     return PrimitiveLibrary(tuple(members))
 
 
+# The row-major kernels of earlier releases: the column-major stacks must
+# reproduce them bit for bit.
+def row_major_apply_batch(map_, points, disturbances):
+    y = np.asarray(points, dtype=float) - map_.fixed_point
+    out = map_.fixed_point + y @ map_.linear.T
+    if map_.quadratic is not None:
+        out = out + np.einsum("ni,kij,nj->nk", y, map_.quadratic, y)
+    if disturbances is not None:
+        out = out + np.asarray(disturbances, dtype=float) @ map_.disturbance_gain.T
+    return out
+
+
+def row_major_values(lyapunov, points):
+    y = np.asarray(points, dtype=float) - lyapunov.center
+    return np.einsum("ni,ij,nj->n", y, lyapunov.weight, y)
+
+
+def member_values_oracle(library, states):
+    return np.column_stack([row_major_values(p.lyapunov, states) for p in library])
+
+
+def assert_same_bits(actual, expected):
+    assert actual.shape == expected.shape
+    assert np.array_equal(np.ascontiguousarray(actual).view(np.uint64),
+                          np.ascontiguousarray(expected).view(np.uint64))
+
+
 class TestSharedKernel:
+    @settings(max_examples=200, derandomize=True, deadline=None, database=None)
+    @given(st.tuples(st.integers(1, 8), st.integers(1, 3),
+                     st.lists(st.booleans(), min_size=1, max_size=5),
+                     st.integers(0, 2**32 - 1)),
+           st.sampled_from([1, 2, 3, 7, 64, 333]), st.booleans())
+    # one or two 2-D rows: einsum sums them in another order than a longer batch
+    @example((2, 2, [True, False, True], 1), 1, True)
+    @example((2, 2, [False, True, False, True, False], 2), 2, False)
+    def test_kernels_match_the_row_major_oracles(self, spec, rows, disturbed):
+        state_dim, dist_dim, flags, seed = spec
+        rng = np.random.default_rng(seed)
+        library = random_library(state_dim, dist_dim, flags, rng)
+        states = rng.normal(size=(rows, state_dim))
+        dists = rng.normal(size=(rows, dist_dim)) if disturbed else None
+        for member in library:
+            assert_same_bits(member.map.apply_batch(states, dists),
+                             row_major_apply_batch(member.map, states, dists))
+            assert_same_bits(member.lyapunov.values(states),
+                             row_major_values(member.lyapunov, states))
+        assert_same_bits(simulation._member_values(library, states),
+                         member_values_oracle(library, states))
+
     @kernel_settings
     @given(library_specs, st.booleans())
     def test_call_is_the_batch_of_one(self, spec, disturbed):
