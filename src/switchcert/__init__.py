@@ -72,7 +72,6 @@ from .walker import (
     StrideForce,
     StridePrimitive,
     WalkerScenario,
-    impedance_force,
     integrate_stride_force,
     load_scenario,
     run_scenario,

@@ -3,7 +3,7 @@
 Runs and campaigns never abort on a safety violation; they record per-step
 Lyapunov values and basin membership so that the first escape can be
 located.  Only ``_escapes``, the margin's yes/no question, stops stepping
-at the first escape.
+each amplitude at its first escape.
 
 All campaign randomness derives from one root seed through a counter-based
 scheme: episode e uses ``default_rng(SeedSequence([seed, stream, e]))``.
@@ -151,32 +151,74 @@ def _member_columns(ids, assignments: np.ndarray) -> np.ndarray:
     return np.argmax(match, axis=-1)
 
 
-def _rollout(library: PrimitiveLibrary, x0s: np.ndarray, cols: np.ndarray, dists: np.ndarray,
-             observe: Callable[[int, np.ndarray], object]) -> None:
-    """Step a batch of episodes jointly, passing ``observe(k, x_k)`` the
-    (episodes, n) states for k = 0..horizon, and stop early once it returns
-    a truthy value.
+# Steps of the member order per argsort call: argsort returns int64, and
+# sorting a few steps at a time keeps that from costing a (horizon,
+# episodes) array next to the int32 order.
+_ORDER_STEPS = 16
 
-    At step k, member ``cols[e, k]`` (a library index) drives episode e
-    under disturbance ``dists[e, k]``; every member updates the rows it
-    drives with ``PrimitiveMap.apply_batch``.  Overflow and NaN propagate
-    silently, so escapes are recorded rather than raised.
+
+def _rollout(library: PrimitiveLibrary, x0s: np.ndarray, cols: np.ndarray, unit: np.ndarray,
+             scales, observe: Callable[[int, np.ndarray], np.ndarray | None]) -> None:
+    """Step a batch of episodes jointly under blocks of scaled disturbances.
+
+    The state has shape (episodes, blocks, n), every block starting at
+    ``x0s``.  At step k, member ``cols[e, k]`` (a library index) drives
+    episode e in every block, block b under disturbance ``scales[b] *
+    unit[e, k]``.  ``observe(k, x)`` sees the states for k = 0..horizon
+    (``x`` is overwritten by the next step) and returns None to keep every
+    block, or a mask of the blocks to keep; stepping stops once none is
+    left.  Overflow and NaN propagate silently, so escapes are recorded
+    rather than raised.
+
+    Each step gathers the episodes into member order (a stable sort of
+    each column of ``cols``, computed once), passes each member's
+    contiguous slab of episodes through ``PrimitiveMap.apply_batch`` and
+    scatters the result back.  A row's update does not depend on the rest
+    of a batch of two or more rows, but a lone row takes another BLAS
+    route, so a member that drives a single episode steps its blocks one
+    by one, as a rollout of each block on its own does.
     """
-    members = list(library)
-    x = np.array(x0s, dtype=float)
+    maps = [p.map for p in library]
+    count, horizon = cols.shape
+    # member indices narrowed to 8 or 16 bits sort by radix
+    narrow = cols.T.astype(np.min_scalar_type(len(maps)))
+    order = np.empty(narrow.shape, dtype=np.int32)
+    for k in range(0, horizon, _ORDER_STEPS):
+        order[k:k + _ORDER_STEPS] = np.argsort(narrow[k:k + _ORDER_STEPS], axis=1, kind="stable")
+    bounds = np.zeros((horizon, len(maps) + 1), dtype=np.int64)
+    for j in range(len(maps)):
+        bounds[:, j + 1] = np.count_nonzero(narrow == j, axis=1)
+    bounds = np.cumsum(bounds, axis=1).tolist()
+    scales = np.asarray(scales, dtype=float)
+    x = np.repeat(np.asarray(x0s, dtype=float)[:, None, :], scales.size, axis=1)
+    n, m = x.shape[2], unit.shape[2]
+    row_scales = None
     with np.errstate(over="ignore", invalid="ignore"):
-        if observe(0, x):
-            return
-        for k in range(cols.shape[1]):
-            col = cols[:, k]
-            x_next = np.empty_like(x)
-            for j, p in enumerate(members):
-                rows = np.flatnonzero(col == j)
-                if rows.size:
-                    x_next[rows] = p.map.apply_batch(x[rows], dists[rows, k])
-            x = x_next
-            if observe(k + 1, x):
+        for k in range(horizon + 1):
+            keep = observe(k, x)
+            if keep is not None and not np.all(keep):
+                if not np.any(keep):
+                    return
+                x, scales, row_scales = x[:, keep], scales[keep], None
+            if k == horizon:
                 return
+            blocks = scales.size
+            if row_scales is None:
+                # the scale of each entry of the gathered (episode, block) rows
+                row_scales = np.repeat(np.tile(scales, count), m).reshape(-1, m)
+            rows = order[k]
+            xs = x.take(rows, axis=0)
+            flat = xs.reshape(-1, n)
+            ds = np.repeat(unit[:, k].take(rows, axis=0), blocks, axis=0)
+            ds *= row_scales
+            for map_, start, stop in zip(maps, bounds[k], bounds[k][1:]):
+                lo, hi = start * blocks, stop * blocks
+                if stop - start == 1:
+                    for r in range(lo, hi):
+                        flat[r] = map_.apply_batch(flat[r:r + 1], ds[r:r + 1])[0]
+                elif stop > start:
+                    flat[lo:hi] = map_.apply_batch(flat[lo:hi], ds[lo:hi])
+            x[rows] = xs
 
 
 def run(
@@ -209,10 +251,10 @@ def run(
     states = np.empty((horizon + 1, library.state_dim))
 
     def record(k: int, x: np.ndarray) -> None:
-        states[k] = x[0]
+        states[k] = x[0, 0]
 
     dvals = disturbances.values
-    _rollout(library, x0[None], cols, dvals[None, :horizon], record)
+    _rollout(library, x0[None], cols, dvals[None, :horizon], (1.0,), record)
     levels = np.array([p.basin_level for p in library])
     with np.errstate(over="ignore", invalid="ignore"):
         lyap = _member_values(library, states)
@@ -555,7 +597,7 @@ def _batch_stats(
     previous = np.empty((count, len(library)))
 
     def observe(k: int, x: np.ndarray) -> None:
-        values = _member_values(library, x)
+        values = _member_values(library, x[:, 0])
         if k:
             col = cols[:, k - 1]
             prev_active = previous[rows, col]
@@ -568,7 +610,7 @@ def _batch_stats(
         np.maximum(max_min, np.where(np.isfinite(per_min), per_min, np.inf), out=max_min)
         previous[:] = values
 
-    _rollout(library, x0s, cols, dists, observe)
+    _rollout(library, x0s, cols, dists, (1.0,), observe)
     return first, max_min, max_ratio
 
 
@@ -576,24 +618,39 @@ def _escapes(
     library: PrimitiveLibrary,
     x0s: np.ndarray,
     sigmas: np.ndarray,
-    dists: np.ndarray,
-) -> bool:
-    """True if any episode leaves the basin intersection, by the predicate
-    of ``_batch_stats`` (a NaN or overflowed state counts as an escape).
+    unit: np.ndarray,
+    amplitudes,
+) -> np.ndarray:
+    """Whether any episode leaves the basin intersection, for each of the
+    ``amplitudes`` scaling the disturbances ``unit``, by the predicate of
+    ``_batch_stats`` (a NaN or overflowed state counts as an escape).
 
-    Steps the episodes jointly, as ``_batch_stats`` does, but stops at the
-    first step at which any episode has escaped.
+    Each amplitude is one block of ``_rollout``, and a block stops stepping
+    at the first step at which any of its episodes has escaped.  Fewer
+    than three episodes are evaluated block by block, since
+    ``_member_values`` sums fewer than three rows in another order.
     """
     cols = _member_columns(library.ids, sigmas)
     levels = np.array([p.basin_level for p in library])
-    escaped = False
+    escaped = np.zeros(len(amplitudes), dtype=bool)
+    live = np.arange(len(amplitudes))
 
-    def observe(k: int, x: np.ndarray) -> bool:
-        nonlocal escaped
-        escaped = not np.all(_member_values(library, x) <= levels[None, :])
-        return escaped
+    def observe(k: int, x: np.ndarray) -> np.ndarray:
+        nonlocal live
+        count, blocks, n = x.shape
+        if count < 3:
+            values = np.stack([_member_values(library, x[:, b]) for b in range(blocks)], axis=1)
+        else:
+            values = _member_values(library, x.reshape(-1, n))
+        # each block's largest value per member; np.max keeps a NaN, which
+        # then fails the comparison
+        peaks = np.max(values.reshape(count, -1), axis=0).reshape(blocks, -1)
+        inside = np.all(peaks <= levels, axis=1)
+        escaped[live[~inside]] = True
+        live = live[inside]
+        return inside
 
-    _rollout(library, x0s, cols, dists, observe)
+    _rollout(library, x0s, cols, unit, amplitudes, observe)
     return escaped
 
 

@@ -219,6 +219,20 @@ def validate_dwell_time(signal: SwitchingSignal, budget: DwellTimeBudget) -> Dwe
     )
 
 
+def _deficit_step(deficit, switching, decay: float, limit: float):
+    """One step of ``Supervisor``'s deficit: a requested switch is admitted
+    when the deficit after it, deficit + 1 - decay, stays within ``limit``;
+    the deficit then takes that value, or else decays by ``decay``, and is
+    floored at zero.  Returns (admitted, next deficit), for a float and a
+    bool or elementwise for arrays."""
+    candidate = deficit + 1.0 - decay
+    held = deficit - decay
+    admitted = switching & (candidate <= limit)
+    if isinstance(admitted, np.ndarray):
+        return admitted, np.maximum(np.where(admitted, candidate, held), 0.0)
+    return admitted, max(0.0, candidate if admitted else held)
+
+
 class Supervisor:
     """Online gatekeeper that defers switches violating the dwell-time budget.
 
@@ -239,6 +253,7 @@ class Supervisor:
         self._budget = budget
         self._deficit = 0.0
         self._decay = 1.0 / budget.na
+        self._limit = budget.n0 + _SLACK_TOL
 
     def _check_known(self, id: int) -> None:
         if self._known is not None and int(id) not in self._known:
@@ -256,18 +271,11 @@ class Supervisor:
         """Advance one step; returns True when the request was admitted."""
         self._check_known(requested)
         requested = int(requested)
-        if requested == self.current:
-            self._deficit = max(0.0, self._deficit - self._decay)
-            self._ids.append(requested)
-            return True
-        candidate = max(0.0, self._deficit + 1.0 - self._decay)
-        if candidate <= self._budget.n0 + _SLACK_TOL:
-            self._deficit = candidate
-            self._ids.append(requested)
-            return True
-        self._deficit = max(0.0, self._deficit - self._decay)
-        self._ids.append(self.current)
-        return False
+        current = self._ids[-1]
+        admitted, self._deficit = _deficit_step(self._deficit, requested != current,
+                                                self._decay, self._limit)
+        self._ids.append(requested if admitted else current)
+        return admitted or requested == current
 
     @property
     def signal(self) -> SwitchingSignal:
@@ -281,9 +289,9 @@ def supervise_batch(ids, initial, requests, budget: DwellTimeBudget) -> tuple[np
     requests, for r = ``requests[e, k]`` >= 0, the member r + 1 places after
     its current one in ``ids``, counted cyclically (so r in 0..len(ids) - 2
     names each other member once), and its current id where r is -1.  Every
-    row keeps its own deficit and applies the admission rule of
-    ``Supervisor.request`` with the same float operations, so the result
-    equals a per-row replay of ``Supervisor`` bit for bit.  Returns the
+    row keeps its own deficit and steps it with ``_deficit_step``, as
+    ``Supervisor.request`` does, so the result equals a per-row replay of
+    ``Supervisor`` bit for bit.  Returns the
     (E, K + 1) assignments and the (E, K) admitted mask, which is False
     exactly where a requested switch was deferred.
     """
@@ -311,10 +319,8 @@ def supervise_batch(ids, initial, requests, budget: DwellTimeBudget) -> tuple[np
     for k in range(steps):
         current = cols[:, k]
         pick = requests[:, k]
-        switch = (pick >= 0) & (deficit + 1.0 - decay <= limit)
+        switch, deficit = _deficit_step(deficit, pick >= 0, decay, limit)
         admitted[:, k] = switch | (pick < 0)
-        deficit = np.where(switch, deficit + 1.0 - decay, deficit - decay)
-        np.maximum(deficit, 0.0, out=deficit)
         cols[:, k + 1] = np.where(switch, (current + 1 + pick) % ids.size, current)
     return ids[cols], admitted
 

@@ -315,18 +315,6 @@ def _natural_spline(times: np.ndarray, points: np.ndarray) -> np.ndarray:
     return coef
 
 
-def impedance_force(leader: LeaderModel, p_e, v_e, t: float) -> np.ndarray:
-    """World-frame spring-damper interaction force at time t.
-
-    stiffness @ (leader position - application point) plus
-    damping @ (leader velocity - application point velocity).
-    """
-    p_e = np.asarray(p_e, dtype=float)
-    v_e = np.asarray(v_e, dtype=float)
-    pos, vel = leader._path(t)
-    return leader.stiffness @ (pos - p_e) + leader.damping @ (vel - v_e)
-
-
 def integrate_stride_force(
     leader: LeaderModel,
     start_pose: Pose,

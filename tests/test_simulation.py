@@ -1,7 +1,8 @@
 """Switched-system execution, diagnostics, safety monitoring, and Monte
 Carlo campaigns."""
 
-from dataclasses import replace
+import math
+from dataclasses import fields, replace
 from types import SimpleNamespace
 
 import numpy as np
@@ -12,10 +13,13 @@ from hypothesis import strategies as st
 from switchcert import (
     DisturbanceSequence,
     DwellTimeBudget,
+    MarginEstimate,
     Supervisor,
     SwitchingSignal,
     budget_from_certificate,
     derive_rng,
+    estimate_disturbance_margin,
+    library_fingerprint,
     monte_carlo,
     run,
     sample_admissible_signal,
@@ -28,6 +32,7 @@ from switchcert import (
 from conftest import make_pair_library, make_primitive
 from switchcert import Primitive, PrimitiveLibrary, PrimitiveMap, QuadraticLyapunov
 from switchcert import simulation
+from switchcert.certificates import _ROUND_DEPTH
 from switchcert.simulation import (
     _DRAW_BLOCK,
     _X0_BATCH,
@@ -568,9 +573,8 @@ class TestSharedKernel:
             assert max_ratio[e] == pytest.approx(trace.max_active_step_ratio, rel=1e-12, abs=0.0)
 
     @kernel_settings
-    @given(library_specs, st.integers(1, 8), st.integers(1, 20),
-           st.sampled_from([0.0, 1e-3, 0.05, 1.0, 30.0, 1e200]))
-    def test_early_stop_verdict_matches_batch_statistics(self, spec, count, horizon, scale):
+    @given(library_specs, st.integers(1, 8), st.integers(1, 20))
+    def test_early_stop_verdict_matches_batch_statistics(self, spec, count, horizon):
         # 1e200 overflows the state to inf and then NaN, which must count as
         # an escape on both paths.
         state_dim, dist_dim, flags, seed = spec
@@ -578,9 +582,12 @@ class TestSharedKernel:
         library = random_library(state_dim, dist_dim, flags, rng)
         x0s = rng.uniform(-0.1, 0.1, (count, state_dim))
         sigmas = rng.choice(library.ids, size=(count, horizon))
-        dists = scale * rng.uniform(-1.0, 1.0, (count, horizon, dist_dim))
-        first, _, _ = _batch_stats(library, x0s, sigmas, dists)
-        assert _escapes(library, x0s, sigmas, dists) == bool(np.any(first >= 0))
+        unit = rng.uniform(-1.0, 1.0, (count, horizon, dist_dim))
+        scales = [0.0, 1e-3, 0.05, 1.0, 30.0, 1e200]
+        verdicts = _escapes(library, x0s, sigmas, unit, scales)
+        for scale, verdict in zip(scales, verdicts):
+            first, _, _ = _batch_stats(library, x0s, sigmas, scale * unit)
+            assert verdict == bool(np.any(first >= 0)), scale
 
     @pytest.mark.parametrize("bad_value", [np.nan, np.inf, 1e200])
     def test_non_finite_states_are_escapes(self, bad_value):
@@ -590,8 +597,8 @@ class TestSharedKernel:
         dists = np.zeros((2, 5, 2))
         first, _, _ = _batch_stats(library, x0s, sigmas, dists)
         assert first.tolist() == [-1, 0]
-        assert _escapes(library, x0s, sigmas, dists) is True
-        assert _escapes(library, x0s[:1], sigmas[:1], dists[:1]) is False
+        assert _escapes(library, x0s, sigmas, dists, [1.0]).tolist() == [True]
+        assert _escapes(library, x0s[:1], sigmas[:1], dists[:1], [1.0]).tolist() == [False]
 
     @pytest.mark.parametrize("escape_step", [0, 3, 40])
     def test_early_stop_steps_no_further_than_the_first_escape(self, monkeypatch, escape_step):
@@ -611,7 +618,7 @@ class TestSharedKernel:
         member_values = simulation._member_values
         monkeypatch.setattr(simulation, "_member_values",
                             lambda lib, x: evaluated.append(1) or member_values(lib, x))
-        assert _escapes(library, x0s, sigmas, dists)
+        assert _escapes(library, x0s, sigmas, dists, [1.0]).tolist() == [True]
         assert len(evaluated) == escape_step + 1
         first, _, _ = _batch_stats(library, x0s, sigmas, dists)
         assert first.tolist() == [-1, escape_step]
@@ -678,3 +685,170 @@ class TestCampaignDraw:
             args = (walker_library, walker_certificate, _DRAW_BLOCK + 9, 200, amplitude, 11, 0,
                     exact_sup)
             assert_draws_equal(_draw_campaign_inputs(*args), draw_campaign_oracle(*args))
+
+
+# The stepping kernel and the margin bisection of earlier releases: one
+# amplitude per rollout, one amplitude after another.
+def grouped_rollout_oracle(library, x0s, cols, dists, observe):
+    """Step the episodes jointly, passing ``observe(k, x_k)`` the (episodes,
+    n) states for k = 0..horizon, and stop once it returns a truthy value;
+    at step k every member updates the rows it drives with ``apply_batch``."""
+    members = list(library)
+    x = np.array(x0s, dtype=float)
+    with np.errstate(over="ignore", invalid="ignore"):
+        if observe(0, x):
+            return
+        for k in range(cols.shape[1]):
+            col = cols[:, k]
+            x_next = np.empty_like(x)
+            for j, p in enumerate(members):
+                rows = np.flatnonzero(col == j)
+                if rows.size:
+                    x_next[rows] = p.map.apply_batch(x[rows], dists[rows, k])
+            x = x_next
+            if observe(k + 1, x):
+                return
+
+
+def sequential_escapes_oracle(library, x0s, sigmas, dists):
+    cols = simulation._member_columns(library.ids, sigmas)
+    levels = np.array([p.basin_level for p in library])
+    escaped = False
+
+    def observe(k, x):
+        nonlocal escaped
+        escaped = not np.all(simulation._member_values(library, x) <= levels[None, :])
+        return escaped
+
+    grouped_rollout_oracle(library, x0s, cols, dists, observe)
+    return escaped
+
+
+def sequential_margin_oracle(library, certificate, trial_budget, seed, horizon=200, upper=1.0,
+                             iterations=20, rel_tol=1e-3):
+    x0s, sigmas, unit, *_ = _draw_campaign_inputs(
+        library, certificate, trial_budget, horizon, 1.0, seed, 1, exact_sup=True)
+    evaluations = []
+
+    def violated(amplitude):
+        bad = sequential_escapes_oracle(library, x0s, sigmas, amplitude * unit)
+        evaluations.append((amplitude, bad))
+        return bad
+
+    if not violated(upper):
+        return MarginEstimate(upper, upper, trial_budget, horizon, int(seed), tuple(evaluations))
+    lo, hi = 0.0, upper
+    for _ in range(iterations):
+        mid = 0.5 * (lo + hi)
+        if violated(mid):
+            hi = mid
+        else:
+            lo = mid
+        if hi - lo <= rel_tol * hi:
+            break
+    return MarginEstimate(lo, upper, trial_budget, horizon, int(seed), tuple(evaluations))
+
+
+def margin_library(spec):
+    """A random library with basins three times a start level that holds
+    every fixed point, and a certificate stand-in at that level."""
+    state_dim, dist_dim, flags, seed = spec
+    library = random_library(state_dim, dist_dim, flags, np.random.default_rng(seed))
+    level = 1.5 * max(float(p.lyapunov.value(q.lyapunov.center))
+                      for p in library for q in library) + 0.02
+    library = PrimitiveLibrary(tuple(replace(p, basin_level=3.0 * level) for p in library))
+    certificate = SimpleNamespace(omega=level, n0_bar=1.0, na_bar=1.5,
+                                  library_fingerprint=library_fingerprint(library))
+    return library, certificate
+
+
+class TestStackedRollout:
+    @kernel_settings
+    @given(library_specs, st.sampled_from([1, 2, 3, 5, 7, 64]), st.sampled_from([1, 2, 40]),
+           st.integers(0, 2**32 - 1))
+    @example((2, 2, [True, True, True], 4), 3, 40, 8)  # each member may drive one episode
+    def test_stacked_states_match_per_amplitude_rollouts(self, spec, episodes, horizon, seed):
+        state_dim, dist_dim, flags, library_seed = spec
+        library = random_library(state_dim, dist_dim, flags, np.random.default_rng(library_seed))
+        rng = np.random.default_rng(seed)
+        x0s = rng.uniform(-0.3, 0.3, (episodes, state_dim))
+        cols = rng.integers(len(library), size=(episodes, horizon))
+        unit = rng.uniform(-1.0, 1.0, (episodes, horizon, dist_dim))
+        scales = rng.choice([0.0, 0.01, 0.3, 1.0, 3.0, 1e200], size=rng.integers(1, 9))
+        # block b is dropped after step stops[b]; horizon + 1 keeps it to the end
+        stops = rng.integers(0, horizon + 2, size=scales.size)
+        recorded = [[] for _ in scales]
+        live = np.arange(scales.size)
+
+        def observe(k, x):
+            nonlocal live
+            assert x.shape == (episodes, live.size, state_dim)
+            for i, b in enumerate(live):
+                recorded[b].append(x[:, i].copy())
+            keep = stops[live] > k
+            live = live[keep]
+            return keep
+
+        simulation._rollout(library, x0s, cols, unit, scales, observe)
+        for b, scale in enumerate(scales):
+            expected = []
+            grouped_rollout_oracle(library, x0s, cols, scale * unit,
+                                   lambda k, x: expected.append(x.copy()) or k >= stops[b])
+            assert len(recorded[b]) == len(expected) == min(stops[b], horizon) + 1
+            assert_same_bits(np.array(recorded[b]), np.array(expected))
+
+    def test_escape_verdicts_do_not_depend_on_the_stack(self):
+        # One or two 2-D rows sum V in another order than three or more: at a
+        # basin level between the two sums, only evaluating each amplitude's
+        # block on its own gives the verdict of a rollout of that amplitude.
+        rng = np.random.default_rng(3)
+        weight = rng.normal(size=(2, 2))
+        weight = weight @ weight.T + np.eye(2)
+        lyapunov = QuadraticLyapunov(weight=weight, center=np.zeros(2))
+        points = rng.normal(size=(_X0_BATCH, 2))
+        stacked = lyapunov.values(points)
+        alone = np.array([lyapunov.values(points[i:i + 1])[0] for i in range(len(points))])
+        differ = np.flatnonzero(stacked != alone)
+        if not differ.size:
+            pytest.skip("this numpy sums a lone point as it sums a batch")
+        for i in differ[:4]:
+            level = min(stacked[i], alone[i])
+            library = PrimitiveLibrary((make_primitive(0, weight=weight, basin_level=level),))
+            for count in (1, 2):
+                x0s = np.repeat(points[i:i + 1], count, axis=0)
+                sigmas = np.zeros((count, 0), dtype=np.int64)
+                unit = np.zeros((count, 0, 2))
+                expected = sequential_escapes_oracle(library, x0s, sigmas, unit)
+                verdicts = _escapes(library, x0s, sigmas, unit, [0.0, 1.0, 2.0])
+                assert verdicts.tolist() == [expected] * 3
+
+    @settings(max_examples=150, derandomize=True, deadline=None, database=None)
+    @given(library_specs, st.sampled_from([64, 7, 5, 3, 2, 1]), st.sampled_from([40, 2, 1]),
+           st.sampled_from([1.0, 4.0, 0.3, 50.0]), st.sampled_from([1e-3, 0.0, 0.3]),
+           st.sampled_from([20, 7, 4, 3, 2, 0]))
+    @example((2, 2, [True, False], 6), 7, 40, 1e-9, 1e-3, 20)  # upper holds: one rollout
+    def test_stacked_rounds_match_the_sequential_bisection(
+        self, spec, trials, horizon, upper, rel_tol, iterations
+    ):
+        library, certificate = margin_library(spec)
+        seed = spec[3] % 1000
+        args = (library, certificate, trials, seed, horizon, upper, iterations, rel_tol)
+        calls = []
+        escapes = simulation._escapes
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(simulation, "_escapes",
+                          lambda *a: calls.append(list(a[4])) or escapes(*a))
+            estimate = estimate_disturbance_margin(*args)
+        oracle = sequential_margin_oracle(*args)
+        for field in fields(MarginEstimate):
+            assert getattr(estimate, field.name) == getattr(oracle, field.name), field.name
+        # upper alone, then one stacked rollout per round of the walked path,
+        # each holding every midpoint its round could test
+        tested = [amplitude for amplitude, _ in estimate.evaluations]
+        assert calls[0] == [upper]
+        assert len(calls) == 1 + math.ceil((len(tested) - 1) / _ROUND_DEPTH)
+        for i, call in enumerate(calls[1:]):
+            depth = min(_ROUND_DEPTH, iterations - i * _ROUND_DEPTH)
+            assert len(call) == 2 ** depth - 1
+            walked = tested[1 + i * _ROUND_DEPTH:1 + (i + 1) * _ROUND_DEPTH]
+            assert call[0] == walked[0] and set(walked) <= set(call)

@@ -20,7 +20,6 @@ from switchcert import (
     Pose,
     StrideForce,
     budget_from_certificate,
-    impedance_force,
     integrate_stride_force,
     load_scenario,
     run_scenario,
@@ -62,6 +61,13 @@ class TestWrapAngle:
     def test_pi_maps_to_pi(self):
         assert wrap_angle(np.pi) == np.pi
         assert wrap_angle(-np.pi) == np.pi
+
+
+def impedance_force(leader, p_e, v_e, t):
+    """World-frame spring-damper force K (p_l - p_e) + D (v_l - v_e) at the
+    time or times t: the integrand of ``integrate_stride_force``."""
+    return ((leader.position(t) - p_e) @ leader.stiffness.T
+            + (leader.velocity(t) - v_e) @ leader.damping.T)
 
 
 class TestImpedanceForce:
@@ -282,8 +288,7 @@ def simpson_stride_force(leader, start, end, t_start, t_end, panels=8192):
     frac = (nodes - t_start) / (t_end - t_start)
     p_e = start.position + frac[:, None] * (end - start.position)
     v_e = (end - start.position) / (t_end - t_start)
-    force = ((leader.position(nodes) - p_e) @ leader.stiffness.T
-             + (leader.velocity(nodes) - v_e) @ leader.damping.T)
+    force = impedance_force(leader, p_e, v_e, nodes)
     weights = np.ones(panels + 1)
     weights[1:-1:2] = 4.0
     weights[2:-1:2] = 2.0
