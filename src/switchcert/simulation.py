@@ -614,6 +614,11 @@ def _batch_stats(
     return first, max_min, max_ratio
 
 
+# Fewest episodes whose Lyapunov values ``_escapes`` evaluates for all
+# blocks in one stack (see ``_member_values``).
+_STACKED_EPISODES = 3
+
+
 def _escapes(
     library: PrimitiveLibrary,
     x0s: np.ndarray,
@@ -638,7 +643,7 @@ def _escapes(
     def observe(k: int, x: np.ndarray) -> np.ndarray:
         nonlocal live
         count, blocks, n = x.shape
-        if count < 3:
+        if count < _STACKED_EPISODES:
             values = np.stack([_member_values(library, x[:, b]) for b in range(blocks)], axis=1)
         else:
             values = _member_values(library, x.reshape(-1, n))

@@ -57,18 +57,21 @@ def wrap_angle(angle: float) -> float:
     return wrapped
 
 
-def rotation(angle: float) -> np.ndarray:
-    c, s = math.cos(angle), math.sin(angle)
-    return np.array([[c, -s], [s, c]])
+def _xy(value, name: str) -> tuple[float, float]:
+    """The coordinates of a finite 2-vector, as Python floats."""
+    arr = np.asarray(value, dtype=float)
+    if arr.shape != (2,):
+        raise ValueError(f"{name} must be a 2-vector")
+    x, y = arr.tolist()
+    if not (math.isfinite(x) and math.isfinite(y)):
+        raise ValueError(f"{name} must be finite")
+    return x, y
 
 
 def _vec2(value, name: str) -> np.ndarray:
     arr = np.array(value, dtype=float)
-    if arr.shape != (2,):
-        raise ValueError(f"{name} must be a 2-vector")
-    if not all(map(math.isfinite, arr.tolist())):
-        raise ValueError(f"{name} must be finite")
-    arr.flags.writeable = False
+    _xy(arr, name)
+    arr.setflags(write=False)
     return arr
 
 
@@ -158,8 +161,25 @@ class StridePrimitive:
         object.__setattr__(
             self, "displacement_gain",
             _mat2(self.displacement_gain, "displacement_gain"))
-        if self.reduced.map.dist_dim != 2:
-            raise ValueError("reduced map must accept a 2-D disturbance")
+        reduced = self.reduced.map
+        if reduced.state_dim != 2 or reduced.dist_dim != 2:
+            raise ValueError("reduced map must have a 2-D state and a 2-D disturbance")
+        # Python floats for stride_update: coupling, fixed point, linear part,
+        # quadratic slices (or None), disturbance gain, heading gain, nominal
+        # heading change, nominal displacement, displacement gain, duration;
+        # matrices row by row.
+        object.__setattr__(self, "_coefs", (
+            tuple(self.force_coupling.ravel().tolist()),
+            tuple(reduced.fixed_point.tolist()),
+            tuple(reduced.linear.ravel().tolist()),
+            None if reduced.quadratic is None else tuple(reduced.quadratic.ravel().tolist()),
+            tuple(reduced.disturbance_gain.ravel().tolist()),
+            tuple(self.heading_gain.tolist()),
+            float(self.nominal_heading_change),
+            tuple(self.nominal_displacement.tolist()),
+            tuple(self.displacement_gain.ravel().tolist()),
+            float(self.stride_duration),
+        ))
 
     @property
     def id(self) -> int:
@@ -352,7 +372,7 @@ def integrate_stride_force(
         raise ValueError(
             f"stride [{t_start}, {t_end}] outside the leader span [{knots[0]}, {knots[-1]}]")
     x0, y0 = start_pose.position.tolist()
-    x1, y1 = _vec2(end_position, "end_position").tolist()
+    x1, y1 = _xy(end_position, "end_position")
     mx, my = 0.5 * (x0 + x1), 0.5 * (y0 + y1)
     ix, iy, vx, vy = 0.0, 0.0, x0 - x1, y0 - y1
     a = t_start
@@ -392,18 +412,34 @@ def stride_update(
     nominals plus affine corrections in the post-stride deviation of the
     reduced state from its fixed point; the displacement is executed in the
     stride-start body frame.
+
+    The walker is planar, so this is the 2-D form of
+    ``PrimitiveMap.apply_batch``, unrolled on the Python floats the
+    primitive prepares once: numpy's per-call overhead on 2-vectors would
+    cost more than the arithmetic.  The quadratic term sums its products
+    in ``apply_batch``'s order, so it alone matches that kernel bit for
+    bit; the matrix products round as plain float arithmetic does.
     """
-    z = np.asarray(z, dtype=float)
-    if z.shape != (2,) or not all(map(math.isfinite, z.tolist())):
-        raise ValueError("reduced state must be a finite 2-vector")
-    disturbance = prim.force_coupling @ np.array([force.fx, force.fy])
-    z_next = prim.reduced.map(z, disturbance)
-    deviation = z_next - prim.reduced.map.fixed_point
-    heading = wrap_angle(
-        pose.heading + prim.nominal_heading_change + float(prim.heading_gain @ deviation))
-    displacement = prim.nominal_displacement + prim.displacement_gain @ deviation
-    position = pose.position + rotation(pose.heading) @ displacement
-    return Pose(position, heading), z_next
+    z0, z1 = _xy(z, "reduced state")
+    (c00, c01, c10, c11), (p0, p1), (a00, a01, a10, a11), quad, (b00, b01, b10, b11), \
+        (h0, h1), turn, (n0, n1), (g00, g01, g10, g11), _ = prim._coefs
+    fx, fy = force.fx, force.fy
+    d0, d1 = c00 * fx + c01 * fy, c10 * fx + c11 * fy
+    y0, y1 = z0 - p0, z1 - p1
+    z0 = p0 + (y0 * a00 + y1 * a01)
+    z1 = p1 + (y0 * a10 + y1 * a11)
+    if quad is not None:
+        q000, q001, q010, q011, q100, q101, q110, q111 = quad
+        z0 += y0 * q000 * y0 + y0 * q001 * y1 + y1 * q010 * y0 + y1 * q011 * y1
+        z1 += y0 * q100 * y0 + y0 * q101 * y1 + y1 * q110 * y0 + y1 * q111 * y1
+    z0 += d0 * b00 + d1 * b01
+    z1 += d0 * b10 + d1 * b11
+    e0, e1 = z0 - p0, z1 - p1
+    heading = wrap_angle(pose.heading + turn + (h0 * e0 + h1 * e1))
+    u0, u1 = n0 + (g00 * e0 + g01 * e1), n1 + (g10 * e0 + g11 * e1)
+    x, y = pose.position.tolist()
+    c, s = math.cos(pose.heading), math.sin(pose.heading)
+    return Pose((x + (c * u0 - s * u1), y + (s * u0 + c * u1)), heading), np.array((z0, z1))
 
 
 @dataclass(frozen=True)
@@ -597,13 +633,15 @@ def run_scenario(scenario: WalkerScenario) -> ScenarioTrace:
     for k in range(count):
         prim = strides[active]
         sigma[k] = active
-        nominal_end = pose.position + rotation(pose.heading) @ prim.nominal_displacement
+        *_, (nx, ny), _, duration = prim._coefs
+        x, y = pose.position.tolist()
+        c, s = math.cos(pose.heading), math.sin(pose.heading)
         force = integrate_stride_force(
-            scenario.leader, pose, nominal_end, t, t + prim.stride_duration)
+            scenario.leader, pose, (x + (c * nx - s * ny), y + (s * nx + c * ny)), t, t + duration)
         forces[k] = (force.fx, force.fy)
         phis[k] = phi = force.phi
         pose, z = stride_update(pose, prim, z, force)
-        t += prim.stride_duration
+        t += duration
         times[k + 1] = t
         positions[k + 1] = pose.position
         headings[k + 1] = pose.heading

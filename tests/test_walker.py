@@ -7,11 +7,12 @@ import os
 import subprocess
 import sys
 import tracemalloc
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import switchcert
@@ -19,6 +20,7 @@ from switchcert import (
     LeaderModel,
     Pose,
     StrideForce,
+    Supervisor,
     budget_from_certificate,
     integrate_stride_force,
     load_scenario,
@@ -34,13 +36,18 @@ EXAMPLES = Path(__file__).resolve().parent.parent / "docs" / "examples"
 # Frozen endpoint of a perturbed straight stride from pose ((0.3, -0.2), 0.4)
 # with the reduced state offset (0.01, -0.02) and no force.
 PERTURBED_NEW_Z = (0.003945, -0.00508)
-PERTURBED_POSITION = (0.5996847619463189, -0.07373654516963099)
+PERTURBED_POSITION = (0.599684761946319, -0.07373654516963099)
 PERTURBED_HEADING = 0.398984
 
 
 def rotation(angle):
     c, s = np.cos(angle), np.sin(angle)
     return np.array([[c, -s], [s, c]])
+
+
+def offsets(bound):
+    """2-vectors with coordinates in [-bound, bound]."""
+    return st.tuples(st.floats(-bound, bound), st.floats(-bound, bound))
 
 
 def straight_config():
@@ -387,19 +394,30 @@ class TestStrideUpdate:
         new_pose, _ = stride_update(pose, right, right.reduced.map.fixed_point, StrideForce.zero())
         assert new_pose.heading == -np.pi / 6
 
-    def test_perturbed_stride_matches_reference_reimplementation(self, stride_primitives):
-        prim = stride_primitives[1]
+    @settings(max_examples=200, derandomize=True, deadline=None, database=None)
+    @given(st.sampled_from([0, 1, 2]), st.booleans(), offsets(0.1), offsets(60.0),
+           offsets(1.0), st.floats(-np.pi, np.pi))
+    @example(1, True, (0.01, -0.02), (0.0, 0.0), (0.3, -0.2), 0.4)  # the frozen stride
+    def test_perturbed_stride_matches_reference_reimplementation(
+        self, stride_primitives, pid, quadratic, offset, force, position, heading
+    ):
+        prim = stride_primitives[pid]
+        if not quadratic:
+            reduced = replace(prim.reduced, map=replace(prim.reduced.map, quadratic=None))
+            prim = replace(prim, reduced=reduced)
         z_star = prim.reduced.map.fixed_point
-        z = z_star + np.array([0.01, -0.02])
-        pose = Pose(position=np.array([0.3, -0.2]), heading=0.4)
-        new_pose, new_z = stride_update(pose, prim, z, StrideForce.zero())
+        z = z_star + np.array(offset)
+        pose = Pose(position=np.array(position), heading=heading)
+        new_pose, new_z = stride_update(pose, prim, z, StrideForce(*force))
 
         # independent evaluation of the documented composition
         reduced = prim.reduced.map
         dev = z - z_star
         expected_z = z_star + reduced.linear @ dev
-        for i, block in enumerate(reduced.quadratic):
-            expected_z[i] += dev @ block @ dev
+        if quadratic:
+            for i, block in enumerate(reduced.quadratic):
+                expected_z[i] += dev @ block @ dev
+        expected_z += reduced.disturbance_gain @ (prim.force_coupling @ np.array(force))
         dev_after = expected_z - z_star
         expected_heading = wrap_angle(
             pose.heading + prim.nominal_heading_change + prim.heading_gain @ dev_after
@@ -408,9 +426,17 @@ class TestStrideUpdate:
         expected_position = pose.position + rotation(pose.heading) @ body_delta
 
         assert np.max(np.abs(new_z - expected_z)) <= 1e-15
-        assert abs(new_pose.heading - expected_heading) <= 1e-15
+        assert abs(wrap_angle(new_pose.heading - expected_heading)) <= 1e-15
         assert np.max(np.abs(new_pose.position - expected_position)) <= 1e-15
-        # frozen regression values
+        # the walker's stride step is the 2-D form of the batch kernel
+        batch = reduced.apply_batch(z[None], (prim.force_coupling @ np.array(force))[None])[0]
+        assert np.max(np.abs(new_z - batch)) <= 1e-15
+
+    def test_perturbed_stride_frozen_values(self, stride_primitives):
+        prim = stride_primitives[1]
+        z = prim.reduced.map.fixed_point + np.array([0.01, -0.02])
+        pose = Pose(position=np.array([0.3, -0.2]), heading=0.4)
+        new_pose, new_z = stride_update(pose, prim, z, StrideForce.zero())
         assert np.array_equal(new_z, np.array(PERTURBED_NEW_Z))
         assert new_pose.heading == PERTURBED_HEADING
         assert np.array_equal(new_pose.position, np.array(PERTURBED_POSITION))
@@ -511,6 +537,25 @@ class TestScenarios:
         assert flipped_counts[1] == base_counts[1]
         assert np.max(np.abs(flipped.positions[:, 0] - base.positions[:, 0])) <= 1e-9
         assert np.max(np.abs(flipped.positions[:, 1] + base.positions[:, 1])) <= 1e-9
+
+    def test_loop_calls_its_traced_boundaries_once_per_stride(self, monkeypatch):
+        # the benchmark's tracer times these three by patching them by name
+        calls = {"integrate_stride_force": 0, "stride_update": 0, "request": 0}
+
+        def counting(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        for name in ("integrate_stride_force", "stride_update"):
+            monkeypatch.setattr(switchcert.walker, name, counting(name, getattr(switchcert.walker, name)))
+        monkeypatch.setattr(Supervisor, "request", counting("request", Supervisor.request))
+        config = curved_config()
+        config["strides"] = 25
+        trace = run_scenario(load_scenario(config))
+        assert trace.stride_count == 25
+        assert calls == {"integrate_stride_force": 25, "stride_update": 25, "request": 24}
 
     def test_fixed_mode_string_is_validated(self):
         config = straight_config()
