@@ -228,7 +228,7 @@ def cmd_scenario(args) -> int:
     (scenario, certificate_input), raw = read_document(args.config, build)
     out = _out_dir(args)
     trace = run_scenario(scenario)
-    trace.write_outputs(out, leader=scenario.leader)
+    trace.write_outputs(out)
     trace.write_ellipses(out, scenario.reduced_library, scenario.certificate)
     summary = trace.summary()
     write_document(out / "summary.json", summary)

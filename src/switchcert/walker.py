@@ -519,6 +519,7 @@ class ScenarioTrace:
     in_all_basins: np.ndarray     # (K+1,) bool
     lateral: np.ndarray           # (K+1,) signed cross-track offset from the leader
     leader_positions: np.ndarray  # (K+1, 2) leader at stride boundaries
+    disturbances: np.ndarray      # (K, 2) force_coupling · (fx, fy), the reduced map's input
     mode: str
     deferred_requests: int        # supervisor requests that returned False
 
@@ -533,6 +534,11 @@ class ScenarioTrace:
     @property
     def final_lateral_deviation(self) -> float:
         return float(abs(self.lateral[-1]))
+
+    @property
+    def max_disturbance(self) -> float:
+        """Largest Euclidean norm of the reduced map's per-stride disturbance."""
+        return float(np.max(np.hypot(*self.disturbances.T)))
 
     @property
     def usage_counts(self) -> dict[int, int]:
@@ -550,13 +556,19 @@ class ScenarioTrace:
             "max_lateral_deviation": self.max_lateral_deviation,
             "reduced_in_all_basins": bool(np.all(self.in_all_basins)),
             "max_reduced_level": float(np.max(np.min(self.lyapunov, axis=1))),
+            "max_disturbance": self.max_disturbance,
             "final_position": [float(v) for v in self.positions[-1]],
             "final_heading": float(self.headings[-1]),
         }
 
-    def write_outputs(self, out_dir: str | Path, leader: LeaderModel | None = None) -> None:
-        """Write the CSV bundle: poses, forces, signal, reduced trace, and
-        plot data (paths plus basin ellipse parameters)."""
+    def write_outputs(self, out_dir: str | Path) -> None:
+        """Write the CSV bundle.
+
+        One row per stride boundary: ``poses.csv``, ``reduced.csv`` (member
+        Lyapunov values and basin membership), and the plot paths
+        ``plot_walker_path.csv`` and ``plot_leader_path.csv``, whose rows
+        align.  One row per stride: ``forces.csv`` and ``sigma.csv``.
+        """
         out = Path(out_dir)
         out.mkdir(parents=True, exist_ok=True)
         k = np.arange(self.times.size)
@@ -571,10 +583,8 @@ class ScenarioTrace:
             ["k", "z0", "z1"] + [f"V_{pid}" for pid in self.member_ids] + ["in_all_basins"],
             [k, *self.reduced.T, *self.lyapunov.T, self.in_all_basins])
         write_table(out / "plot_walker_path.csv", ["t", "x", "y"], [self.times, x, y])
-        if leader is not None:
-            dense = np.linspace(self.times[0], self.times[-1], 10 * self.stride_count + 1)
-            write_table(out / "plot_leader_path.csv", ["t", "x", "y"],
-                        [dense, *leader.position(dense).T])
+        write_table(out / "plot_leader_path.csv", ["t", "x", "y"],
+                    [self.times, *self.leader_positions.T])
 
     def write_ellipses(self, out_dir: str | Path, library: PrimitiveLibrary,
                        certificate: Certificate) -> None:
@@ -602,6 +612,11 @@ def run_scenario(scenario: WalkerScenario) -> ScenarioTrace:
     the next primitive (one-stride delay), pass the request through the
     dwell-time supervisor, and apply the stride update.  The ablation mode
     keeps the primitive constant and skips the policy.
+
+    A ``ValueError`` inside the loop, such as a diverging ablation whose
+    position overflows, is raised again naming the stride it came from and
+    the first stride boundary at which the reduced state lay outside the
+    basin intersection.
     """
     strides = {p.id: p for p in scenario.strides}
     library = scenario.reduced_library
@@ -630,28 +645,35 @@ def run_scenario(scenario: WalkerScenario) -> ScenarioTrace:
     headings[0] = pose.heading
     reduced[0] = z
 
-    for k in range(count):
-        prim = strides[active]
-        sigma[k] = active
-        *_, (nx, ny), _, duration = prim._coefs
-        x, y = pose.position.tolist()
-        c, s = math.cos(pose.heading), math.sin(pose.heading)
-        force = integrate_stride_force(
-            scenario.leader, pose, (x + (c * nx - s * ny), y + (s * nx + c * ny)), t, t + duration)
-        forces[k] = (force.fx, force.fy)
-        phis[k] = phi = force.phi
-        pose, z = stride_update(pose, prim, z, force)
-        t += duration
-        times[k + 1] = t
-        positions[k + 1] = pose.position
-        headings[k + 1] = pose.heading
-        reduced[k + 1] = z
-        if k + 1 < count:
-            if fixed is None:
-                wanted = heading_policy(phi, scenario.dead_zone)
-                deferred += not supervisor.request(wanted)
-                active = supervisor.current
-            # ablation keeps the primitive constant
+    levels = np.array([p.basin_level for p in library])
+    try:
+        for k in range(count):
+            prim = strides[active]
+            sigma[k] = active
+            *_, (nx, ny), _, duration = prim._coefs
+            x, y = pose.position.tolist()
+            c, s = math.cos(pose.heading), math.sin(pose.heading)
+            force = integrate_stride_force(
+                scenario.leader, pose, (x + (c * nx - s * ny), y + (s * nx + c * ny)), t, t + duration)
+            forces[k] = (force.fx, force.fy)
+            phis[k] = phi = force.phi
+            pose, z = stride_update(pose, prim, z, force)
+            t += duration
+            times[k + 1] = t
+            positions[k + 1] = pose.position
+            headings[k + 1] = pose.heading
+            reduced[k + 1] = z
+            if k + 1 < count:
+                if fixed is None:
+                    wanted = heading_policy(phi, scenario.dead_zone)
+                    deferred += not supervisor.request(wanted)
+                    active = supervisor.current
+                # ablation keeps the primitive constant
+    except ValueError as exc:
+        inside = np.all(_member_values(library, reduced[:k + 1]) <= levels, axis=1)
+        basin = ("never left the basin intersection" if inside.all()
+                 else f"left the basin intersection at stride {int(np.argmin(inside))}")
+        raise ValueError(f"stride {k}: {exc}; the reduced state {basin}") from exc
 
     signal = SwitchingSignal(sigma)
     if fixed is None:
@@ -660,7 +682,6 @@ def run_scenario(scenario: WalkerScenario) -> ScenarioTrace:
             raise RuntimeError("supervisor produced a budget-violating signal")
 
     lyap = _member_values(library, reduced)
-    levels = np.array([p.basin_level for p in library])
     in_all = np.all(lyap <= levels[None, :], axis=1)
 
     leader_pts, leader_vel = scenario.leader._path(times)
@@ -670,6 +691,10 @@ def run_scenario(scenario: WalkerScenario) -> ScenarioTrace:
     tangent = leader_vel / speed[:, None]
     normal = np.column_stack([-tangent[:, 1], tangent[:, 0]])
     lateral = np.sum((positions - leader_pts) * normal, axis=1)
+    # The products stride_update forms, so each row is the disturbance the
+    # reduced map received.
+    coupling = np.array([strides[pid].force_coupling for pid in STRIDE_IDS])[sigma]
+    disturbances = coupling[:, :, 0] * forces[:, :1] + coupling[:, :, 1] * forces[:, 1:]
 
     return ScenarioTrace(
         times=times,
@@ -685,6 +710,7 @@ def run_scenario(scenario: WalkerScenario) -> ScenarioTrace:
         in_all_basins=in_all,
         lateral=lateral,
         leader_positions=leader_pts,
+        disturbances=disturbances,
         mode=scenario.mode,
         deferred_requests=deferred,
     )

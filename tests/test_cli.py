@@ -3,7 +3,9 @@ overrides, and byte-level determinism of repeated runs."""
 
 import hashlib
 import json
+import math
 import os
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -21,8 +23,11 @@ from switchcert import (
     SwitchingSignal,
     budget_from_certificate,
     heading_policy,
+    load_scenario,
+    run_scenario,
     save_library,
     shipped_certificate,
+    shipped_stride_primitives,
 )
 from switchcert.cli import (
     EXIT_INFEASIBLE,
@@ -483,6 +488,47 @@ class TestScenario:
         manifest = json.loads((out / "run_manifest.json").read_text())
         assert manifest["inputs"]["certificate"] == {
             "path": str(cert), "sha256": hashlib.sha256(cert.read_bytes()).hexdigest()}
+
+    def test_summary_reports_the_largest_disturbance(self, tmp_path):
+        assert main(["scenario", "--config", str(EXAMPLES / "curved_leader.json"),
+                     "--out-dir", str(tmp_path)]) == EXIT_OK
+        forces = np.loadtxt(tmp_path / "forces.csv", delimiter=",", skiprows=1)
+        ids = SwitchingSignal.from_csv(tmp_path / "sigma.csv").assignments
+        coupling = {p.id: p.force_coupling.tolist() for p in shipped_stride_primitives()}
+        norms = []
+        for (_, fx, fy, _), pid in zip(forces.tolist(), ids.tolist()):
+            (c00, c01), (c10, c11) = coupling[pid]
+            norms.append(math.hypot(c00 * fx + c01 * fy, c10 * fx + c11 * fy))
+        summary = json.loads((tmp_path / "summary.json").read_text())
+        # The products are stride_update's own; two hypot implementations
+        # may still differ in the last bit.
+        assert summary["max_disturbance"] == pytest.approx(max(norms), rel=1e-15)
+        assert summary["max_disturbance"] == pytest.approx(0.0149, abs=5e-5)
+
+    def test_diverging_ablation_names_the_stride_and_the_basin_exit(self, tmp_path, capsys):
+        # Turning right at every stride, the ablated walker falls behind a long
+        # straight leader; the growing force drives the reduced state out of
+        # the basins and the quadratic map then diverges until the position
+        # overflows.
+        config = json.loads((EXAMPLES / "straight_leader.json").read_text())
+        config["strides"] = 600
+        config["leader"]["waypoints"] = [[0.0, 0.0], [0.65 * 0.5 * 600 + 10.0, 0.0]]
+        path = tmp_path / "long_leader.json"
+        path.write_text(json.dumps(config))
+        code = main(["scenario", "--config", str(path), "--mode", "fixed:0",
+                     "--out-dir", str(tmp_path / "out")])
+        assert code == EXIT_INPUT
+        err = capsys.readouterr().err
+        found = re.fullmatch(r"error: stride (\d+): position must be finite; the reduced "
+                             r"state left the basin intersection at stride (\d+)\n", err)
+        assert found, err
+        failed, left = map(int, found.groups())
+        assert 0 < left < failed
+        # The strides before the failing one run, and their trace leaves the
+        # basin intersection first at the reported boundary.
+        config["strides"] = failed
+        trace = run_scenario(load_scenario(config, mode_override="fixed:0"))
+        assert np.all(trace.in_all_basins[:left]) and not trace.in_all_basins[left]
 
 
 _POSE_LIST_CONFIG = json.loads((EXAMPLES / "straight_leader.json").read_text())

@@ -583,7 +583,7 @@ class TestScenarios:
         config["strides"] = 8
         scenario = load_scenario(config)
         trace = run_scenario(scenario)
-        trace.write_outputs(tmp_path, leader=scenario.leader)
+        trace.write_outputs(tmp_path)
         trace.write_ellipses(tmp_path, walker_library, walker_certificate)
         for name in (
             "poses.csv",
@@ -604,3 +604,32 @@ class TestScenarios:
                     # a numpy scalar repr such as "np.float64(0.5)" raises here
                     parse = int if column in ("k", "id", "in_all_basins") else float
                     parse(cell)
+
+    def test_leader_plot_path_is_the_leader_at_stride_boundaries(self, tmp_path):
+        scenario = load_scenario(curved_config())
+        trace = run_scenario(scenario)
+        trace.write_outputs(tmp_path)
+
+        def columns(name):
+            with open(tmp_path / name, newline="") as fh:
+                return list(csv.DictReader(fh))
+
+        leader, poses = columns("plot_leader_path.csv"), columns("poses.csv")
+        assert len(leader) == scenario.stride_count + 1
+        assert [row["t"] for row in leader] == [row["t"] for row in poses]
+        want = scenario.leader.position(trace.times)
+        assert np.array_equal([[float(row["x"]), float(row["y"])] for row in leader], want)
+
+    def test_loop_error_names_the_stride(self, monkeypatch):
+        calls = []
+
+        def failing_update(*args):
+            calls.append(None)
+            if len(calls) == 4:
+                raise ValueError("boom")
+            return stride_update(*args)
+
+        monkeypatch.setattr(switchcert.walker, "stride_update", failing_update)
+        with pytest.raises(ValueError, match=r"^stride 3: boom; the reduced state never "
+                                             r"left the basin intersection$"):
+            run_scenario(load_scenario(straight_config()))
