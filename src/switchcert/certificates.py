@@ -11,12 +11,15 @@ kappa_bar_p) and a core level kappa, two constants govern safe switching:
 Switching slower than the average dwell time ln(mu)/ln(epsilon/lambda)
 keeps trajectories started in the intersection of the omega-sublevel sets
 inside every basin, provided the mu^n0 * omega sublevel sets still sit
-strictly inside every basin.  Both constants come in two flavors: a
-closed-form ellipsoid bound (analytic) and a grid maximization (grid); the
-analytic value is always an upper bound for the grid value.
+strictly inside every basin.  Synthesis computes both constants, and the
+containment of those sets, exactly in any dimension: each is a maximum of
+one quadratic over an ellipsoid, a trust-region subproblem on a sphere.  A
+closed-form ellipsoid bound (analytic) and a grid maximization (grid) stay
+as oracles, with grid <= exact <= analytic.
 """
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from pathlib import Path
@@ -195,6 +198,72 @@ def mu_grid(library: PrimitiveLibrary, kappa: float, resolution: int | None = No
     return best
 
 
+def _sphere_max(m: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """Maximiser of u^T m u + 2 g^T u over the unit sphere |u| = 1.
+
+    The trust-region subproblem, solved exactly (Moré & Sorensen 1983).  In
+    m's eigenbasis (eigenvalues lam, b = V^T g) the maximiser is
+    u = b / (t - lam) for the t >= lam_max with |u| = 1.  |u| falls in t
+    and is at most 1 at t = lam_max + |b|, so bisection on that bracket
+    finds t.  In the hard case b vanishes on the top eigenspace and |u| < 1
+    already at t = lam_max; a top eigenvector then fills the remaining
+    length.  Filling whatever length the bisection leaves covers that case,
+    repeated eigenvalues and a t within rounding of lam_max alike.
+    """
+    lam, vecs = np.linalg.eigh(m)
+    b = vecs.T @ g
+    lo, hi = lam[-1], lam[-1] + float(np.linalg.norm(b))
+    while (mid := 0.5 * (lo + hi)) not in (lo, hi):
+        if np.sum((b / (mid - lam)) ** 2) > 1.0:
+            lo = mid
+        else:
+            hi = mid
+    gap = hi - lam
+    u = np.divide(b, gap, out=np.zeros_like(b), where=gap > 0.0)
+    u[-1] = math.copysign(math.sqrt(max(0.0, 1.0 - float(u[:-1] @ u[:-1]))), b[-1])
+    return vecs @ u
+
+
+def _level_max(outer: QuadraticLyapunov, inner: QuadraticLyapunov, level: float) -> float:
+    """Maximum of V_outer over {V_inner <= level}, exact up to rounding.
+
+    With W_inner = L L^T, x = c_inner + L^-T z maps the set onto the ball
+    |z|^2 <= level, on which V_outer is the convex quadratic
+    z^T M z + 2 g^T z + const with M = L^-1 W_outer L^-T and
+    g = L^-1 W_outer (c_inner - c_outer), so its maximum lies on the
+    sphere.  The result is V_outer at the maximiser.
+    """
+    chol = np.linalg.cholesky(inner.weight)
+    whitened = np.linalg.solve(chol, outer.weight)
+    root = math.sqrt(level)
+    u = _sphere_max(np.linalg.solve(chol, whitened.T),
+                    whitened @ (inner.center - outer.center) / root)
+    x = inner.center + np.linalg.solve(chol.T, root * u)
+    return float(outer.values(x[None])[0])
+
+
+def _omega_exact(library: PrimitiveLibrary, kappa: float) -> float:
+    """omega(kappa): every member's largest value on another's kappa-set,
+    and at least kappa, which each member attains on its own."""
+    _check_kappa_for_omega(library, kappa)
+    return max([kappa] + [_level_max(p.lyapunov, q.lyapunov, kappa)
+                          for p, q in itertools.permutations(library, 2)])
+
+
+def _mu_exact(library: PrimitiveLibrary, kappa: float) -> float:
+    """mu(kappa): the largest V_q/V_p over p's basin outside its kappa-core.
+
+    At x = c_p + s L_p^-T d, with |d| = 1 and s = sqrt(V_p(x)), the ratio
+    is A_d + 2 B_d / s + C / s^2 with A_-d = A_d, B_-d = -B_d and
+    C = V_q(c_p) >= 0.  The larger of the two values for d and -d,
+    A_d + 2 |B_d| / s + C / s^2, falls in s, so the maximum over the
+    annulus lies on its inner level set V_p = kappa.
+    """
+    _check_kappa_for_mu(library, kappa)
+    return max([1.0] + [_level_max(q.lyapunov, p.lyapunov, kappa) / kappa
+                        for p, q in itertools.permutations(library, 2)])
+
+
 def dwell_time_bound(mu: float, contraction_rate: float, epsilon: float) -> float:
     """Average dwell time keeping the switched decrease rate at epsilon.
 
@@ -214,7 +283,9 @@ def dwell_time_bound(mu: float, contraction_rate: float, epsilon: float) -> floa
 class PairContainment:
     inner_id: int
     outer_id: int
-    mode: str  # "nested" | "ball" | "grid"
+    # "nested" for a member inside its own basin, "exact" for a cross pair;
+    # older documents also carry "ball" and "grid"
+    mode: str
     slack: float
     passed: bool
 
@@ -251,38 +322,23 @@ def feasibility_check(
 ) -> ContainmentReport:
     """Check that the mu^n0 * omega sublevel sets sit strictly inside every basin.
 
-    Same-member pairs are exact (nested sublevel sets of one function).
-    Cross pairs first try the sufficient ball test (circumscribed radius of
-    the inner set plus the center offset against the inscribed radius of the
-    basin) and fall back to a grid containment check when that fails.
+    Same-member pairs are nested sublevel sets of one function.  A cross
+    pair's slack is kappa_bar_p minus the exact maximum of V_p over q's
+    set, so every slack is in Lyapunov units.
     """
     if n0_bar < 1 or int(n0_bar) != n0_bar:
         raise ValueError("n0_bar must be an integer >= 1")
     if not (omega > 0.0 and mu >= 1.0):
         raise ValueError("need omega > 0 and mu >= 1")
     level = (mu ** int(n0_bar)) * omega
-    bounds = _eig_bounds(library)
     pairs = []
-    for iq, q in enumerate(library):
-        for ip, p in enumerate(library):
+    for q in library:
+        for p in library:
             if q.id == p.id:
-                slack = p.basin_level - level
-                pairs.append(PairContainment(q.id, p.id, "nested", float(slack), slack > 0.0))
-                continue
-            offset = float(np.linalg.norm(q.lyapunov.center - p.lyapunov.center))
-            inner_reach = math.sqrt(level / bounds[iq][0])
-            inscribed = math.sqrt(p.basin_level / bounds[ip][1])
-            slack = inscribed - (offset + inner_reach)
-            if slack > 0.0:
-                pairs.append(PairContainment(q.id, p.id, "ball", float(slack), True))
-                continue
-            res = _resolve_resolution(library.state_dim, None)
-            lo, hi = _box_of(q.lyapunov, level)
-            pts = _grid_points(lo, hi, res)
-            pts = pts[q.lyapunov.values(pts) <= level]
-            pts = np.concatenate([pts, [q.lyapunov.center]], axis=0)
-            slack = p.basin_level - float(np.max(p.lyapunov.values(pts)))
-            pairs.append(PairContainment(q.id, p.id, "grid", float(slack), slack > 0.0))
+                mode, slack = "nested", p.basin_level - level
+            else:
+                mode, slack = "exact", p.basin_level - _level_max(p.lyapunov, q.lyapunov, level)
+            pairs.append(PairContainment(q.id, p.id, mode, float(slack), slack > 0.0))
     return ContainmentReport(level=float(level), pairs=tuple(pairs), passed=all(c.passed for c in pairs))
 
 
@@ -308,8 +364,8 @@ class Certificate:
     delta_hat: float | None = None
 
     def __post_init__(self):
-        if self.method not in ("analytic", "grid"):
-            raise ValueError("method must be 'analytic' or 'grid'")
+        if self.method not in ("analytic", "exact", "grid"):
+            raise ValueError("method must be 'analytic', 'exact' or 'grid'")
         if self.mu < 1.0:
             raise ValueError("mu must be at least 1")
         if not (self.contraction_rate < self.epsilon < 1.0):
@@ -396,17 +452,19 @@ def synthesize_certificate(
     kappa_grid: np.ndarray | None = None,
     epsilon: float | None = None,
     n0_candidates=DEFAULT_N0_CANDIDATES,
-    method: str = "grid",
+    method: str = "exact",
 ) -> SynthesisResult:
     """Sweep candidate core levels (ascending) and return the first feasible certificate.
 
     At the first feasible kappa the largest feasible burst allowance among
     ``n0_candidates`` wins (ties broken by the smaller dwell-time bound,
     which cannot differ at fixed kappa).  An infeasible sweep returns
-    per-kappa diagnostics instead of a certificate.
+    per-kappa diagnostics instead of a certificate.  ``method="grid"``
+    takes omega and mu from the grid oracles instead of the exact values;
+    containment is exact either way.
     """
-    if method not in ("analytic", "grid"):
-        raise ValueError("method must be 'analytic' or 'grid'")
+    if method not in ("exact", "grid"):
+        raise ValueError("method must be 'exact' or 'grid'")
     n0_candidates = tuple(sorted(set(int(n) for n in n0_candidates)))
     if not n0_candidates or n0_candidates[0] < 1:
         raise ValueError("n0_candidates must contain integers >= 1")
@@ -434,8 +492,7 @@ def synthesize_certificate(
         raise ValueError("kappa_grid must be a nonempty 1-D array")
     kappa_grid = np.sort(kappa_grid)
 
-    omega_fn = omega_analytic if method == "analytic" else omega_grid
-    mu_fn = mu_analytic if method == "analytic" else mu_grid
+    omega_fn, mu_fn = (omega_grid, mu_grid) if method == "grid" else (_omega_exact, _mu_exact)
     diagnostics = []
     for kappa in kappa_grid:
         if not (0.0 < kappa < library.min_basin_level):

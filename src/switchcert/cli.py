@@ -100,11 +100,11 @@ def cmd_certify(args) -> int:
     if args.margin_trials < 0:
         raise ValueError("--margin-trials must be nonnegative")
     out = _out_dir(args)
-    result = synthesize_certificate(library, method=args.method, epsilon=args.epsilon)
+    result = synthesize_certificate(library, epsilon=args.epsilon)
     lines = [
         f"library: {args.library}  members: {len(library)}  "
         f"contraction rate: {library.contraction_rate!r}",
-        f"method: {args.method}",
+        "method: exact",
         "",
         f"{'kappa':>14} {'omega':>14} {'mu':>12} {'na_bar':>10}  feasible_n0",
     ]
@@ -116,7 +116,7 @@ def cmd_certify(args) -> int:
             f"{diag.na_bar:>10.4f}  {n0s}{note}")
     lines.append("")
     resolved = {
-        "method": args.method,
+        "method": "exact",
         "n0_candidates": list(DEFAULT_N0_CANDIDATES),
         "margin_trials": args.margin_trials,
     }
@@ -134,6 +134,10 @@ def cmd_certify(args) -> int:
             f"kappa={certificate.kappa!r} n0_bar={certificate.n0_bar} "
             f"na_bar={certificate.na_bar!r} mu={certificate.mu!r} "
             f"omega={certificate.omega!r}")
+        lines.append("bound kinds: omega exact, mu exact"
+                     + (", delta_hat sampled" if args.margin_trials else ""))
+        if certificate.na_bar <= 1.0:
+            lines.append("na_bar <= 1: the budget admits a switch at every step")
         certificate.save(out / "certificate.json")
         code = EXIT_OK
     else:
@@ -267,8 +271,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="synthesize a certificate for a primitive library")
     p.add_argument("--library", required=True,
                    help=f"library JSON path, or '{SHIPPED_LIBRARY}'")
-    p.add_argument("--method", choices=("grid", "analytic"), default="grid",
-                   help="set-constant evaluation method (default grid)")
     p.add_argument("--epsilon", type=float, default=None,
                    help="decay target in (rate, 1); default rate + 0.9*(1 - rate)")
     p.add_argument("--margin-trials", type=int, default=0,

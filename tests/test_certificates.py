@@ -1,6 +1,8 @@
 """Set constants, the dwell-time bound, containment feasibility, certificate
 synthesis, and the empirical disturbance margin."""
 
+import itertools
+
 import numpy as np
 import pytest
 
@@ -21,6 +23,7 @@ from switchcert import (
 
 from conftest import make_pair_library, make_primitive
 from switchcert import simulation
+from switchcert.certificates import _level_max, _mu_exact, _omega_exact, _sphere_max
 from switchcert.simulation import _batch_stats, _draw_campaign_inputs
 
 # Grid-oracle values computed once at the default 2-D resolution (201 per
@@ -31,15 +34,24 @@ PAIR_MU_ANALYTIC = 11.65685424949238
 PAIR_MU_GRID = 5.828427124746189
 
 
-def random_library(rng, member_count):
-    """A random 2-D library with nearby centers and shared-scale basins."""
+def random_library(rng, member_count, dim=2):
+    """A random library with nearby centers and shared-scale basins.
+
+    Each member's rotation is a product of plane rotations, one random
+    angle per coordinate plane; in 2-D that is a single rotation.
+    """
     primitives = []
     for pid in range(member_count):
-        center = rng.uniform(-0.3, 0.3, size=2)
+        center = rng.uniform(-0.3, 0.3, size=dim)
         scale = rng.uniform(0.3, 0.8)
-        angle = rng.uniform(0.0, np.pi)
-        rot = np.array([[np.cos(angle), -np.sin(angle)], [np.sin(angle), np.cos(angle)]])
-        weight = rot @ np.diag(rng.uniform(0.5, 3.0, size=2)) @ rot.T
+        rot = np.eye(dim)
+        for i, j in itertools.combinations(range(dim), 2):
+            angle = rng.uniform(0.0, np.pi)
+            plane = np.eye(dim)
+            plane[[i, i, j, j], [i, j, i, j]] = (
+                np.cos(angle), -np.sin(angle), np.sin(angle), np.cos(angle))
+            rot = rot @ plane
+        weight = rot @ np.diag(rng.uniform(0.5, 3.0, size=dim)) @ rot.T
         weight = 0.5 * (weight + weight.T)
         primitives.append(
             make_primitive(
@@ -47,6 +59,7 @@ def random_library(rng, member_count):
                 center=center,
                 linear=scale * rot,
                 weight=weight,
+                gain=np.eye(dim),
                 basin_level=float(rng.uniform(3.0, 6.0)),
                 contraction_rate=min(0.95, scale**2 * np.linalg.cond(weight) + 0.01),
             )
@@ -156,6 +169,141 @@ class TestMu:
         assert all(b <= a + 1e-12 for a, b in zip(values, values[1:]))
 
 
+def sphere_value(m, g, u):
+    return float(u @ m @ u + 2.0 * g @ u)
+
+
+def random_rotation(rng, dim):
+    q, r = np.linalg.qr(rng.standard_normal((dim, dim)))
+    return q * np.sign(np.diag(r))
+
+
+class TestSphereMax:
+    """The trust-region kernel against closed forms and a dense scan."""
+
+    def test_zero_linear_term_gives_the_top_eigenvalue(self):
+        rng = np.random.default_rng(3)
+        for dim in (1, 2, 5):
+            rot = random_rotation(rng, dim)
+            lam = rng.uniform(-2.0, 3.0, size=dim)
+            m = rot @ np.diag(lam) @ rot.T
+            u = _sphere_max(m, np.zeros(dim))
+            assert abs(np.linalg.norm(u) - 1.0) <= 1e-12
+            assert abs(sphere_value(m, np.zeros(dim), u) - lam.max()) <= 1e-12
+
+    def test_multiple_of_identity_gives_c_plus_twice_the_norm(self):
+        rng = np.random.default_rng(4)
+        for dim in (1, 2, 3, 7):
+            c = float(rng.uniform(0.5, 2.0))
+            g = rng.standard_normal(dim)
+            u = _sphere_max(c * np.eye(dim), g)
+            expected = c + 2.0 * np.linalg.norm(g)
+            assert abs(sphere_value(c * np.eye(dim), g, u) - expected) <= 1e-12 * expected
+            assert np.allclose(u, g / np.linalg.norm(g), rtol=0.0, atol=1e-12)
+
+    @pytest.mark.parametrize("top_multiplicity", [1, 2])
+    def test_hard_case_fills_with_a_top_eigenvector(self, top_multiplicity):
+        lam = np.array([0.2, 0.5, 1.0, 1.5])
+        lam[-top_multiplicity:] = 2.0
+        b = np.array([0.3, -0.2, 0.25, 0.0])
+        b[-top_multiplicity:] = 0.0
+        rot = random_rotation(np.random.default_rng(5), lam.size)
+        m, g = rot @ np.diag(lam) @ rot.T, rot @ b
+        rest = lam < 2.0
+        assert np.sum((b[rest] / (2.0 - lam[rest])) ** 2) < 1.0
+        expected = 2.0 + np.sum(b[rest] ** 2 / (2.0 - lam[rest]))
+        u = _sphere_max(m, g)
+        assert abs(np.linalg.norm(u) - 1.0) <= 1e-12
+        assert abs(sphere_value(m, g, u) - expected) <= 1e-12 * expected
+
+    def test_two_dimensional_problems_match_a_dense_circle_scan(self):
+        rng = np.random.default_rng(20260822)
+        angles = np.linspace(0.0, 2.0 * np.pi, 200_001)
+        circle = np.stack([np.cos(angles), np.sin(angles)], axis=1)
+        for _ in range(50):
+            a = rng.standard_normal((2, 2))
+            m, g = 0.5 * (a + a.T), rng.standard_normal(2) * rng.choice([1e-3, 1.0, 10.0])
+            scan = np.max(np.einsum("ni,ij,nj->n", circle, m, circle) + 2.0 * circle @ g)
+            value = sphere_value(m, g, _sphere_max(m, g))
+            scale = np.abs(m).max() + np.linalg.norm(g)
+            assert scan - 1e-12 * scale <= value <= scan + 1e-8 * scale
+
+
+def boundary_points(lyapunov, level, count, rng):
+    """Uniform directions, mapped onto the level set {V = level}."""
+    u = rng.standard_normal((count, lyapunov.center.size))
+    u /= np.linalg.norm(u, axis=1, keepdims=True)
+    chol = np.linalg.cholesky(lyapunov.weight)
+    return lyapunov.center + np.sqrt(level) * np.linalg.solve(chol.T, u.T).T
+
+
+class TestExactConstants:
+    def test_sandwich_on_random_libraries_of_two_to_eight_dimensions(self):
+        rng = np.random.default_rng(20260822)
+        samples = np.random.default_rng(7)
+        for dim in range(2, 9):
+            for case in range(3):
+                library = random_library(rng, int(rng.integers(2, 5)), dim=dim)
+                kappa = float(rng.uniform(0.05, 0.5)) * library.min_basin_level
+                omega, mu = _omega_exact(library, kappa), _mu_exact(library, kappa)
+                assert omega <= omega_analytic(library, kappa) * (1.0 + 1e-12), (dim, case)
+                assert mu <= mu_analytic(library, kappa) * (1.0 + 1e-12), (dim, case)
+                if dim <= 4:
+                    # 61^4 grid points would need about 1.5 GB; 4-D runs
+                    # the oracle's default 17 per axis
+                    resolution = 61 if dim <= 3 else None
+                    assert omega_grid(library, kappa, resolution) <= omega * (1.0 + 1e-12)
+                    assert mu_grid(library, kappa, resolution) <= mu * (1.0 + 1e-12)
+                per_set = 20_000 // (2 * len(library))
+                sampled_omega, sampled_mu = kappa, 1.0
+                for p in library:
+                    for level in (kappa, p.basin_level):
+                        pts = boundary_points(p.lyapunov, level, per_set, samples)
+                        vp = p.lyapunov.values(pts)
+                        for q in library:
+                            if level == kappa:
+                                sampled_omega = max(sampled_omega, q.lyapunov.values(pts).max())
+                            sampled_mu = max(sampled_mu, np.max(q.lyapunov.values(pts) / vp))
+                assert sampled_omega <= omega * (1.0 + 1e-12), (dim, case)
+                assert sampled_mu <= mu * (1.0 + 1e-12), (dim, case)
+                # mu is taken on the inner level set alone; the outer one
+                # never exceeds it
+                for p, q in itertools.permutations(library, 2):
+                    outer = _level_max(q.lyapunov, p.lyapunov, p.basin_level) / p.basin_level
+                    assert outer <= mu * (1.0 + 1e-12), (dim, case)
+
+    def test_level_max_matches_the_offset_ball_closed_form(self):
+        # identity weights: the farthest point of the inner ball sits on the
+        # line through both centers
+        library = make_pair_library()
+        outer, inner = (member.lyapunov for member in library)
+        for level in (0.01, 0.25, 4.0):
+            expected = (1.0 + np.sqrt(level)) ** 2
+            assert abs(_level_max(outer, inner, level) - expected) <= 1e-12 * expected
+
+    def test_shipped_values_and_the_grid_defect(self, walker_library, walker_certificate):
+        kappa = walker_certificate.kappa
+        assert _omega_exact(walker_library, kappa) == 3.0994584329022534e-05
+        exact_mu = _mu_exact(walker_library, kappa)
+        assert abs(exact_mu - 1.6126214531229204) <= 1e-12
+        # the grid oracle misses the maximum: the shipped certificate used to
+        # carry this value
+        assert mu_grid(walker_library, kappa) == 1.583064446160993 < exact_mu
+        assert walker_certificate.mu == exact_mu
+
+    def test_single_member_library_has_no_cross_pairs(self):
+        library = PrimitiveLibrary((make_primitive(0, basin_level=2.0),))
+        assert _omega_exact(library, 0.5) == 0.5
+        assert _mu_exact(library, 0.5) == 1.0
+
+    def test_kappa_out_of_range_rejected(self):
+        library = PrimitiveLibrary((make_primitive(0, basin_level=1.0),))
+        with pytest.raises(ValueError):
+            _omega_exact(library, 1.5)
+        with pytest.raises(ValueError):
+            _mu_exact(library, 1.0)
+
+
 class TestDwellTimeBound:
     def test_unit_jump_needs_no_dwell(self):
         for rate, eps in ((0.5, 0.9), (0.3, 0.35), (0.9, 0.95)):
@@ -199,6 +347,18 @@ class TestFeasibility:
         exact = feasibility_check(library, 0.1, 1, omega=0.5, mu=2.0)
         assert not exact.passed
 
+    def test_cross_pair_slack_is_exact_in_lyapunov_units(self):
+        library = make_pair_library()
+        report = feasibility_check(library, 0.01, 1, omega=0.04, mu=1.0)
+        assert report.passed
+        cross = [c for c in report.pairs if c.inner_id != c.outer_id]
+        assert [c.mode for c in cross] == ["exact", "exact"]
+        for c in cross:
+            assert abs(c.slack - (2.0 - 1.2**2)) <= 1e-12
+        report = feasibility_check(library, 0.01, 1, omega=0.25, mu=1.0)
+        assert not report.passed
+        assert all(c.passed for c in report.pairs if c.mode == "nested")
+
     def test_report_lists_every_ordered_pair(self, walker_library, walker_certificate):
         cert = walker_certificate
         report = feasibility_check(
@@ -227,7 +387,7 @@ class TestSynthesis:
                 make_primitive(1, center=(10.0, 0.0), basin_level=0.5),
             )
         )
-        result = synthesize_certificate(library, method="analytic")
+        result = synthesize_certificate(library)
         assert not result.feasible
         assert result.certificate is None
         assert result.reason
@@ -251,7 +411,7 @@ class TestSynthesis:
     def test_shipped_walker_synthesis_reproduces_certificate(
         self, walker_library, walker_certificate
     ):
-        result = synthesize_certificate(walker_library, method="grid")
+        result = synthesize_certificate(walker_library)
         assert result.feasible
         cert = result.certificate
         ship = walker_certificate
@@ -262,15 +422,20 @@ class TestSynthesis:
         assert cert.mu == ship.mu
         assert cert.epsilon == ship.epsilon
         assert cert.na_bar == ship.na_bar
-        assert cert.method == "grid"
+        assert cert.method == "exact"
+        assert cert.containment == ship.containment
         assert cert.library_fingerprint == ship.library_fingerprint
 
-    def test_analytic_bounds_cannot_certify_the_walker_library(self, walker_library):
-        # mu_analytic >= basin/kappa makes the inflated set at least basin
-        # sized, so the analytic route reports infeasible here and the grid
-        # route is the shipped default.
-        result = synthesize_certificate(walker_library, method="analytic")
-        assert not result.feasible
+    def test_grid_oracle_method_is_still_accepted(self, walker_library, walker_certificate):
+        cert = synthesize_certificate(walker_library, method="grid").certificate
+        assert cert.method == "grid"
+        assert (cert.kappa, cert.omega, cert.n0_bar) == (
+            walker_certificate.kappa, walker_certificate.omega, walker_certificate.n0_bar)
+        assert cert.mu < walker_certificate.mu
+
+    def test_only_exact_and_grid_are_synthesis_methods(self, walker_library):
+        with pytest.raises(ValueError, match="'exact' or 'grid'"):
+            synthesize_certificate(walker_library, method="analytic")
 
 
 class TestCertificateDocument:
@@ -299,6 +464,22 @@ class TestCertificateDocument:
         bad["epsilon"] = 2.0
         with pytest.raises(ValueError):
             Certificate.from_dict(bad)
+
+    @pytest.mark.parametrize("method, mode", [("analytic", "ball"), ("grid", "grid"),
+                                              ("grid", "ball"), ("exact", "exact")])
+    def test_documents_of_every_method_and_pair_mode_load(self, tmp_path, walker_certificate,
+                                                          method, mode):
+        data = walker_certificate.to_dict()
+        data["method"] = method
+        for pair in data["containment"]["pairs"]:
+            if pair["mode"] != "nested":
+                pair["mode"] = mode
+        cert = Certificate.from_dict(data)
+        assert cert.method == method
+        assert {c.mode for c in cert.containment.pairs} == {"nested", mode}
+        path = tmp_path / "certificate.json"
+        cert.save(path)
+        assert Certificate.load(path) == cert
 
     def test_na_bar_consistent_with_formula(self, walker_certificate):
         cert = walker_certificate

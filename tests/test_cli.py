@@ -102,22 +102,26 @@ class TestCertify:
         )
         assert code == EXIT_INFEASIBLE
 
-    def test_analytic_method_on_the_shipped_library_is_infeasible(self, tmp_path):
-        code = main(
-            [
-                "certify",
-                "--library",
-                "shipped-walker",
-                "--method",
-                "analytic",
-                "--out-dir",
-                str(tmp_path),
-            ]
-        )
-        assert code == EXIT_INFEASIBLE
-        assert not (tmp_path / "certificate.json").exists()
+    def test_report_labels_the_bounds_and_a_vacuous_budget(self, tmp_path):
+        code = main(["certify", "--library", "shipped-walker", "--margin-trials", "20",
+                     "--out-dir", str(tmp_path)])
+        assert code == EXIT_OK
+        lines = (tmp_path / "certify_report.txt").read_text().splitlines()
+        assert "method: exact" in lines
+        assert "bound kinds: omega exact, mu exact, delta_hat sampled" in lines
+        assert "na_bar <= 1: the budget admits a switch at every step" in lines
+        manifest = json.loads((tmp_path / "run_manifest.json").read_text())
+        assert manifest["resolved"]["method"] == "exact"
+
+    def test_a_binding_budget_has_no_vacuous_line(self, tmp_path):
+        code = main(["certify", "--library", "shipped-walker", "--epsilon", "0.35",
+                     "--out-dir", str(tmp_path)])
+        assert code == EXIT_OK
+        certificate = json.loads((tmp_path / "certificate.json").read_text())
+        assert certificate["na_bar"] > 1.0
         report = (tmp_path / "certify_report.txt").read_text()
-        assert "INFEASIBLE" in report
+        assert "bound kinds: omega exact, mu exact\n" in report
+        assert "admits a switch at every step" not in report
 
     def test_shipped_certificate_is_reproduced_by_its_margin_run(self, tmp_path):
         code = main(["certify", "--library", "shipped-walker", "--margin-trials", "200",
@@ -142,16 +146,31 @@ class TestCertify:
 @pytest.fixture(scope="module")
 def five_dim_library_path(tmp_path_factory):
     eye = np.eye(5)
-    member = Primitive(
-        id=0,
-        map=PrimitiveMap(linear=0.5 * eye, fixed_point=np.zeros(5), disturbance_gain=eye),
-        lyapunov=QuadraticLyapunov(weight=eye, center=np.zeros(5)),
-        basin_level=2.0,
-        contraction_rate=0.25,
+    members = tuple(
+        Primitive(
+            id=pid,
+            map=PrimitiveMap(linear=0.5 * eye, fixed_point=center, disturbance_gain=eye),
+            lyapunov=QuadraticLyapunov(weight=eye, center=center),
+            basin_level=2.0,
+            contraction_rate=0.25,
+        )
+        for pid, center in enumerate((np.zeros(5), np.full(5, 0.01)))
     )
     path = tmp_path_factory.mktemp("library") / "five.json"
-    save_library(PrimitiveLibrary((member,)), path)
+    save_library(PrimitiveLibrary(members), path)
     return path
+
+
+def test_certify_has_no_dimension_limit(tmp_path, five_dim_library_path):
+    code = main(["certify", "--library", str(five_dim_library_path), "--margin-trials", "20",
+                 "--out-dir", str(tmp_path)])
+    assert code == EXIT_OK
+    certificate = json.loads((tmp_path / "certificate.json").read_text())
+    assert certificate["method"] == "exact"
+    modes = {(c["inner_id"] == c["outer_id"], c["mode"])
+             for c in certificate["containment"]["pairs"]}
+    assert modes == {(True, "nested"), (False, "exact")}
+    assert certificate["mu"] > 1.0
 
 
 class TestRejectedValues:
@@ -162,15 +181,12 @@ class TestRejectedValues:
         [
             ["certify", "--library", "shipped-walker", "--epsilon", "2"],
             ["certify", "--library", "shipped-walker", "--margin-trials", "-1"],
-            ["certify", "--library", "FIVE_DIM_LIBRARY"],
             ["simulate", "--library", "shipped-walker", "--certificate", "shipped",
              "--episodes", "2", "--keep-traces", "-1"],
         ],
-        ids=["epsilon-above-one", "negative-margin-trials", "five-dim-grid",
-             "negative-keep-traces"],
+        ids=["epsilon-above-one", "negative-margin-trials", "negative-keep-traces"],
     )
-    def test_exits_with_input_error(self, tmp_path, capsys, five_dim_library_path, argv):
-        argv = [str(five_dim_library_path) if a == "FIVE_DIM_LIBRARY" else a for a in argv]
+    def test_exits_with_input_error(self, tmp_path, capsys, argv):
         assert main(argv + ["--out-dir", str(tmp_path)]) == EXIT_INPUT
         assert capsys.readouterr().err.startswith("error: ")
 
@@ -580,6 +596,11 @@ class TestArgumentErrors:
 
     def test_missing_required_argument_is_an_input_error(self):
         assert main(["certify"]) == EXIT_INPUT
+
+    def test_certify_has_no_method_option(self, tmp_path, capsys):
+        argv = ["certify", "--library", "shipped-walker", "--method", "grid"]
+        assert main(argv + ["--out-dir", str(tmp_path)]) == EXIT_INPUT
+        assert "unrecognized arguments: --method grid" in capsys.readouterr().err
 
     def test_console_entry_point_reports_usage(self):
         proc = subprocess.run(
