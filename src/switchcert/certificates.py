@@ -315,7 +315,6 @@ class ContainmentReport:
 
 def feasibility_check(
     library: PrimitiveLibrary,
-    kappa: float,
     n0_bar: int,
     omega: float,
     mu: float,
@@ -504,7 +503,7 @@ def synthesize_certificate(
         feasible_n0 = []
         reports = {}
         for n0 in n0_candidates:
-            report = feasibility_check(library, float(kappa), n0, omega, mu)
+            report = feasibility_check(library, n0, omega, mu)
             reports[n0] = report
             if report.passed:
                 feasible_n0.append(n0)
@@ -598,9 +597,9 @@ def estimate_disturbance_margin(
         raise ValueError("upper must be positive and finite")
     if certificate.library_fingerprint != library_fingerprint(library):
         raise ValueError("certificate fingerprint does not match this library")
-    x0s, sigmas, unit, *_ = simulation._draw_campaign_inputs(
+    x0s, cols, unit, *_ = simulation._draw_campaign_inputs(
         library, certificate, trial_budget, horizon, 1.0, seed, stream=1, exact_sup=True)
-    evaluations = [(upper, bool(simulation._escapes(library, x0s, sigmas, unit, [upper])[0]))]
+    evaluations = [(upper, bool(simulation._escapes(library, x0s, cols, unit, [upper])[0]))]
     if not evaluations[0][1]:
         return MarginEstimate(upper, upper, trial_budget, horizon, int(seed), tuple(evaluations))
     lo, hi = 0.0, upper
@@ -616,7 +615,7 @@ def estimate_disturbance_margin(
             mid = 0.5 * (a + b)
             mids.append(mid)
             brackets += [(a, mid), (mid, b)]
-        verdicts = simulation._escapes(library, x0s, sigmas, unit, mids)
+        verdicts = simulation._escapes(library, x0s, cols, unit, mids)
         node = 0
         for _ in range(depth):
             violated = bool(verdicts[node])

@@ -19,7 +19,7 @@ import numpy.random  # numpy 2 loads it lazily, on the first default_rng
 
 from .library_io import library_fingerprint, write_table
 from .primitives import PrimitiveLibrary
-from .switching import DwellTimeBudget, SwitchingSignal, supervise_batch
+from .switching import DwellTimeBudget, SwitchingSignal, _supervise_columns, supervise_batch
 
 _NORM_TOL = 1e-12
 _X0_BATCH = 128
@@ -151,9 +151,9 @@ def _member_columns(ids, assignments: np.ndarray) -> np.ndarray:
     return np.argmax(match, axis=-1)
 
 
-# Steps of the member order per argsort call: argsort returns int64, and
-# sorting a few steps at a time keeps that from costing a (horizon,
-# episodes) array next to the int32 order.
+# Steps of the member order computed at a time: argsort returns int64, and
+# sorting a few steps at a time inside the stepping loop keeps the order
+# from costing a (horizon, episodes) array.
 _ORDER_STEPS = 16
 
 
@@ -170,25 +170,20 @@ def _rollout(library: PrimitiveLibrary, x0s: np.ndarray, cols: np.ndarray, unit:
     left.  Overflow and NaN propagate silently, so escapes are recorded
     rather than raised.
 
-    Each step gathers the episodes into member order (a stable sort of
-    each column of ``cols``, computed once), passes each member's
-    contiguous slab of episodes through ``PrimitiveMap.apply_batch`` and
-    scatters the result back.  A row's update does not depend on the rest
-    of a batch of two or more rows, but a lone row takes another BLAS
-    route, so a member that drives a single episode steps its blocks one
-    by one, as a rollout of each block on its own does.
+    ``cols`` may have any integer dtype and layout; campaigns pass the
+    draw's narrow step-major columns.  Each step gathers the episodes into
+    member order (a stable sort of its column of ``cols``, computed with
+    the members' slab bounds for ``_ORDER_STEPS`` steps at a time as the
+    loop reaches them), passes each member's contiguous slab of episodes
+    through ``PrimitiveMap.apply_batch`` and scatters the result back.  A
+    row's update does not depend on the rest of a batch of two or more
+    rows, but a lone row takes another BLAS route, so a member that drives
+    a single episode steps its blocks one by one, as a rollout of each
+    block on its own does.
     """
     maps = [p.map for p in library]
     count, horizon = cols.shape
-    # member indices narrowed to 8 or 16 bits sort by radix
-    narrow = cols.T.astype(np.min_scalar_type(len(maps)))
-    order = np.empty(narrow.shape, dtype=np.int32)
-    for k in range(0, horizon, _ORDER_STEPS):
-        order[k:k + _ORDER_STEPS] = np.argsort(narrow[k:k + _ORDER_STEPS], axis=1, kind="stable")
-    bounds = np.zeros((horizon, len(maps) + 1), dtype=np.int64)
-    for j in range(len(maps)):
-        bounds[:, j + 1] = np.count_nonzero(narrow == j, axis=1)
-    bounds = np.cumsum(bounds, axis=1).tolist()
+    narrow = np.min_scalar_type(len(maps))
     scales = np.asarray(scales, dtype=float)
     x = np.repeat(np.asarray(x0s, dtype=float)[:, None, :], scales.size, axis=1)
     n, m = x.shape[2], unit.shape[2]
@@ -203,15 +198,24 @@ def _rollout(library: PrimitiveLibrary, x0s: np.ndarray, cols: np.ndarray, unit:
             if k == horizon:
                 return
             blocks = scales.size
+            if k % _ORDER_STEPS == 0:
+                # member indices narrowed to 8 or 16 bits sort by radix
+                chunk = cols[:, k:k + _ORDER_STEPS].T.astype(narrow, copy=False)
+                order = np.argsort(chunk, axis=1, kind="stable")
+                bounds = np.zeros((len(chunk), len(maps) + 1), dtype=np.int64)
+                for j in range(len(maps)):
+                    bounds[:, j + 1] = np.count_nonzero(chunk == j, axis=1)
+                bounds = np.cumsum(bounds, axis=1).tolist()
             if row_scales is None:
                 # the scale of each entry of the gathered (episode, block) rows
                 row_scales = np.repeat(np.tile(scales, count), m).reshape(-1, m)
-            rows = order[k]
+            rows = order[k % _ORDER_STEPS]
             xs = x.take(rows, axis=0)
             flat = xs.reshape(-1, n)
             ds = np.repeat(unit[:, k].take(rows, axis=0), blocks, axis=0)
             ds *= row_scales
-            for map_, start, stop in zip(maps, bounds[k], bounds[k][1:]):
+            slabs = bounds[k % _ORDER_STEPS]
+            for map_, start, stop in zip(maps, slabs, slabs[1:]):
                 lo, hi = start * blocks, stop * blocks
                 if stop - start == 1:
                     for r in range(lo, hi):
@@ -327,6 +331,11 @@ def sample_initial_state(library: PrimitiveLibrary, level: float, rng: np.random
     return _draw_initial_state(library, level, _sampling_box(library, level), rng)[0]
 
 
+def _request_dtype(size: int) -> np.dtype:
+    """The narrowest signed integer type holding the requests -1..size - 2."""
+    return np.min_scalar_type(-max(size - 1, 1))
+
+
 def _draw_signal(ids: tuple[int, ...], horizon: int, switch_rate: float, rng: np.random.Generator,
                  initial_id: int | None = None) -> tuple[int, np.ndarray]:
     """A signal's randomness in ``supervise_batch`` form, in stream order:
@@ -335,7 +344,7 @@ def _draw_signal(ids: tuple[int, ...], horizon: int, switch_rate: float, rng: np
     members, for the proposing steps; the requests are -1 elsewhere."""
     if initial_id is None:
         initial_id = ids[rng.integers(len(ids))]
-    requests = np.full(horizon - 1, -1, dtype=np.int64)
+    requests = np.full(horizon - 1, -1, dtype=_request_dtype(len(ids)))
     if len(ids) > 1 and horizon > 1:
         proposals = rng.random(horizon - 1) < switch_rate
         requests[proposals] = rng.integers(len(ids) - 1, size=int(np.count_nonzero(proposals)))
@@ -505,11 +514,17 @@ def _draw_campaign_inputs(
     stream: int,
     exact_sup: bool = False,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, int, int]:
-    """Per-episode start states, signal assignments and disturbances,
-    episode ``e`` drawn from ``derive_rng(seed, stream, e)``, plus the number
-    of switch requests the supervisor deferred and the number of box points
-    drawn for the start states (``CampaignReport.x0_proposals``).  All
-    episodes' requests go through one ``supervise_batch`` call.
+    """Per-episode start states, member columns and disturbances, episode
+    ``e`` drawn from ``derive_rng(seed, stream, e)``, plus the number of
+    switch requests the supervisor deferred and the number of box points
+    drawn for the start states (``CampaignReport.x0_proposals``).
+
+    The signals stay library indices throughout: the initial members and
+    the requests are stored in the narrowest integer types that hold them,
+    and all episodes' requests go through one ``_supervise_columns`` call,
+    whose (episodes, horizon) columns, in ``np.min_scalar_type(P)``
+    (uint8 up to 255 members), are returned as they are.  ``ids[cols]``
+    is the assignments of ``supervise_batch``.
 
     Each stream holds, in order: the start state (batches of ``_X0_BATCH``
     box points, up to the first batch holding a point inside every member's
@@ -532,10 +547,11 @@ def _draw_campaign_inputs(
     level = certificate.omega
     lo, hi = _sampling_box(library, level)
     ids = library.ids
-    switching = len(ids) > 1 and horizon > 1
+    size = len(ids)
+    switching = size > 1 and horizon > 1
     x0s = np.empty((episode_count, library.state_dim))
-    initial = np.empty(episode_count, dtype=np.int64)
-    requests = np.full((episode_count, horizon - 1), -1, dtype=np.int64)
+    initial = np.empty(episode_count, dtype=np.min_scalar_type(size))
+    requests = np.full((episode_count, horizon - 1), -1, dtype=_request_dtype(size))
     dists = np.zeros((episode_count, horizon, library.dist_dim))
     rows = min(_DRAW_BLOCK, episode_count)
     box = np.empty((rows, _X0_BATCH, library.state_dim))
@@ -548,10 +564,10 @@ def _draw_campaign_inputs(
         for i in range(count):
             rng = derive_rng(seed, stream, start + i)
             rng.random(out=box[i])
-            initial[start + i] = ids[rng.integers(len(ids))]
+            initial[start + i] = rng.integers(size)
             if switching:
                 rng.random(out=proposals[i])
-                picks.append(rng.integers(len(ids) - 1,
+                picks.append(rng.integers(size - 1,
                                           size=np.count_nonzero(proposals[i] < rate)))
             if amplitude:
                 rng.standard_normal(out=dists[start + i])
@@ -567,28 +583,29 @@ def _draw_campaign_inputs(
         for i in np.flatnonzero(first < 0).tolist():
             rng = derive_rng(seed, stream, start + i)
             x0s[start + i], drawn = _draw_initial_state(library, level, (lo, hi), rng)
-            initial[start + i], requests[start + i] = _draw_signal(ids, horizon, rate, rng)
+            initial_id, requests[start + i] = _draw_signal(ids, horizon, rate, rng)
+            initial[start + i] = ids.index(initial_id)
             dists[start + i] = _draw_disturbances(library.dist_dim, horizon, amplitude, rng,
                                                   exact_sup)
             x0_proposals += drawn
-    sigmas, admitted = supervise_batch(ids, initial, requests, budget)
-    return x0s, sigmas, dists, int(np.count_nonzero(~admitted)), x0_proposals
+    cols, deferred = _supervise_columns(size, initial, requests, budget)
+    return x0s, cols, dists, deferred, x0_proposals
 
 
 def _batch_stats(
     library: PrimitiveLibrary,
     x0s: np.ndarray,
-    sigmas: np.ndarray,
+    cols: np.ndarray,
     dists: np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Step every episode jointly and stream per-episode statistics.
 
-    ``sigmas[e, k]`` is the id of the member that drives episode e at step
-    k.  Returns ``(first_violation, max_min_level, max_active_step_ratio)``
-    as ``Trace`` defines them, with first_violation = -1 for clean episodes.
+    ``cols[e, k]`` is the library index of the member that drives episode e
+    at step k.  Returns ``(first_violation, max_min_level,
+    max_active_step_ratio)`` as ``Trace`` defines them, with
+    first_violation = -1 for clean episodes.
     """
     count = x0s.shape[0]
-    cols = _member_columns(library.ids, sigmas)
     levels = np.array([p.basin_level for p in library])
     rows = np.arange(count)
     first = np.full(count, -1, dtype=np.int64)
@@ -622,20 +639,20 @@ _STACKED_EPISODES = 3
 def _escapes(
     library: PrimitiveLibrary,
     x0s: np.ndarray,
-    sigmas: np.ndarray,
+    cols: np.ndarray,
     unit: np.ndarray,
     amplitudes,
 ) -> np.ndarray:
-    """Whether any episode leaves the basin intersection, for each of the
-    ``amplitudes`` scaling the disturbances ``unit``, by the predicate of
-    ``_batch_stats`` (a NaN or overflowed state counts as an escape).
+    """Whether any episode, driven by the member columns ``cols``, leaves
+    the basin intersection, for each of the ``amplitudes`` scaling the
+    disturbances ``unit``, by the predicate of ``_batch_stats`` (a NaN or
+    overflowed state counts as an escape).
 
     Each amplitude is one block of ``_rollout``, and a block stops stepping
     at the first step at which any of its episodes has escaped.  Fewer
     than three episodes are evaluated block by block, since
     ``_member_values`` sums fewer than three rows in another order.
     """
-    cols = _member_columns(library.ids, sigmas)
     levels = np.array([p.basin_level for p in library])
     escaped = np.zeros(len(amplitudes), dtype=bool)
     live = np.arange(len(amplitudes))
@@ -681,11 +698,12 @@ def monte_carlo(
         raise ValueError("keep_traces must be nonnegative")
     if certificate.library_fingerprint != library_fingerprint(library):
         raise ValueError("certificate fingerprint does not match this library")
-    x0s, sigmas, dists, deferred, x0_proposals = _draw_campaign_inputs(
+    x0s, cols, dists, deferred, x0_proposals = _draw_campaign_inputs(
         library, certificate, episode_count, horizon, disturbance_amplitude,
         seed, _EPISODE_STREAM,
     )
-    first, max_min, max_ratio = _batch_stats(library, x0s, sigmas, dists)
+    first, max_min, max_ratio = _batch_stats(library, x0s, cols, dists)
+    ids = np.asarray(library.ids)
     bad_episodes = np.flatnonzero(first >= 0)
     recorded = tuple(
         (int(e), int(first[e])) for e in bad_episodes[:_MAX_RECORDED_VIOLATIONS]
@@ -693,7 +711,7 @@ def monte_carlo(
     kept = [
         run(
             library,
-            SwitchingSignal(sigmas[e]),
+            SwitchingSignal(ids[cols[e]]),
             x0s[e],
             DisturbanceSequence.from_values(dists[e]),
             horizon,

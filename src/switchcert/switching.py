@@ -38,12 +38,9 @@ class SwitchingSignal:
     assignments: np.ndarray
 
     def __post_init__(self):
-        arr = np.asarray(self.assignments)
+        arr = _integers(self.assignments, "assignments")
         if arr.ndim != 1 or arr.size == 0:
             raise ValueError("assignments must be a nonempty 1-D sequence")
-        if not np.issubdtype(arr.dtype, np.integer):
-            if not np.all(arr == np.floor(arr)):
-                raise ValueError("assignments must be integers")
         arr = arr.astype(np.int64)
         arr.setflags(write=False)
         object.__setattr__(self, "assignments", arr)
@@ -282,6 +279,49 @@ class Supervisor:
         return SwitchingSignal(np.array(self._ids, dtype=np.int64))
 
 
+def _supervise_columns(size: int, initial: np.ndarray, requests: np.ndarray,
+                       budget: DwellTimeBudget) -> tuple[np.ndarray, int]:
+    """The column recursion of ``supervise_batch`` for members 0..size - 1.
+
+    Row e starts at column ``initial[e]``; ``requests`` (E, K), of any
+    integer dtype, is read one step at a time.  Returns the (E, K + 1)
+    columns, stored in ``np.min_scalar_type(size)`` and step-major (each
+    step's column is contiguous), and the number of deferred requests.
+    """
+    count, steps = requests.shape
+    cols = np.empty((steps + 1, count), dtype=np.min_scalar_type(size))
+    cols[0] = initial
+    deficit = np.zeros(count)
+    decay = 1.0 / budget.na
+    limit = budget.n0 + _SLACK_TOL
+    deferred = 0
+    for k in range(steps):
+        current = cols[k]
+        pick = requests[:, k]
+        asked = pick >= 0
+        switch, deficit = _deficit_step(deficit, asked, decay, limit)
+        deferred += int(np.count_nonzero(asked)) - int(np.count_nonzero(switch))
+        # the modular arithmetic runs in intp; only the storage is narrow
+        target = np.add(current, pick, dtype=np.intp)
+        target += 1
+        target %= size
+        cols[k + 1] = np.where(switch, target, current)
+    return cols.T, deferred
+
+
+def _integers(values, name: str) -> np.ndarray:
+    """``values`` as an integer array, its dtype kept; integral floats are
+    converted, anything else is a ValueError."""
+    arr = np.asarray(values)
+    if arr.dtype.kind in "iu":
+        return arr
+    if arr.dtype.kind == "b" or (
+            arr.dtype.kind == "f"
+            and np.all(np.isfinite(arr) & (arr == np.floor(arr)) & (np.abs(arr) < 2.0 ** 63))):
+        return arr.astype(np.int64)
+    raise ValueError(f"{name} must be integers")
+
+
 def supervise_batch(ids, initial, requests, budget: DwellTimeBudget) -> tuple[np.ndarray, np.ndarray]:
     """``Supervisor.request`` for a batch of signals, one numpy step per step.
 
@@ -294,10 +334,16 @@ def supervise_batch(ids, initial, requests, budget: DwellTimeBudget) -> tuple[np
     ``Supervisor`` bit for bit.  Returns the
     (E, K + 1) assignments and the (E, K) admitted mask, which is False
     exactly where a requested switch was deferred.
+
+    ``initial`` and ``requests`` must hold integers (integral floats are
+    accepted); ``requests`` keeps its integer dtype, so a narrow one costs
+    no copy.  The recursion itself runs on member columns
+    (``_supervise_columns``, which campaigns call directly); this function
+    maps ids to columns and back.
     """
     ids = np.asarray(ids, dtype=np.int64)
-    initial = np.asarray(initial, dtype=np.int64)
-    requests = np.asarray(requests, dtype=np.int64)
+    initial = _integers(initial, "initial ids")
+    requests = _integers(requests, "requests")
     # A set, not np.unique: numpy 2 imports numpy.ma on the first np.unique.
     if ids.ndim != 1 or ids.size == 0 or len(set(ids.tolist())) != ids.size:
         raise ValueError("ids must be a nonempty sequence of distinct integers")
@@ -309,19 +355,10 @@ def supervise_batch(ids, initial, requests, budget: DwellTimeBudget) -> tuple[np
         raise ValueError(f"unknown primitive id in {unknown}")
     if requests.size and not (requests.min() >= -1 and requests.max() <= ids.size - 2):
         raise ValueError(f"requests must lie in -1..{ids.size - 2}")
-    count, steps = requests.shape
-    cols = np.empty((count, steps + 1), dtype=np.intp)
-    cols[:, 0] = np.argmax(match, axis=1)
-    admitted = np.ones((count, steps), dtype=bool)
-    deficit = np.zeros(count)
-    decay = 1.0 / budget.na
-    limit = budget.n0 + _SLACK_TOL
-    for k in range(steps):
-        current = cols[:, k]
-        pick = requests[:, k]
-        switch, deficit = _deficit_step(deficit, pick >= 0, decay, limit)
-        admitted[:, k] = switch | (pick < 0)
-        cols[:, k + 1] = np.where(switch, (current + 1 + pick) % ids.size, current)
+    cols, _ = _supervise_columns(ids.size, np.argmax(match, axis=1), requests, budget)
+    # a request names another member, so it was deferred exactly where the
+    # column holds
+    admitted = (requests < 0) | (cols[:, 1:] != cols[:, :-1])
     return ids[cols], admitted
 
 

@@ -332,37 +332,37 @@ class TestDwellTimeBound:
 class TestFeasibility:
     def test_single_member_nested_level_passes(self):
         library = PrimitiveLibrary((make_primitive(0, basin_level=1.0),))
-        report = feasibility_check(library, 0.1, 1, omega=0.2, mu=2.0)
+        report = feasibility_check(library, 1, omega=0.2, mu=2.0)
         assert report.passed
         assert report.level == 0.4
 
     def test_single_member_oversized_level_fails(self):
         library = PrimitiveLibrary((make_primitive(0, basin_level=1.0),))
-        report = feasibility_check(library, 0.1, 1, omega=0.6, mu=2.0)
+        report = feasibility_check(library, 1, omega=0.6, mu=2.0)
         assert not report.passed
 
     def test_same_pair_boundary_is_exclusive(self):
         # the inflated set must sit strictly inside the basin interior
         library = PrimitiveLibrary((make_primitive(0, basin_level=1.0),))
-        exact = feasibility_check(library, 0.1, 1, omega=0.5, mu=2.0)
+        exact = feasibility_check(library, 1, omega=0.5, mu=2.0)
         assert not exact.passed
 
     def test_cross_pair_slack_is_exact_in_lyapunov_units(self):
         library = make_pair_library()
-        report = feasibility_check(library, 0.01, 1, omega=0.04, mu=1.0)
+        report = feasibility_check(library, 1, omega=0.04, mu=1.0)
         assert report.passed
         cross = [c for c in report.pairs if c.inner_id != c.outer_id]
         assert [c.mode for c in cross] == ["exact", "exact"]
         for c in cross:
             assert abs(c.slack - (2.0 - 1.2**2)) <= 1e-12
-        report = feasibility_check(library, 0.01, 1, omega=0.25, mu=1.0)
+        report = feasibility_check(library, 1, omega=0.25, mu=1.0)
         assert not report.passed
         assert all(c.passed for c in report.pairs if c.mode == "nested")
 
     def test_report_lists_every_ordered_pair(self, walker_library, walker_certificate):
         cert = walker_certificate
         report = feasibility_check(
-            walker_library, cert.kappa, cert.n0_bar, omega=cert.omega, mu=cert.mu
+            walker_library, cert.n0_bar, omega=cert.omega, mu=cert.mu
         )
         assert report.passed
         assert len(report.pairs) == len(walker_library) ** 2
@@ -549,11 +549,11 @@ class TestDisturbanceMargin:
         estimate = estimate_disturbance_margin(
             walker_library, walker_certificate, trial_budget=200, seed=20260822
         )
-        x0s, sigmas, unit, *_ = _draw_campaign_inputs(
+        x0s, cols, unit, *_ = _draw_campaign_inputs(
             walker_library, walker_certificate, 200, 200, 1.0, 20260822, 1, exact_sup=True)
         verdicts = set()
         for amplitude, violated in estimate.evaluations:
-            first, _, _ = _batch_stats(walker_library, x0s, sigmas, amplitude * unit)
+            first, _, _ = _batch_stats(walker_library, x0s, cols, amplitude * unit)
             assert violated == bool(np.any(first >= 0)), amplitude
             verdicts.add(violated)
         assert verdicts == {True, False}

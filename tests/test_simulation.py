@@ -2,6 +2,7 @@
 Carlo campaigns."""
 
 import math
+import tracemalloc
 from dataclasses import fields, replace
 from types import SimpleNamespace
 
@@ -371,10 +372,10 @@ def crossed_library(aspect=100.0):
     return PrimitiveLibrary(tuple(members))
 
 
-def assert_draws_equal(draw, oracle):
-    x0s, sigmas, dists, deferred, x0_proposals = draw
+def assert_draws_equal(draw, oracle, ids):
+    x0s, cols, dists, deferred, x0_proposals = draw
     assert np.array_equal(x0s, oracle[0])
-    assert np.array_equal(sigmas, oracle[1])
+    assert np.array_equal(np.asarray(ids)[cols], oracle[1])
     assert np.array_equal(dists, oracle[2])
     assert deferred == oracle[3]
     assert x0_proposals == sum(oracle[4])
@@ -395,6 +396,25 @@ class TestMonteCarlo:
         report, _ = monte_carlo(walker_library, walker_certificate, 300, 200, amplitude, 777)
         assert report.violation_rate == SHIPPED_TENFOLD_VIOLATION_RATE
         assert report.violation_rate > 0.0
+
+    def test_campaign_peak_memory_stays_near_its_disturbances(
+        self, walker_library, walker_certificate
+    ):
+        # The (episodes, horizon, m) float64 disturbances are the one array
+        # a campaign cannot shrink; everything else the campaign holds at
+        # once (requests, member columns, the member order, the draw's
+        # blocks) must stay within half of it.
+        episodes, horizon = 1000, 200
+        monte_carlo(walker_library, walker_certificate, 3, 3, 0.1, 1, keep_traces=1)
+        tracemalloc.start()
+        try:
+            monte_carlo(walker_library, walker_certificate, episodes, horizon, 0.1, 20261019,
+                        keep_traces=2)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        disturbance_bytes = episodes * horizon * walker_library.dist_dim * 8
+        assert peak <= 1.5 * disturbance_bytes
 
     def test_fingerprint_mismatch_rejected(self, walker_certificate):
         library = make_pair_library()
@@ -557,11 +577,11 @@ class TestSharedKernel:
         rng = np.random.default_rng(seed)
         library = random_library(state_dim, dist_dim, flags, rng)
         x0s = rng.uniform(-0.3, 0.3, (count, state_dim))
-        sigmas = rng.choice(library.ids, size=(count, horizon))
+        cols = rng.integers(len(library), size=(count, horizon))
         dists = rng.uniform(-0.05, 0.05, (count, horizon, dist_dim))
-        first, max_min, max_ratio = _batch_stats(library, x0s, sigmas, dists)
+        first, max_min, max_ratio = _batch_stats(library, x0s, cols, dists)
         traces = [
-            run(library, SwitchingSignal(sigmas[e]), x0s[e],
+            run(library, SwitchingSignal(np.asarray(library.ids)[cols[e]]), x0s[e],
                 DisturbanceSequence.from_values(dists[e]), horizon)
             for e in range(count)
         ]
@@ -581,12 +601,12 @@ class TestSharedKernel:
         rng = np.random.default_rng(seed)
         library = random_library(state_dim, dist_dim, flags, rng)
         x0s = rng.uniform(-0.1, 0.1, (count, state_dim))
-        sigmas = rng.choice(library.ids, size=(count, horizon))
+        cols = rng.integers(len(library), size=(count, horizon))
         unit = rng.uniform(-1.0, 1.0, (count, horizon, dist_dim))
         scales = [0.0, 1e-3, 0.05, 1.0, 30.0, 1e200]
-        verdicts = _escapes(library, x0s, sigmas, unit, scales)
+        verdicts = _escapes(library, x0s, cols, unit, scales)
         for scale, verdict in zip(scales, verdicts):
-            first, _, _ = _batch_stats(library, x0s, sigmas, scale * unit)
+            first, _, _ = _batch_stats(library, x0s, cols, scale * unit)
             assert verdict == bool(np.any(first >= 0)), scale
 
     @pytest.mark.parametrize("bad_value", [np.nan, np.inf, 1e200])
@@ -643,7 +663,31 @@ class TestCampaignDraw:
                           for p in library for q in library) + 0.02
         certificate = SimpleNamespace(omega=level, n0_bar=1.0, na_bar=na)
         args = (library, certificate, episodes, horizon, amplitude, seed % 1000, 1, exact_sup)
-        assert_draws_equal(_draw_campaign_inputs(*args), draw_campaign_oracle(*args))
+        assert_draws_equal(_draw_campaign_inputs(*args), draw_campaign_oracle(*args), library.ids)
+
+    @kernel_settings
+    @given(st.integers(1, 4), st.sampled_from([1, 2, 9, 40]), st.sampled_from([3, 70]),
+           st.sampled_from([0.5, 1.0, 3.0]), st.integers(0, 2**32 - 1))
+    @example(1, 1, 3, 1.0, 0)
+    @example(4, 1, 70, 3.0, 1)
+    def test_columns_map_to_the_oracle_signals_for_ids_far_from_them(
+        self, members, horizon, episodes, na, seed
+    ):
+        # ids far from 0..P-1, so a column used as an id, or an id as a
+        # column, shows
+        rng = np.random.default_rng(seed)
+        library = random_library(2, 2, [k % 2 == 0 for k in range(members)], rng)
+        library = PrimitiveLibrary(tuple(replace(p, id=10**12 + 7 * k)
+                                         for k, p in enumerate(library)))
+        level = 1.5 * max(float(p.lyapunov.value(q.lyapunov.center))
+                          for p in library for q in library) + 0.02
+        certificate = SimpleNamespace(omega=level, n0_bar=1.0, na_bar=na)
+        args = (library, certificate, episodes, horizon, 0.05, seed % 1000, 0)
+        draw = _draw_campaign_inputs(*args)
+        cols = draw[1]
+        assert cols.shape == (episodes, horizon)
+        assert cols.dtype == np.min_scalar_type(members)
+        assert_draws_equal(draw, draw_campaign_oracle(*args), library.ids)
 
     def test_inside_verdicts_do_not_depend_on_the_batch(self):
         rng = np.random.default_rng(3)
@@ -676,7 +720,7 @@ class TestCampaignDraw:
         derive = simulation.derive_rng
         monkeypatch.setattr(simulation, "derive_rng",
                             lambda *path: streams.append(path[2]) or derive(*path))
-        assert_draws_equal(_draw_campaign_inputs(*args), oracle)
+        assert_draws_equal(_draw_campaign_inputs(*args), oracle, library.ids)
         # only the episodes that needed a second batch read their stream twice
         assert sorted(streams) == sorted(list(range(args[2])) + slow)
 
@@ -684,7 +728,8 @@ class TestCampaignDraw:
         for amplitude, exact_sup in ((0.1, False), (1.0, True), (0.0, False)):
             args = (walker_library, walker_certificate, _DRAW_BLOCK + 9, 200, amplitude, 11, 0,
                     exact_sup)
-            assert_draws_equal(_draw_campaign_inputs(*args), draw_campaign_oracle(*args))
+            assert_draws_equal(_draw_campaign_inputs(*args), draw_campaign_oracle(*args),
+                               walker_library.ids)
 
 
 # The stepping kernel and the margin bisection of earlier releases: one
@@ -710,8 +755,7 @@ def grouped_rollout_oracle(library, x0s, cols, dists, observe):
                 return
 
 
-def sequential_escapes_oracle(library, x0s, sigmas, dists):
-    cols = simulation._member_columns(library.ids, sigmas)
+def sequential_escapes_oracle(library, x0s, cols, dists):
     levels = np.array([p.basin_level for p in library])
     escaped = False
 
@@ -726,12 +770,12 @@ def sequential_escapes_oracle(library, x0s, sigmas, dists):
 
 def sequential_margin_oracle(library, certificate, trial_budget, seed, horizon=200, upper=1.0,
                              iterations=20, rel_tol=1e-3):
-    x0s, sigmas, unit, *_ = _draw_campaign_inputs(
+    x0s, cols, unit, *_ = _draw_campaign_inputs(
         library, certificate, trial_budget, horizon, 1.0, seed, 1, exact_sup=True)
     evaluations = []
 
     def violated(amplitude):
-        bad = sequential_escapes_oracle(library, x0s, sigmas, amplitude * unit)
+        bad = sequential_escapes_oracle(library, x0s, cols, amplitude * unit)
         evaluations.append((amplitude, bad))
         return bad
 
@@ -816,10 +860,10 @@ class TestStackedRollout:
             library = PrimitiveLibrary((make_primitive(0, weight=weight, basin_level=level),))
             for count in (1, 2):
                 x0s = np.repeat(points[i:i + 1], count, axis=0)
-                sigmas = np.zeros((count, 0), dtype=np.int64)
+                cols = np.zeros((count, 0), dtype=np.int64)
                 unit = np.zeros((count, 0, 2))
-                expected = sequential_escapes_oracle(library, x0s, sigmas, unit)
-                verdicts = _escapes(library, x0s, sigmas, unit, [0.0, 1.0, 2.0])
+                expected = sequential_escapes_oracle(library, x0s, cols, unit)
+                verdicts = _escapes(library, x0s, cols, unit, [0.0, 1.0, 2.0])
                 assert verdicts.tolist() == [expected] * 3
 
     @settings(max_examples=150, derandomize=True, deadline=None, database=None)

@@ -17,6 +17,7 @@ from switchcert import (
     supervise_batch,
     validate_dwell_time,
 )
+from switchcert.switching import _supervise_columns
 
 
 def brute_force_worst(assignments, n0, na):
@@ -338,6 +339,12 @@ class TestSuperviseBatch:
         assert assignments.tolist() == [[4, 7, 7, 7]]
         assert admitted.tolist() == [[True, False, True]]
 
+    def test_integral_floats_run_as_the_integers_they_hold(self):
+        budget = DwellTimeBudget(n0=1.0, na=3.0)
+        assignments, admitted = supervise_batch((4, 7), [4.0], [[0.0, 0.0, -1.0]], budget)
+        assert assignments.tolist() == [[4, 7, 7, 7]]
+        assert admitted.tolist() == [[True, False, True]]
+
     @pytest.mark.parametrize("ids", [(), (3, 3), (0, 1, 0)])
     def test_ids_must_be_nonempty_and_distinct(self, ids):
         with pytest.raises(ValueError, match="distinct integers"):
@@ -351,6 +358,48 @@ class TestSuperviseBatch:
     def test_request_outside_the_other_members_rejected(self, request_code):
         with pytest.raises(ValueError, match="requests must lie in"):
             supervise_batch((0, 1), [0], [[request_code]], DwellTimeBudget(n0=1.0, na=1.0))
+
+    @pytest.mark.parametrize("initial, requests", [
+        ([0], [[0.7, -0.5, 1.9]]),  # would truncate to [0, 0, 1]
+        ([1.6], [[-1, 0, 1]]),      # would start at member 1
+        ([0], [[np.nan, 0, 1]]),
+        ([np.inf], [[-1, 0, 1]]),
+        (["0"], [[-1, 0, 1]]),
+    ])
+    def test_non_integral_ids_and_requests_rejected(self, initial, requests):
+        with pytest.raises(ValueError, match="must be integers"):
+            supervise_batch((0, 1, 2), initial, requests, DwellTimeBudget(n0=1.0, na=1.0))
+
+    @property_settings
+    @given(st.integers(1, 4), any_n0, any_na, st.integers(1, 4), st.integers(0, 30), st.data())
+    def test_narrow_request_dtypes_give_identical_assignments(
+        self, members, n0, na, rows, steps, data
+    ):
+        # ids far from the columns 0..P-1, so an id used as a column, or a
+        # column returned as an id, shows
+        ids = [10**12 + 7 * k for k in range(members)]
+        budget = DwellTimeBudget(n0=n0, na=na)
+        initial = data.draw(st.lists(st.sampled_from(ids), min_size=rows, max_size=rows))
+        requests = np.array(
+            data.draw(st.lists(st.lists(st.integers(-1, members - 2), min_size=steps,
+                                        max_size=steps), min_size=rows, max_size=rows)),
+            dtype=np.int64,
+        ).reshape(rows, steps)
+        expected, expected_admitted = supervise_batch(ids, initial, requests, budget)
+        for dtype in (np.int8, np.int16, np.int64):
+            narrow = requests.astype(dtype)
+            assignments, admitted = supervise_batch(ids, initial, narrow, budget)
+            assert np.array_equal(assignments, expected)
+            assert np.array_equal(admitted, expected_admitted)
+            cols, deferred = _supervise_columns(
+                members, [ids.index(i) for i in initial], narrow, budget)
+            assert cols.dtype == np.min_scalar_type(members)
+            assert np.array_equal(np.asarray(ids)[cols], expected)
+            assert deferred == np.count_nonzero(~expected_admitted)
+        for e in range(rows):
+            replayed, replayed_admitted = replay_supervisor(ids, initial[e], requests[e], budget)
+            assert np.array_equal(expected[e], replayed)
+            assert expected_admitted[e].tolist() == replayed_admitted
 
 
 class TestHeadingPolicy:
@@ -384,6 +433,11 @@ class TestSignalValidation:
     def test_signal_must_be_nonempty(self):
         with pytest.raises(ValueError):
             SwitchingSignal(())
+
+    @pytest.mark.parametrize("assignments", [[0, 1.5], [np.inf, 1], [np.nan], ["1"]])
+    def test_signal_ids_must_be_integers(self, assignments):
+        with pytest.raises(ValueError, match="must be integers"):
+            SwitchingSignal(assignments)
 
     def test_budget_must_be_positive(self):
         with pytest.raises(ValueError):
