@@ -69,9 +69,9 @@ from .walker import (
     LeaderModel,
     Pose,
     ScenarioTrace,
-    StrideForce,
     StridePrimitive,
     WalkerScenario,
+    force_bearing,
     integrate_stride_force,
     load_scenario,
     run_scenario,

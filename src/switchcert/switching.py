@@ -311,9 +311,12 @@ def _supervise_columns(size: int, initial: np.ndarray, requests: np.ndarray,
 
 def _integers(values, name: str) -> np.ndarray:
     """``values`` as an integer array, its dtype kept; integral floats are
-    converted, anything else is a ValueError."""
+    converted, anything else, and any value int64 cannot hold, is a
+    ValueError."""
     arr = np.asarray(values)
     if arr.dtype.kind in "iu":
+        if arr.dtype == np.uint64 and np.any(arr >= 2**63):
+            raise ValueError(f"{name} must be integers below 2**63")
         return arr
     if arr.dtype.kind == "b" or (
             arr.dtype.kind == "f"

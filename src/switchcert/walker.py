@@ -28,6 +28,7 @@ from .library_io import (
     library_from_dict,
     read_document,
     write_table,
+    write_tables,
 )
 from .primitives import Primitive, PrimitiveLibrary
 from .simulation import _member_values, budget_from_certificate
@@ -57,20 +58,12 @@ def wrap_angle(angle: float) -> float:
     return wrapped
 
 
-def _xy(value, name: str) -> tuple[float, float]:
-    """The coordinates of a finite 2-vector, as Python floats."""
-    arr = np.asarray(value, dtype=float)
-    if arr.shape != (2,):
-        raise ValueError(f"{name} must be a 2-vector")
-    x, y = arr.tolist()
-    if not (math.isfinite(x) and math.isfinite(y)):
-        raise ValueError(f"{name} must be finite")
-    return x, y
-
-
 def _vec2(value, name: str) -> np.ndarray:
     arr = np.array(value, dtype=float)
-    _xy(arr, name)
+    if arr.shape != (2,):
+        raise ValueError(f"{name} must be a 2-vector")
+    if not np.all(np.isfinite(arr)):
+        raise ValueError(f"{name} must be finite")
     arr.setflags(write=False)
     return arr
 
@@ -102,28 +95,15 @@ class Pose:
         object.__setattr__(self, "heading", wrap_angle(float(self.heading)))
 
 
-@dataclass(frozen=True)
-class StrideForce:
-    """Stride integrals of the interaction force, in the stride-start body
-    frame (x forward along the walker's heading)."""
+def force_bearing(fx: float, fy: float) -> float:
+    """Bearing of the stride force integrals (radians, body frame).
 
-    fx: float
-    fy: float
-
-    @property
-    def phi(self) -> float:
-        """Bearing of the integrated force (radians, body frame).
-
-        The two-argument arctangent reads a force pointing backwards as pi
-        rather than 0; the zero force maps to 0 (straight ahead).
-        """
-        if self.fx == 0.0 and self.fy == 0.0:
-            return 0.0
-        return math.atan2(self.fy, self.fx)
-
-    @classmethod
-    def zero(cls) -> "StrideForce":
-        return cls(0.0, 0.0)
+    The two-argument arctangent reads a force pointing backwards as pi
+    rather than 0; the zero force maps to 0 (straight ahead).
+    """
+    if fx == 0.0 and fy == 0.0:
+        return 0.0
+    return math.atan2(fy, fx)
 
 
 @dataclass(frozen=True)
@@ -337,15 +317,19 @@ def _natural_spline(times: np.ndarray, points: np.ndarray) -> np.ndarray:
 
 def integrate_stride_force(
     leader: LeaderModel,
-    start_pose: Pose,
-    end_position,
+    x0: float,
+    y0: float,
+    heading: float,
+    x1: float,
+    y1: float,
     t_start: float,
     t_end: float,
-) -> StrideForce:
-    """Integrals of the interaction force over one stride, body frame.
+) -> tuple[float, float]:
+    """Integrals (fx, fy) of the interaction force over one stride, in the
+    body frame of the stride-start pose ((x0, y0), heading).
 
     The application point moves in a straight line from the stride-start
-    position p0 to e = ``end_position`` at constant speed, so the world
+    position p0 = (x0, y0) to e = (x1, y1) at constant speed, so the world
     force K (p_l - p_e) + D (v_l - v_e) integrates over [t_start, t_end] to
     K times the integral of p_l - m, with m = (p0 + e)/2 the walker's mean
     position, plus D (p_l(t_end) - p_l(t_start) - (e - p0)).  The stride is
@@ -359,10 +343,11 @@ def integrate_stride_force(
     Recentring c0 on m keeps every term the size of the stride's own force.
     A global antiderivative of p_l would not: on a 2000 s path it reaches
     about 1e6, and its difference at the stride ends loses about 1e-9 to
-    cancellation.  The sums run on Python floats over coefficient rows the
-    leader prepares once, since numpy's per-call overhead would cost more
-    than the arithmetic.  The result is rotated into the stride-start body
-    frame.
+    cancellation.  The pose comes in and the force goes out as Python
+    floats, and the sums run over coefficient rows the leader prepares
+    once, since numpy's per-call overhead would cost more than the
+    arithmetic.  The result is rotated into the stride-start body frame; a
+    result within ``_FORCE_SNAP`` of zero is the exact (0.0, 0.0).
     """
     if not t_end > t_start:
         raise ValueError("stride interval must have positive length")
@@ -371,8 +356,9 @@ def integrate_stride_force(
     if t_start < knots[0] - _SPAN_SLACK or t_end > knots[-1] + _SPAN_SLACK:
         raise ValueError(
             f"stride [{t_start}, {t_end}] outside the leader span [{knots[0]}, {knots[-1]}]")
-    x0, y0 = start_pose.position.tolist()
-    x1, y1 = _xy(end_position, "end_position")
+    if not (math.isfinite(x0) and math.isfinite(y0) and math.isfinite(heading)
+            and math.isfinite(x1) and math.isfinite(y1)):
+        raise ValueError("stride start pose and end position must be finite")
     mx, my = 0.5 * (x0 + x1), 0.5 * (y0 + y1)
     ix, iy, vx, vy = 0.0, 0.0, x0 - x1, y0 - y1
     a = t_start
@@ -392,38 +378,45 @@ def integrate_stride_force(
     kxx, kxy, kyx, kyy, dxx, dxy, dyx, dyy = leader._gains
     wx = kxx * ix + kxy * iy + dxx * vx + dxy * vy
     wy = kyx * ix + kyy * iy + dyx * vx + dyy * vy
-    c, s = math.cos(start_pose.heading), math.sin(start_pose.heading)
+    c, s = math.cos(heading), math.sin(heading)
     fx, fy = c * wx + s * wy, c * wy - s * wx
     if max(abs(fx), abs(fy)) <= _FORCE_SNAP:
-        return StrideForce.zero()
-    return StrideForce(fx, fy)
+        return 0.0, 0.0
+    return fx, fy
 
 
 def stride_update(
-    pose: Pose,
     prim: StridePrimitive,
-    z: np.ndarray,
-    force: StrideForce,
-) -> tuple[Pose, np.ndarray]:
-    """Advance the reduced state one stride and compose the pose.
+    x: float,
+    y: float,
+    heading: float,
+    z0: float,
+    z1: float,
+    fx: float,
+    fy: float,
+) -> tuple[float, float, float, float, float]:
+    """Advance the reduced state (z0, z1) one stride under the body-frame
+    force integrals (fx, fy) and compose the pose ((x, y), heading); returns
+    the new ``(x, y, heading, z0, z1)``.
 
-    The body-frame force integrals enter the reduced map through the
-    primitive's coupling matrix.  The pose deltas are the primitive's
-    nominals plus affine corrections in the post-stride deviation of the
-    reduced state from its fixed point; the displacement is executed in the
-    stride-start body frame.
+    The force integrals enter the reduced map through the primitive's
+    coupling matrix.  The pose deltas are the primitive's nominals plus
+    affine corrections in the post-stride deviation of the reduced state
+    from its fixed point; the displacement is executed in the stride-start
+    body frame, and the new heading is wrapped to (-pi, pi].  A new
+    position or heading that is not finite, as any non-finite input or an
+    overflow gives, raises ``ValueError``.
 
     The walker is planar, so this is the 2-D form of
-    ``PrimitiveMap.apply_batch``, unrolled on the Python floats the
-    primitive prepares once: numpy's per-call overhead on 2-vectors would
-    cost more than the arithmetic.  The quadratic term sums its products
-    in ``apply_batch``'s order, so it alone matches that kernel bit for
-    bit; the matrix products round as plain float arithmetic does.
+    ``PrimitiveMap.apply_batch``, unrolled on Python floats in and out and
+    on the coefficients the primitive prepares once: numpy's per-call
+    overhead on 2-vectors would cost more than the arithmetic.  The
+    quadratic term sums its products in ``apply_batch``'s order, so it
+    alone matches that kernel bit for bit; the matrix products round as
+    plain float arithmetic does.
     """
-    z0, z1 = _xy(z, "reduced state")
     (c00, c01, c10, c11), (p0, p1), (a00, a01, a10, a11), quad, (b00, b01, b10, b11), \
         (h0, h1), turn, (n0, n1), (g00, g01, g10, g11), _ = prim._coefs
-    fx, fy = force.fx, force.fy
     d0, d1 = c00 * fx + c01 * fy, c10 * fx + c11 * fy
     y0, y1 = z0 - p0, z1 - p1
     z0 = p0 + (y0 * a00 + y1 * a01)
@@ -435,11 +428,15 @@ def stride_update(
     z0 += d0 * b00 + d1 * b01
     z1 += d0 * b10 + d1 * b11
     e0, e1 = z0 - p0, z1 - p1
-    heading = wrap_angle(pose.heading + turn + (h0 * e0 + h1 * e1))
     u0, u1 = n0 + (g00 * e0 + g01 * e1), n1 + (g10 * e0 + g11 * e1)
-    x, y = pose.position.tolist()
-    c, s = math.cos(pose.heading), math.sin(pose.heading)
-    return Pose((x + (c * u0 - s * u1), y + (s * u0 + c * u1)), heading), np.array((z0, z1))
+    c, s = math.cos(heading), math.sin(heading)
+    x, y = x + (c * u0 - s * u1), y + (s * u0 + c * u1)
+    if not (math.isfinite(x) and math.isfinite(y)):
+        raise ValueError("position must be finite")
+    heading = wrap_angle(heading + turn + (h0 * e0 + h1 * e1))
+    if not math.isfinite(heading):
+        raise ValueError("heading must be finite")
+    return x, y, heading, z0, z1
 
 
 @dataclass(frozen=True)
@@ -567,24 +564,27 @@ class ScenarioTrace:
         One row per stride boundary: ``poses.csv``, ``reduced.csv`` (member
         Lyapunov values and basin membership), and the plot paths
         ``plot_walker_path.csv`` and ``plot_leader_path.csv``, whose rows
-        align.  One row per stride: ``forces.csv`` and ``sigma.csv``.
+        align.  These four go out together through ``write_tables``, so the
+        columns they share (``k``, ``t``, ``x``, ``y``) are formatted once.
+        One row per stride: ``forces.csv`` and ``sigma.csv``.
         """
         out = Path(out_dir)
         out.mkdir(parents=True, exist_ok=True)
         k = np.arange(self.times.size)
         x, y = self.positions.T
-        write_table(out / "poses.csv", ["k", "t", "x", "y", "heading", "lateral_deviation"],
-                    [k, self.times, x, y, self.headings, self.lateral])
+        write_tables([
+            (out / "poses.csv", ["k", "t", "x", "y", "heading", "lateral_deviation"],
+             [k, self.times, x, y, self.headings, self.lateral]),
+            (out / "reduced.csv",
+             ["k", "z0", "z1"] + [f"V_{pid}" for pid in self.member_ids] + ["in_all_basins"],
+             [k, *self.reduced.T, *self.lyapunov.T, self.in_all_basins]),
+            (out / "plot_walker_path.csv", ["t", "x", "y"], [self.times, x, y]),
+            (out / "plot_leader_path.csv", ["t", "x", "y"],
+             [self.times, *self.leader_positions.T]),
+        ])
         write_table(out / "forces.csv", ["k", "fx", "fy", "phi"],
                     [k[:-1], *self.forces.T, self.phis])
         self.signal.to_csv(out / "sigma.csv")
-        write_table(
-            out / "reduced.csv",
-            ["k", "z0", "z1"] + [f"V_{pid}" for pid in self.member_ids] + ["in_all_basins"],
-            [k, *self.reduced.T, *self.lyapunov.T, self.in_all_basins])
-        write_table(out / "plot_walker_path.csv", ["t", "x", "y"], [self.times, x, y])
-        write_table(out / "plot_leader_path.csv", ["t", "x", "y"],
-                    [self.times, *self.leader_positions.T])
 
     def write_ellipses(self, out_dir: str | Path, library: PrimitiveLibrary,
                        certificate: Certificate) -> None:
@@ -637,13 +637,12 @@ def run_scenario(scenario: WalkerScenario) -> ScenarioTrace:
     phis = np.empty(count)
     sigma = np.empty(count, dtype=np.int64)
 
-    pose = scenario.initial_pose
-    z = strides[active].reduced.map.fixed_point.copy()
+    leader = scenario.leader
+    x, y = scenario.initial_pose.position.tolist()
+    heading = scenario.initial_pose.heading
+    z0, z1 = strides[active].reduced.map.fixed_point.tolist()
     t = scenario.start_time
-    times[0] = t
-    positions[0] = pose.position
-    headings[0] = pose.heading
-    reduced[0] = z
+    times[0], positions[0], headings[0], reduced[0] = t, (x, y), heading, (z0, z1)
 
     levels = np.array([p.basin_level for p in library])
     try:
@@ -651,18 +650,17 @@ def run_scenario(scenario: WalkerScenario) -> ScenarioTrace:
             prim = strides[active]
             sigma[k] = active
             *_, (nx, ny), _, duration = prim._coefs
-            x, y = pose.position.tolist()
-            c, s = math.cos(pose.heading), math.sin(pose.heading)
-            force = integrate_stride_force(
-                scenario.leader, pose, (x + (c * nx - s * ny), y + (s * nx + c * ny)), t, t + duration)
-            forces[k] = (force.fx, force.fy)
-            phis[k] = phi = force.phi
-            pose, z = stride_update(pose, prim, z, force)
+            c, s = math.cos(heading), math.sin(heading)
+            fx, fy = integrate_stride_force(
+                leader, x, y, heading, x + (c * nx - s * ny), y + (s * nx + c * ny), t, t + duration)
+            forces[k, 0], forces[k, 1] = fx, fy
+            phis[k] = phi = force_bearing(fx, fy)
+            x, y, heading, z0, z1 = stride_update(prim, x, y, heading, z0, z1, fx, fy)
             t += duration
             times[k + 1] = t
-            positions[k + 1] = pose.position
-            headings[k + 1] = pose.heading
-            reduced[k + 1] = z
+            positions[k + 1, 0], positions[k + 1, 1] = x, y
+            headings[k + 1] = heading
+            reduced[k + 1, 0], reduced[k + 1, 1] = z0, z1
             if k + 1 < count:
                 if fixed is None:
                     wanted = heading_policy(phi, scenario.dead_zone)

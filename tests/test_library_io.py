@@ -21,7 +21,7 @@ from switchcert import (
     run_scenario,
     save_library,
 )
-from switchcert.library_io import _TABLE_BLOCK, write_table
+from switchcert.library_io import _TABLE_BLOCK, write_table, write_tables
 
 from conftest import make_pair_library, make_primitive
 from switchcert import PrimitiveLibrary
@@ -177,6 +177,62 @@ def test_write_table_matches_the_csv_writer(tmp_path_factory, rows, seed):
 def test_zero_row_table_is_the_header_line(tmp_path):
     write_table(tmp_path / "empty.csv", ["k", "x"], [np.arange(0), np.zeros(0)])
     assert (tmp_path / "empty.csv").read_bytes() == b"k,x\r\n"
+
+
+@pytest.mark.parametrize("rows", sorted({0, 1, 511, 512, 513, 1025, _TABLE_BLOCK - 1,
+                                         _TABLE_BLOCK, _TABLE_BLOCK + 1}))
+def test_tables_written_together_match_each_written_alone(tmp_path, rows):
+    rng = np.random.default_rng(rows)
+    k = np.arange(rows)
+    t = rng.normal(size=rows) * 10.0 ** rng.integers(-300, 300, rows)
+    x, y = rng.normal(size=(2, rows))
+    flag = rng.random(rows) < 0.5
+    n = rng.integers(-2**62, 2**62, rows)
+    # t is shared by all three tables, k and x by two, and k twice by one.
+    tables = [
+        ("a.csv", ["k", "t", "x", "flag"], [k, t, x, flag]),
+        ("b.csv", ["t", "y", "n"], [t, y, n]),
+        ("c.csv", ["k", "t", "k_again", "x"], [k, t, k, x]),
+    ]
+    (tmp_path / "together").mkdir()
+    (tmp_path / "alone").mkdir()
+    write_tables([(tmp_path / "together" / name, header, columns)
+                  for name, header, columns in tables])
+    for name, header, columns in tables:
+        write_table(tmp_path / "alone" / name, header, columns)
+        csv_writer_table(tmp_path / f"oracle_{name}", header, columns)
+        together = (tmp_path / "together" / name).read_bytes()
+        assert together == (tmp_path / "alone" / name).read_bytes(), name
+        assert together == (tmp_path / f"oracle_{name}").read_bytes(), name
+
+
+def test_a_shared_column_is_formatted_once(tmp_path):
+    class Counted:
+        calls = 0
+
+        def __init__(self, value):
+            self.value = value
+
+        def __repr__(self):
+            Counted.calls += 1
+            return repr(self.value)
+
+    rows = 2 * _TABLE_BLOCK + 1
+    shared = np.array([Counted(i / 3) for i in range(rows)], dtype=object)
+    write_tables([(tmp_path / "a.csv", ["v"], [shared]),
+                  (tmp_path / "b.csv", ["v", "w"], [shared, shared]),
+                  (tmp_path / "c.csv", ["k", "v"], [np.arange(rows), shared])])
+    assert Counted.calls == rows
+    cells = [repr(i / 3) for i in range(rows)]
+    assert (tmp_path / "b.csv").read_text().splitlines()[1:] == [f"{c},{c}" for c in cells]
+
+
+def test_tables_of_unequal_length_are_rejected(tmp_path):
+    with pytest.raises(ValueError, match="differ in length"):
+        write_tables([(tmp_path / "a.csv", ["k"], [np.arange(3)]),
+                      (tmp_path / "b.csv", ["k"], [np.arange(4)])])
+    with pytest.raises(ValueError, match="differ in length"):
+        write_table(tmp_path / "c.csv", ["k", "x"], [np.arange(3), np.zeros(2)])
 
 
 # Switching signals of the shipped example scenarios.  A numeric change in

@@ -439,6 +439,15 @@ class TestSignalValidation:
         with pytest.raises(ValueError, match="must be integers"):
             SwitchingSignal(assignments)
 
+    def test_unsigned_ids_must_fit_int64(self):
+        # An id of 2**63 or more would wrap to a negative int64 id.
+        for ids in ([2**63, 1], [1, 2**64 - 1]):
+            with pytest.raises(ValueError, match="must be integers below 2\\*\\*63"):
+                SwitchingSignal(np.array(ids, dtype=np.uint64))
+        largest = SwitchingSignal(np.array([2**63 - 1, 0], dtype=np.uint64))
+        assert largest.assignments.tolist() == [2**63 - 1, 0]
+        assert largest.assignments.dtype == np.int64
+
     def test_budget_must_be_positive(self):
         with pytest.raises(ValueError):
             DwellTimeBudget(n0=0.0, na=1.0)

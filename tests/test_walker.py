@@ -19,9 +19,9 @@ import switchcert
 from switchcert import (
     LeaderModel,
     Pose,
-    StrideForce,
     Supervisor,
     budget_from_certificate,
+    force_bearing,
     integrate_stride_force,
     load_scenario,
     run_scenario,
@@ -207,11 +207,9 @@ class TestStrideForceIntegration:
             np.array([[0.0, 0.0], [2.0, 0.0]]), speed=1.0,
             stiffness=np.zeros((2, 2)), damping=np.zeros((2, 2)),
         )
-        force = integrate_stride_force(
-            leader, Pose(position=np.zeros(2), heading=0.0), np.array([0.5, 0.0]), 0.0, 0.5
-        )
-        assert force.fx == 0.0 and force.fy == 0.0
-        assert force.phi == 0.0
+        fx, fy = integrate_stride_force(leader, 0.0, 0.0, 0.0, 0.5, 0.0, 0.0, 0.5)
+        assert fx == 0.0 and fy == 0.0
+        assert force_bearing(fx, fy) == 0.0
 
     def test_constant_force_integrates_exactly(self):
         # a stationary leader a fixed offset ahead of a stationary walker
@@ -222,11 +220,10 @@ class TestStrideForceIntegration:
             stiffness=np.diag([3.0, 3.0]),
             damping=np.zeros((2, 2)),
         )
-        start = Pose(position=np.array([1.0, 1.0]), heading=0.0)
         duration = 0.5
-        force = integrate_stride_force(leader, start, start.position, 1.0, 1.0 + duration)
-        assert abs(force.fx - 3.0 * 1.0 * duration) <= 1e-12
-        assert abs(force.fy) <= 1e-12
+        fx, fy = integrate_stride_force(leader, 1.0, 1.0, 0.0, 1.0, 1.0, 1.0, 1.0 + duration)
+        assert abs(fx - 3.0 * 1.0 * duration) <= 1e-12
+        assert abs(fy) <= 1e-12
 
     def test_linear_integrand_matches_closed_form(self):
         # walker moving straight toward a stationary leader: the spring term
@@ -238,18 +235,18 @@ class TestStrideForceIntegration:
             stiffness=stiffness,
             damping=np.zeros((2, 2)),
         )
-        start = Pose(position=np.array([0.0, 0.0]), heading=0.0)
+        start = np.array([0.0, 0.0])
         end = np.array([0.6, 0.0])
         t0, t1 = 0.5, 1.0
-        force = integrate_stride_force(leader, start, end, t0, t1)
+        fx, fy = integrate_stride_force(leader, *start, 0.0, *end, t0, t1)
         # position(t) = start + (t - t0)/(t1 - t0) * (end - start)
         # integral of K (pL - p(t)) dt over [t0, t1]
         duration = t1 - t0
-        mean_position = 0.5 * (start.position + end)
+        mean_position = 0.5 * (start + end)
         expected = stiffness @ (np.array([3.0, 0.5]) - mean_position) * duration
-        assert abs(force.fx - expected[0]) <= 1e-12
-        assert abs(force.fy - expected[1]) <= 1e-12
-        assert abs(force.phi) < 0.2
+        assert abs(fx - expected[0]) <= 1e-12
+        assert abs(fy - expected[1]) <= 1e-12
+        assert abs(force_bearing(fx, fy)) < 0.2
 
     def test_body_frame_rotation(self):
         # same geometry rotated by 90 degrees gives the same body-frame force
@@ -259,33 +256,27 @@ class TestStrideForceIntegration:
             stiffness=np.eye(2),
             damping=np.zeros((2, 2)),
         )
-        straight = integrate_stride_force(
-            leader, Pose(position=np.zeros(2), heading=0.0), np.array([0.4, 0.0]), 0.0, 0.5
-        )
+        straight = integrate_stride_force(leader, 0.0, 0.0, 0.0, 0.4, 0.0, 0.0, 0.5)
         turned_leader = LeaderModel(
             times=np.array([0.0, 2.0]),
             waypoints=np.array([[0.0, 2.0], [0.0, 2.0]]),
             stiffness=np.eye(2),
             damping=np.zeros((2, 2)),
         )
-        turned = integrate_stride_force(
-            turned_leader,
-            Pose(position=np.zeros(2), heading=np.pi / 2),
-            np.array([0.0, 0.4]),
-            0.0,
-            0.5,
-        )
-        assert abs(straight.fx - turned.fx) <= 1e-9
-        assert abs(straight.fy - turned.fy) <= 1e-9
+        turned = integrate_stride_force(turned_leader, 0.0, 0.0, np.pi / 2, 0.0, 0.4, 0.0, 0.5)
+        assert abs(straight[0] - turned[0]) <= 1e-9
+        assert abs(straight[1] - turned[1]) <= 1e-9
 
     def test_degenerate_interval_rejected(self):
         leader = LeaderModel.from_waypoints(
             np.array([[0.0, 0.0], [1.0, 0.0]]), speed=1.0,
             stiffness=np.eye(2), damping=np.eye(2),
         )
-        pose = Pose(position=np.zeros(2), heading=0.0)
         with pytest.raises(ValueError):
-            integrate_stride_force(leader, pose, np.zeros(2), 0.5, 0.5)
+            integrate_stride_force(leader, 0.0, 0.0, 0.0, 0.0, 0.0, 0.5, 0.5)
+        for bad in (np.nan, np.inf):
+            with pytest.raises(ValueError, match="must be finite"):
+                integrate_stride_force(leader, 0.0, 0.0, 0.0, bad, 0.0, 0.25, 0.5)
 
 
 def simpson_stride_force(leader, start, end, t_start, t_end, panels=8192):
@@ -353,46 +344,46 @@ class TestExactStrideForce:
         start = Pose(position=leader.position(t_start) + offset,
                      heading=rng.uniform(-np.pi, np.pi))
         end = leader.position(t_end) + rng.normal(size=2) * np.exp(rng.uniform(-3.0, 1.0))
-        force = integrate_stride_force(leader, start, end, t_start, t_end)
+        force = integrate_stride_force(
+            leader, *start.position.tolist(), start.heading, *end.tolist(), t_start, t_end)
         expected = simpson_stride_force(leader, start, end, t_start, t_end)
         gain = np.max(np.abs(leader.stiffness)) + np.max(np.abs(leader.damping))
         tolerance = self.RTOL * gain * np.max(np.abs(points)) * max(1.0, t_end - t_start)
-        if force == StrideForce.zero():
+        if force == (0.0, 0.0):
             assert np.max(np.abs(expected)) <= _FORCE_SNAP + tolerance
         else:
-            assert np.max(np.abs(np.array([force.fx, force.fy]) - expected)) <= tolerance
+            assert np.max(np.abs(np.array(force) - expected)) <= tolerance
 
 
 class TestHeadingEstimate:
     def test_quadrants(self):
-        assert StrideForce(fx=1.0, fy=0.0).phi == 0.0
-        assert abs(StrideForce(fx=1.0, fy=1.0).phi - np.pi / 4) <= 1e-15
-        assert StrideForce(fx=-1.0, fy=0.0).phi == np.pi
+        assert force_bearing(1.0, 0.0) == 0.0
+        assert abs(force_bearing(1.0, 1.0) - np.pi / 4) <= 1e-15
+        assert force_bearing(-1.0, 0.0) == np.pi
 
     def test_zero_force_maps_to_straight(self):
-        assert StrideForce.zero().phi == 0.0
+        assert force_bearing(0.0, 0.0) == 0.0
 
 
 class TestStrideUpdate:
     def test_on_cycle_straight_stride(self, stride_primitives):
         prim = stride_primitives[1]
-        pose = Pose(position=np.array([1.0, 2.0]), heading=0.3)
-        new_pose, new_z = stride_update(
-            pose, prim, prim.reduced.map.fixed_point, StrideForce.zero()
-        )
-        assert new_pose.heading == pose.heading
-        assert np.max(np.abs(new_z - prim.reduced.map.fixed_point)) == 0.0
-        expected = pose.position + rotation(0.3) @ prim.nominal_displacement
-        assert np.max(np.abs(new_pose.position - expected)) <= 1e-15
+        z_star = prim.reduced.map.fixed_point
+        x, y, heading, z0, z1 = stride_update(prim, 1.0, 2.0, 0.3, *z_star.tolist(), 0.0, 0.0)
+        assert heading == 0.3
+        assert np.max(np.abs(np.array([z0, z1]) - z_star)) == 0.0
+        expected = np.array([1.0, 2.0]) + rotation(0.3) @ prim.nominal_displacement
+        assert np.max(np.abs(np.array([x, y]) - expected)) <= 1e-15
 
     def test_on_cycle_turn_is_exactly_thirty_degrees(self, stride_primitives):
         left = stride_primitives[2]
-        pose = Pose(position=np.zeros(2), heading=0.0)
-        new_pose, _ = stride_update(pose, left, left.reduced.map.fixed_point, StrideForce.zero())
-        assert new_pose.heading == np.pi / 6
+        z_star = left.reduced.map.fixed_point.tolist()
+        _, _, heading, _, _ = stride_update(left, 0.0, 0.0, 0.0, *z_star, 0.0, 0.0)
+        assert heading == np.pi / 6
         right = stride_primitives[0]
-        new_pose, _ = stride_update(pose, right, right.reduced.map.fixed_point, StrideForce.zero())
-        assert new_pose.heading == -np.pi / 6
+        z_star = right.reduced.map.fixed_point.tolist()
+        _, _, heading, _, _ = stride_update(right, 0.0, 0.0, 0.0, *z_star, 0.0, 0.0)
+        assert heading == -np.pi / 6
 
     @settings(max_examples=200, derandomize=True, deadline=None, database=None)
     @given(st.sampled_from([0, 1, 2]), st.booleans(), offsets(0.1), offsets(60.0),
@@ -408,7 +399,9 @@ class TestStrideUpdate:
         z_star = prim.reduced.map.fixed_point
         z = z_star + np.array(offset)
         pose = Pose(position=np.array(position), heading=heading)
-        new_pose, new_z = stride_update(pose, prim, z, StrideForce(*force))
+        x, y, new_heading, z0, z1 = stride_update(
+            prim, *pose.position.tolist(), pose.heading, *z.tolist(), *force)
+        new_z = np.array([z0, z1])
 
         # independent evaluation of the documented composition
         reduced = prim.reduced.map
@@ -426,8 +419,8 @@ class TestStrideUpdate:
         expected_position = pose.position + rotation(pose.heading) @ body_delta
 
         assert np.max(np.abs(new_z - expected_z)) <= 1e-15
-        assert abs(wrap_angle(new_pose.heading - expected_heading)) <= 1e-15
-        assert np.max(np.abs(new_pose.position - expected_position)) <= 1e-15
+        assert abs(wrap_angle(new_heading - expected_heading)) <= 1e-15
+        assert np.max(np.abs(np.array([x, y]) - expected_position)) <= 1e-15
         # the walker's stride step is the 2-D form of the batch kernel
         batch = reduced.apply_batch(z[None], (prim.force_coupling @ np.array(force))[None])[0]
         assert np.max(np.abs(new_z - batch)) <= 1e-15
@@ -435,23 +428,19 @@ class TestStrideUpdate:
     def test_perturbed_stride_frozen_values(self, stride_primitives):
         prim = stride_primitives[1]
         z = prim.reduced.map.fixed_point + np.array([0.01, -0.02])
-        pose = Pose(position=np.array([0.3, -0.2]), heading=0.4)
-        new_pose, new_z = stride_update(pose, prim, z, StrideForce.zero())
-        assert np.array_equal(new_z, np.array(PERTURBED_NEW_Z))
-        assert new_pose.heading == PERTURBED_HEADING
-        assert np.array_equal(new_pose.position, np.array(PERTURBED_POSITION))
+        x, y, heading, z0, z1 = stride_update(prim, 0.3, -0.2, 0.4, *z.tolist(), 0.0, 0.0)
+        assert (z0, z1) == PERTURBED_NEW_Z
+        assert heading == PERTURBED_HEADING
+        assert (x, y) == PERTURBED_POSITION
 
     def test_force_enters_through_the_coupling_matrix(self, stride_primitives):
         prim = stride_primitives[1]
         z_star = prim.reduced.map.fixed_point
-        force = StrideForce(fx=0.5, fy=-0.2)
-        _, new_z = stride_update(
-            Pose(position=np.zeros(2), heading=0.0), prim, z_star, force
-        )
+        *_, z0, z1 = stride_update(prim, 0.0, 0.0, 0.0, *z_star.tolist(), 0.5, -0.2)
         expected = z_star + prim.reduced.map.disturbance_gain @ (
             prim.force_coupling @ np.array([0.5, -0.2])
         )
-        assert np.max(np.abs(new_z - expected)) <= 1e-15
+        assert np.max(np.abs(np.array([z0, z1]) - expected)) <= 1e-15
 
 
 class TestScenarios:
@@ -604,6 +593,27 @@ class TestScenarios:
                     # a numpy scalar repr such as "np.float64(0.5)" raises here
                     parse = int if column in ("k", "id", "in_all_basins") else float
                     parse(cell)
+
+    def test_writing_a_long_bundle_holds_one_block_of_cells(self, tmp_path):
+        # The shared k, t, x and y columns are formatted one block of rows at
+        # a time, so the traced peak of writing 4000 strides is that of 600
+        # (601 rows, more than two blocks) plus the longer k array (27 KiB).
+        # Holding those four columns' formatted cells whole would add about
+        # 1 MiB.
+        config = straight_config()
+        config["leader"]["waypoints"] = [[0.0, 0.0], [0.65 * 0.5 * 4000 + 10.0, 0.0]]
+        peaks = {}
+        for strides in (600, 4000):
+            config["strides"] = strides
+            trace = run_scenario(load_scenario(config))
+            assert trace.in_all_basins.all()
+            tracemalloc.start()
+            try:
+                trace.write_outputs(tmp_path / str(strides))
+                peaks[strides] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert peaks[4000] - peaks[600] <= 128 * 1024, peaks
 
     def test_leader_plot_path_is_the_leader_at_stride_boundaries(self, tmp_path):
         scenario = load_scenario(curved_config())
