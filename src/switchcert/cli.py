@@ -63,6 +63,13 @@ def _env_default(name: str, fallback=None):
     return os.environ.get(_ENV_PREFIX + name, fallback)
 
 
+def _seed(text: str) -> int:
+    """A root seed: a nonnegative integer, as numpy's ``SeedSequence`` takes."""
+    if not text.strip().isdecimal():
+        raise argparse.ArgumentTypeError(f"seed must be a nonnegative integer, got {text!r}")
+    return int(text)
+
+
 def _sha256(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
@@ -257,10 +264,9 @@ def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="switchcert", description=__doc__,
                      formatter_class=argparse.RawDescriptionHelpFormatter)
     common = _Parser(add_help=False)
-    seed_env = _env_default("SEED")
-    common.add_argument("--seed", type=int,
-                        default=int(seed_env) if seed_env is not None else 0,
-                        help="root seed for all randomness (default 0)")
+    # argparse passes a string default through ``type`` too
+    common.add_argument("--seed", type=_seed, default=_env_default("SEED", "0"),
+                        help="root seed for all randomness, a nonnegative integer (default 0)")
     common.add_argument("--out-dir", default=_env_default("OUT_DIR"),
                         help="directory for outputs and the run manifest")
     common.add_argument("--config", default=_env_default("CONFIG"),

@@ -6,7 +6,8 @@ located.  Only ``_escapes``, the margin's yes/no question, stops stepping
 each amplitude at its first escape.
 
 All campaign randomness derives from one root seed through a counter-based
-scheme: episode e uses ``default_rng(SeedSequence([seed, stream, e]))``.
+scheme: ``derive_rng(seed, stream, e)`` defines episode e's stream, and the
+campaign draw seeds a block of episodes' streams in one vectorised pass.
 """
 from __future__ import annotations
 
@@ -29,6 +30,59 @@ _MAX_X0_BATCHES = 200_000
 def derive_rng(seed: int, *path: int) -> np.random.Generator:
     """Deterministic child generator for (seed, counters...)."""
     return np.random.default_rng(np.random.SeedSequence([int(seed), *[int(p) for p in path]]))
+
+
+def _multipliers(init: int, mult: int, count: int) -> np.ndarray:
+    """init · mult^k mod 2**32 for k = 0..count, as a uint32 column."""
+    return np.array([init * pow(mult, k, 1 << 32) % (1 << 32) for k in range(count + 1)],
+                    dtype=np.uint32)[:, None]
+
+
+def _stream_states(seed: int, stream: int, start: int, stop: int) -> list[tuple[int, int]]:
+    """The PCG64 ``(state, inc)`` of ``derive_rng(seed, stream, e)`` for e
+    in ``range(start, stop)``, episode indices below 2**32.
+
+    Runs numpy's ``SeedSequence`` pool hash (pool size 4) on uint32 arrays,
+    one column per episode, then PCG64's seeding from its four 64-bit output
+    words.  The hash's multipliers do not depend on the data, so its calls
+    on different pool words run as rows of one operation.
+    """
+    if not 0 <= start <= stop <= 1 << 32:
+        raise ValueError("episode indices must lie in 0..2**32 - 1")
+    words = []  # SeedSequence's 32-bit words of each int, low word first
+    for value in (int(seed), int(stream)):
+        if value < 0:
+            raise ValueError("expected non-negative integer")
+        words += [value >> 32 * i & 0xFFFFFFFF for i in range(max(1, -(-value.bit_length() // 32)))]
+    entropy = np.zeros((max(len(words) + 1, 4), stop - start), dtype=np.uint32)
+    entropy[:len(words)] = np.array(words, dtype=np.uint32)[:, None]
+    entropy[len(words)] = np.arange(start, stop, dtype=np.uint32)
+    # four hash calls per entropy row, the padding rows included
+    consts = _multipliers(0x43B0D7E5, 0x931E8875, 4 * len(entropy))
+
+    def hashmix(values, k):  # hash calls k, k + 1, ... on the rows of values
+        values = (values ^ consts[k:k + len(values)]) * consts[k + 1:k + 1 + len(values)]
+        return values ^ values >> 16
+
+    def mix(x, y):
+        result = x * np.uint32(0xCA01F9DD) - y * np.uint32(0x4973F715)
+        return result ^ result >> 16
+
+    pool = hashmix(entropy[:4], 0)
+    for src in range(4):
+        dst = [d for d in range(4) if d != src]
+        pool[dst] = mix(pool[dst], hashmix(pool[[src] * 3], 4 + 3 * src))
+    for j, word in enumerate(entropy[4:]):
+        pool = mix(pool, hashmix(np.tile(word, (4, 1)), 16 + 4 * j))
+    generate = _multipliers(0x8B51F9DD, 0x58F38DED, 8)
+    out = (pool[[0, 1, 2, 3, 0, 1, 2, 3]] ^ generate[:8]) * generate[1:]
+    out = (out ^ out >> 16).astype(np.uint64)
+    # little-endian word pairs: state high, state low, inc high, inc low
+    state_hi, state_lo, inc_hi, inc_lo = (out[0::2] | out[1::2] << np.uint64(32)).tolist()
+    mask = (1 << 128) - 1
+    incs = [((hi << 64 | lo) << 1 | 1) & mask for hi, lo in zip(inc_hi, inc_lo)]
+    return [(((hi << 64 | lo) + inc) * 0x2360ED051FC65DA44385DF649FCCF645 + inc & mask, inc)
+            for hi, lo, inc in zip(state_hi, state_lo, incs)]
 
 
 @dataclass(frozen=True)
@@ -185,6 +239,8 @@ def _rollout(library: PrimitiveLibrary, x0s: np.ndarray, cols: np.ndarray, unit:
     count, horizon = cols.shape
     narrow = np.min_scalar_type(len(maps))
     scales = np.asarray(scales, dtype=float)
+    # one block under the disturbances as they are: no repeat, no x 1.0
+    unscaled = scales.tolist() == [1.0]
     x = np.repeat(np.asarray(x0s, dtype=float)[:, None, :], scales.size, axis=1)
     n, m = x.shape[2], unit.shape[2]
     row_scales = None
@@ -206,14 +262,16 @@ def _rollout(library: PrimitiveLibrary, x0s: np.ndarray, cols: np.ndarray, unit:
                 for j in range(len(maps)):
                     bounds[:, j + 1] = np.count_nonzero(chunk == j, axis=1)
                 bounds = np.cumsum(bounds, axis=1).tolist()
-            if row_scales is None:
-                # the scale of each entry of the gathered (episode, block) rows
-                row_scales = np.repeat(np.tile(scales, count), m).reshape(-1, m)
             rows = order[k % _ORDER_STEPS]
             xs = x.take(rows, axis=0)
             flat = xs.reshape(-1, n)
-            ds = np.repeat(unit[:, k].take(rows, axis=0), blocks, axis=0)
-            ds *= row_scales
+            ds = unit[:, k].take(rows, axis=0)
+            if not unscaled:
+                if row_scales is None:
+                    # the scale of each entry of the gathered (episode, block) rows
+                    row_scales = np.repeat(np.tile(scales, count), m).reshape(-1, m)
+                ds = np.repeat(ds, blocks, axis=0)
+                ds *= row_scales
             slabs = bounds[k % _ORDER_STEPS]
             for map_, start, stop in zip(maps, slabs, slabs[1:]):
                 lo, hi = start * blocks, stop * blocks
@@ -531,12 +589,14 @@ def _draw_campaign_inputs(
     ω sublevel set), the initial member, the switch requests (proposals,
     then picks) and the disturbances (directions, then radii).
 
-    The loop over episodes makes only the generator calls of that layout,
-    assuming the first batch holds a start.  Start acceptance and the
-    disturbance shaping then run on blocks of ``_DRAW_BLOCK`` episodes; an
-    episode whose first batch holds no start is drawn again from its stream
-    by the sequential samplers.  Either way the draws are bit for bit those
-    of drawing each episode on its own.
+    The streams of a block of ``_DRAW_BLOCK`` episodes are seeded in one
+    ``_stream_states`` pass, and each is read through one reused PCG64
+    generator set to its state.  The loop over episodes makes only the
+    generator calls of that layout, assuming the first batch holds a start.
+    Start acceptance and the disturbance shaping then run on the block; an
+    episode whose first batch holds no start is drawn again from its own
+    ``derive_rng`` stream by the sequential samplers.  Either way the draws
+    are bit for bit those of drawing each episode on its own.
     """
     if horizon < 1:
         raise ValueError("horizon must be at least 1")
@@ -558,20 +618,24 @@ def _draw_campaign_inputs(
     proposals = np.empty((rows, horizon - 1))
     radii = np.empty((rows, horizon))
     x0_proposals = 0
+    bits = np.random.PCG64(0)
+    gen = np.random.Generator(bits)
     for start in range(0, episode_count, _DRAW_BLOCK):
         count = min(_DRAW_BLOCK, episode_count - start)
         picks = []
-        for i in range(count):
-            rng = derive_rng(seed, stream, start + i)
-            rng.random(out=box[i])
-            initial[start + i] = rng.integers(size)
+        for i, (state, inc) in enumerate(_stream_states(seed, stream, start, start + count)):
+            # a fresh generator: no buffered half of a 64-bit output
+            bits.state = {"bit_generator": "PCG64", "state": {"state": state, "inc": inc},
+                          "has_uint32": 0, "uinteger": 0}
+            gen.random(out=box[i])
+            initial[start + i] = gen.integers(size)
             if switching:
-                rng.random(out=proposals[i])
-                picks.append(rng.integers(size - 1,
+                gen.random(out=proposals[i])
+                picks.append(gen.integers(size - 1,
                                           size=np.count_nonzero(proposals[i] < rate)))
             if amplitude:
-                rng.standard_normal(out=dists[start + i])
-                rng.random(out=radii[i])
+                gen.standard_normal(out=dists[start + i])
+                gen.random(out=radii[i])
         if switching:
             requests[start:start + count][proposals[:count] < rate] = np.concatenate(picks)
         if amplitude:
@@ -621,13 +685,18 @@ def _batch_stats(
             ok = prev_active > 0.0
             ratio = values[rows, col] / np.where(ok, prev_active, 1.0)
             np.maximum(max_ratio, np.where(ok, ratio, 0.0), out=max_ratio)
-        bad = ~np.all(values <= levels[None, :], axis=1)
-        first[(first < 0) & bad] = k
-        per_min = np.min(values, axis=1)
-        np.maximum(max_min, np.where(np.isfinite(per_min), per_min, np.inf), out=max_min)
+        inside = values <= levels
+        if not inside.all():
+            first[(first < 0) & ~np.all(inside, axis=1)] = k
+        # np.maximum keeps a NaN, made +inf after the loop, as is a -inf here
+        per_min = values.min(axis=1)
+        np.maximum(max_min, per_min, out=max_min)
+        if per_min.min() == -np.inf:
+            max_min[per_min == -np.inf] = np.inf
         previous[:] = values
 
     _rollout(library, x0s, cols, dists, (1.0,), observe)
+    max_min[np.isnan(max_min)] = np.inf
     return first, max_min, max_ratio
 
 

@@ -294,13 +294,17 @@ def _supervise_columns(size: int, initial: np.ndarray, requests: np.ndarray,
     deficit = np.zeros(count)
     decay = 1.0 / budget.na
     limit = budget.n0 + _SLACK_TOL
+    # with 1/na >= 1 every switch from a zero deficit is admitted and leaves
+    # it at most zero (n0 > 0), so the deficit need not be stepped
+    admit_all = decay >= 1.0
     deferred = 0
     for k in range(steps):
         current = cols[k]
         pick = requests[:, k]
-        asked = pick >= 0
-        switch, deficit = _deficit_step(deficit, asked, decay, limit)
-        deferred += int(np.count_nonzero(asked)) - int(np.count_nonzero(switch))
+        switch = asked = pick >= 0
+        if not admit_all:
+            switch, deficit = _deficit_step(deficit, asked, decay, limit)
+            deferred += int(np.count_nonzero(asked)) - int(np.count_nonzero(switch))
         # the modular arithmetic runs in intp; only the storage is narrow
         target = np.add(current, pick, dtype=np.intp)
         target += 1

@@ -559,10 +559,16 @@ class TestDisturbanceMargin:
         assert verdicts == {True, False}
 
     def test_episodes_are_drawn_once(self, monkeypatch, walker_library, walker_certificate):
+        # every stream, seeded by the block pass or derived on its own, is
+        # read once
         streams = []
-        derive_rng = simulation.derive_rng
+        derive_rng, seed_block = simulation.derive_rng, simulation._stream_states
         monkeypatch.setattr(simulation, "derive_rng",
                             lambda *path: streams.append(path) or derive_rng(*path))
+        monkeypatch.setattr(
+            simulation, "_stream_states",
+            lambda seed, stream, start, stop: streams.extend(
+                (seed, stream, e) for e in range(start, stop)) or seed_block(seed, stream, start, stop))
         estimate = estimate_disturbance_margin(
             walker_library, walker_certificate, trial_budget=7, seed=3, horizon=40)
         assert len(estimate.evaluations) > 2

@@ -29,6 +29,7 @@ from switchcert import (
     shipped_certificate,
     shipped_stride_primitives,
 )
+from switchcert import cli
 from switchcert.cli import (
     EXIT_INFEASIBLE,
     EXIT_INPUT,
@@ -601,6 +602,35 @@ class TestArgumentErrors:
         argv = ["certify", "--library", "shipped-walker", "--method", "grid"]
         assert main(argv + ["--out-dir", str(tmp_path)]) == EXIT_INPUT
         assert "unrecognized arguments: --method grid" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("seed", ["-1", "abc", "1.5"])
+    def test_bad_seed_is_an_input_error_before_anything_runs(
+        self, tmp_path, capsys, monkeypatch, seed
+    ):
+        monkeypatch.setattr(cli, "read_document", lambda *a: pytest.fail("input was read"))
+        out = tmp_path / "out"
+        argv = ["certify", "--library", "shipped-walker", "--margin-trials", "5",
+                "--seed", seed, "--out-dir", str(out)]
+        assert main(argv) == EXIT_INPUT
+        err = capsys.readouterr().err
+        assert f"argument --seed: seed must be a nonnegative integer, got '{seed}'" in err
+        assert "Traceback" not in err
+        assert not out.exists()
+
+    def test_bad_seed_from_the_environment_is_an_input_error(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        monkeypatch.setenv("SWITCHCERT_SEED", "abc")
+        monkeypatch.setattr(cli, "read_document", lambda *a: pytest.fail("input was read"))
+        argv = ["simulate", "--library", "shipped-walker", "--certificate", "shipped",
+                "--out-dir", str(tmp_path / "out")]
+        assert main(argv) == EXIT_INPUT
+        assert "seed must be a nonnegative integer, got 'abc'" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+        # an explicit flag wins over the environment, and a good value is read
+        assert cli.build_parser().parse_args(argv + ["--seed", "3"]).seed == 3
+        monkeypatch.setenv("SWITCHCERT_SEED", "4294967296")
+        assert cli.build_parser().parse_args(argv).seed == 2**32
 
     def test_console_entry_point_reports_usage(self):
         proc = subprocess.run(

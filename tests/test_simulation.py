@@ -42,6 +42,7 @@ from switchcert.simulation import (
     _draw_disturbances,
     _escapes,
     _inside,
+    _member_values,
 )
 
 # Regression values for the shipped library captured from a seeded run
@@ -66,6 +67,57 @@ class TestDerivedRng:
         c = derive_rng(43, 1, 2).random(8)
         assert not np.array_equal(a, b)
         assert not np.array_equal(a, c)
+
+
+def pcg64_state(rng):
+    state = rng.bit_generator.state["state"]
+    return state["state"], state["inc"]
+
+
+# seeds of one, two and three 32-bit words
+seeds = st.one_of(st.integers(0, 2**32 - 1), st.integers(2**32, 2**64 - 1),
+                  st.integers(2**64, 2**96 - 1))
+
+
+class TestBlockSeeding:
+    """``_stream_states`` seeds a block of ``derive_rng`` streams at once."""
+
+    @settings(max_examples=80, derandomize=True, deadline=None, database=None)
+    @given(seeds, st.integers(0, 3), st.integers(0, 2**32 - 1), st.integers(0, 70))
+    @example(0, 0, 0, 70)
+    @example(2**32 - 1, 1, 2**32 - 70, 70)
+    @example(2**32, 2, 0, 5)
+    @example(2**70 + 7, 3, 2**32 - 1, 1)
+    @example(2**70 + 7, 0, 2**32 - 3, 3)
+    @example(7, 0, 12, 0)
+    def test_block_states_equal_derive_rng(self, seed, stream, start, length):
+        stop = min(start + length, 2**32)
+        expected = [pcg64_state(derive_rng(seed, stream, e)) for e in range(start, stop)]
+        assert simulation._stream_states(seed, stream, start, stop) == expected
+
+    def test_episodes_from_2_32_and_negative_seeds_are_rejected(self):
+        with pytest.raises(ValueError, match="episode indices"):
+            simulation._stream_states(1, 0, 2**32 - 1, 2**32 + 1)
+        with pytest.raises(ValueError, match="episode indices"):
+            simulation._stream_states(1, 0, 3, 2)
+        with pytest.raises(ValueError, match="non-negative"):
+            simulation._stream_states(-1, 0, 0, 4)
+        with pytest.raises(ValueError, match="non-negative"):
+            derive_rng(-1, 0, 0)
+
+    @pytest.mark.parametrize("seed", [0, 11, 2**32 + 5, 2**70 + 7])
+    def test_a_reused_generator_draws_as_fresh_ones(self, seed):
+        # integers(3) takes half of a 64-bit output and buffers the other
+        # half, so a state left buffered by one episode would show in the next
+        bits = np.random.PCG64(0)
+        gen = np.random.Generator(bits)
+        for e, (state, inc) in enumerate(simulation._stream_states(seed, 2, 0, 6)):
+            bits.state = {"bit_generator": "PCG64", "state": {"state": state, "inc": inc},
+                          "has_uint32": 0, "uinteger": 0}
+            fresh = derive_rng(seed, 2, e)
+            for draw in (lambda g: g.random(5), lambda g: g.integers(3, size=e + 1),
+                         lambda g: g.standard_normal((e + 2, 2)), lambda g: g.integers(7)):
+                assert np.array_equal(draw(gen), draw(fresh))
 
 
 class TestDisturbanceSequence:
@@ -615,10 +667,38 @@ class TestSharedKernel:
         x0s = np.array([[0.1, 0.0], [bad_value, 0.0]])
         sigmas = np.zeros((2, 5), dtype=np.int64)
         dists = np.zeros((2, 5, 2))
-        first, _, _ = _batch_stats(library, x0s, sigmas, dists)
+        first, max_min, max_ratio = _batch_stats(library, x0s, sigmas, dists)
         assert first.tolist() == [-1, 0]
+        for e in range(2):
+            trace = run(library, SwitchingSignal(np.asarray(library.ids)[sigmas[e]]), x0s[e],
+                        DisturbanceSequence.from_values(dists[e]), 5)
+            assert max_min[e] == trace.max_min_level
+            with np.errstate(invalid="ignore"):  # inf / inf
+                ratio = trace.max_active_step_ratio
+            assert np.array_equal(max_ratio[e], ratio, equal_nan=True)
+        assert max_min[1] == np.inf
         assert _escapes(library, x0s, sigmas, dists, [1.0]).tolist() == [True]
         assert _escapes(library, x0s[:1], sigmas[:1], dists[:1], [1.0]).tolist() == [False]
+
+    def test_an_overflowed_negative_lyapunov_value_counts_as_inf(self):
+        # A nearly singular 3-D weight: at x = (c, c, c) the i-major sum of
+        # V's terms passes -1.97 c^2, which overflows to -inf although V is
+        # 1.02 c^2 and every diagonal term is finite.
+        weight = np.array([[1.0, -0.99, -0.99], [-0.99, 1.0, 0.99], [-0.99, 0.99, 1.0]])
+        eye = np.eye(3)
+        library = PrimitiveLibrary((make_primitive(0, center=np.zeros(3), linear=0.5 * eye,
+                                                   weight=weight, gain=eye),))
+        x0s = np.array([[0.1, 0.0, 0.0], [np.sqrt(1.5e308)] * 3, [0.0, 0.2, 0.0]])
+        assert _member_values(library, x0s)[1, 0] == -np.inf
+        sigmas = np.zeros((3, 4), dtype=np.int64)
+        dists = np.zeros((3, 4, 3))
+        with np.errstate(over="ignore", invalid="ignore"):
+            _, max_min, _ = _batch_stats(library, x0s, sigmas, dists)
+            levels = [run(library, SwitchingSignal(np.zeros(4, dtype=np.int64)), x0,
+                          DisturbanceSequence.from_values(dists[0]), 4).max_min_level
+                      for x0 in x0s]
+        assert max_min.tolist() == levels
+        assert max_min[1] == np.inf
 
     @pytest.mark.parametrize("escape_step", [0, 3, 40])
     def test_early_stop_steps_no_further_than_the_first_escape(self, monkeypatch, escape_step):
@@ -716,17 +796,25 @@ class TestCampaignDraw:
         slow = [e for e, drawn in enumerate(oracle[4]) if drawn > 128]
         assert len(slow) >= 3
         assert any(e < _DRAW_BLOCK for e in slow) and any(e >= _DRAW_BLOCK for e in slow)
-        streams = []
-        derive = simulation.derive_rng
+        seeded, derived = [], []
+        derive, seed_block = simulation.derive_rng, simulation._stream_states
         monkeypatch.setattr(simulation, "derive_rng",
-                            lambda *path: streams.append(path[2]) or derive(*path))
+                            lambda *path: derived.append(path) or derive(*path))
+        monkeypatch.setattr(
+            simulation, "_stream_states",
+            lambda seed, stream, start, stop: seeded.extend(
+                (seed, stream, e) for e in range(start, stop)) or seed_block(seed, stream, start, stop))
         assert_draws_equal(_draw_campaign_inputs(*args), oracle, library.ids)
-        # only the episodes that needed a second batch read their stream twice
-        assert sorted(streams) == sorted(list(range(args[2])) + slow)
+        # every stream is seeded once, in order, and only the episodes that
+        # needed a second batch read their stream again
+        assert seeded == [(4, 0, e) for e in range(args[2])]
+        assert derived == [(4, 0, e) for e in slow]
 
     def test_shipped_campaign_draw_matches_the_oracle(self, walker_library, walker_certificate):
-        for amplitude, exact_sup in ((0.1, False), (1.0, True), (0.0, False)):
-            args = (walker_library, walker_certificate, _DRAW_BLOCK + 9, 200, amplitude, 11, 0,
+        # seeds of one, two and three 32-bit words
+        for seed, amplitude, exact_sup in ((11, 0.1, False), (11, 1.0, True), (11, 0.0, False),
+                                           (2**32 + 3, 0.1, False), (2**70 + 7, 1.0, True)):
+            args = (walker_library, walker_certificate, _DRAW_BLOCK + 9, 200, amplitude, seed, 0,
                     exact_sup)
             assert_draws_equal(_draw_campaign_inputs(*args), draw_campaign_oracle(*args),
                                walker_library.ids)
