@@ -44,9 +44,6 @@ from .simulation import (
     derive_rng,
     monte_carlo,
     run,
-    sample_admissible_signal,
-    sample_disturbances,
-    sample_initial_state,
 )
 from .certificates import (
     Certificate,

@@ -76,17 +76,6 @@ class PrimitiveMap:
     def dist_dim(self) -> int:
         return self.disturbance_gain.shape[1]
 
-    def __call__(self, x: np.ndarray, d: np.ndarray | None = None) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
-        if x.shape != (self.state_dim,):
-            raise ValueError(f"state must have shape ({self.state_dim},), got {x.shape}")
-        if d is not None:
-            d = np.asarray(d, dtype=float)
-            if d.shape != (self.dist_dim,):
-                raise ValueError(f"disturbance must have shape ({self.dist_dim},), got {d.shape}")
-            d = d[None]
-        return self.apply_batch(x[None], d)[0]
-
     def apply_batch(self, points: np.ndarray, disturbances: np.ndarray | None = None) -> np.ndarray:
         """Update of a stack of states (N, n) under disturbances (N, m), or none.
 

@@ -6,8 +6,10 @@ located.  Only ``_escapes``, the margin's yes/no question, stops stepping
 each amplitude at its first escape.
 
 All campaign randomness derives from one root seed through a counter-based
-scheme: ``derive_rng(seed, stream, e)`` defines episode e's stream, and the
-campaign draw seeds a block of episodes' streams in one vectorised pass.
+scheme: ``derive_rng(seed, stream, e)`` defines episode e's stream.  The
+campaign draw seeds a block of episodes' streams in one vectorised pass and
+reads every stream, one it must read again included, through one reused
+generator, so it builds no ``derive_rng`` generator.
 """
 from __future__ import annotations
 
@@ -20,7 +22,7 @@ import numpy.random  # numpy 2 loads it lazily, on the first default_rng
 
 from .library_io import library_fingerprint, write_table
 from .primitives import PrimitiveLibrary
-from .switching import DwellTimeBudget, SwitchingSignal, _supervise_columns, supervise_batch
+from .switching import DwellTimeBudget, SwitchingSignal, _supervise_columns
 
 _NORM_TOL = 1e-12
 _X0_BATCH = 128
@@ -187,12 +189,16 @@ def _member_values(library: PrimitiveLibrary, states: np.ndarray) -> np.ndarray:
     Three or more states go through one einsum over the column-major
     (N, P, n) stack of their offsets from the members' centres; fewer go
     member by member, because einsum sums one or two 2-D rows in another
-    order (see ``QuadraticLyapunov.values``).
+    order (see ``QuadraticLyapunov.values``).  A value of -inf, which an
+    overflowed partial sum of cross terms can give, is made +inf.
     """
     if len(states) < 3:
-        return np.column_stack([p.lyapunov.values(states) for p in library])
-    y = np.subtract(states[:, None, :], library.centers, order="F")
-    return np.einsum("npi,pij,npj->np", y, library.weights, y)
+        values = np.column_stack([p.lyapunov.values(states) for p in library])
+    else:
+        y = np.subtract(states[:, None, :], library.centers, order="F")
+        values = np.einsum("npi,pij,npj->np", y, library.weights, y)
+    values[values == -np.inf] = np.inf
+    return values
 
 
 def _member_columns(ids, assignments: np.ndarray) -> np.ndarray:
@@ -365,72 +371,9 @@ def _inside(library: PrimitiveLibrary, level: float, points: np.ndarray) -> np.n
     return np.all(_member_values(library, points) <= level, axis=1)[:count]
 
 
-def _draw_initial_state(library: PrimitiveLibrary, level: float,
-                        box: tuple[np.ndarray, np.ndarray],
-                        rng: np.random.Generator) -> tuple[np.ndarray, int]:
-    """One rejection-sampled start from batches of ``_X0_BATCH`` box points,
-    and the number of box points drawn up to and including it."""
-    lo, hi = box
-    for batch in range(_MAX_X0_BATCHES):
-        pts = rng.uniform(lo, hi, size=(_X0_BATCH, library.state_dim))
-        hits = np.flatnonzero(_inside(library, level, pts))
-        if hits.size:
-            return pts[hits[0]].copy(), batch * _X0_BATCH + int(hits[0]) + 1
-    raise RuntimeError("failed to sample the sublevel intersection")
-
-
-def sample_initial_state(library: PrimitiveLibrary, level: float, rng: np.random.Generator) -> np.ndarray:
-    """Uniform sample from the intersection of all members' sublevel sets.
-
-    Rejection sampling from the intersection of the per-member bounding
-    boxes; the intersection is nonempty because it contains the fixed points
-    whenever the library certifies (level at or above the cross values).
-    """
-    return _draw_initial_state(library, level, _sampling_box(library, level), rng)[0]
-
-
 def _request_dtype(size: int) -> np.dtype:
     """The narrowest signed integer type holding the requests -1..size - 2."""
     return np.min_scalar_type(-max(size - 1, 1))
-
-
-def _draw_signal(ids: tuple[int, ...], horizon: int, switch_rate: float, rng: np.random.Generator,
-                 initial_id: int | None = None) -> tuple[int, np.ndarray]:
-    """A signal's randomness in ``supervise_batch`` form, in stream order:
-    the initial member (unless given), one block of Bernoulli proposals for
-    steps 1..horizon-1, then one block of picks, uniform among the other
-    members, for the proposing steps; the requests are -1 elsewhere."""
-    if initial_id is None:
-        initial_id = ids[rng.integers(len(ids))]
-    requests = np.full(horizon - 1, -1, dtype=_request_dtype(len(ids)))
-    if len(ids) > 1 and horizon > 1:
-        proposals = rng.random(horizon - 1) < switch_rate
-        requests[proposals] = rng.integers(len(ids) - 1, size=int(np.count_nonzero(proposals)))
-    return initial_id, requests
-
-
-def sample_admissible_signal(
-    library: PrimitiveLibrary,
-    horizon: int,
-    budget: DwellTimeBudget,
-    rng: np.random.Generator,
-    initial_id: int | None = None,
-    switch_rate: float | None = None,
-) -> SwitchingSignal:
-    """Random signal at the budget limit: switch proposals arrive as a
-    Bernoulli stream (rate 1/na, capped at 1) and pass through the
-    supervisor, which defers any proposal that would break the budget.
-
-    Draws the initial member (unless given), then the proposals, then the
-    picks, and supervises them with ``supervise_batch`` as a batch of one.
-    """
-    if horizon < 1:
-        raise ValueError("horizon must be at least 1")
-    if switch_rate is None:
-        switch_rate = min(1.0, 1.0 / budget.na)
-    initial, requests = _draw_signal(library.ids, horizon, switch_rate, rng, initial_id)
-    assignments, _ = supervise_batch(library.ids, [initial], requests[None], budget)
-    return SwitchingSignal(assignments[0])
 
 
 def _shape_disturbances(values: np.ndarray, radii: np.ndarray, amplitude: float,
@@ -447,33 +390,6 @@ def _shape_disturbances(values: np.ndarray, radii: np.ndarray, amplitude: float,
         peaks = np.max(np.linalg.norm(values, axis=-1), axis=-1, keepdims=True)
         values *= np.divide(amplitude, peaks, out=np.ones_like(peaks),
                             where=peaks > 0.0)[..., None]
-
-
-def _draw_disturbances(dist_dim: int, horizon: int, amplitude: float, rng: np.random.Generator,
-                       exact_sup: bool) -> np.ndarray:
-    """(horizon, dist_dim) vectors uniform in the amplitude ball: Gaussian
-    directions, then radii U^(1/dist_dim); with ``exact_sup`` rescaled so
-    the largest norm equals the amplitude."""
-    if amplitude < 0.0:
-        raise ValueError("amplitude must be nonnegative")
-    if amplitude == 0.0:
-        return np.zeros((horizon, dist_dim))
-    values = rng.standard_normal((horizon, dist_dim))
-    _shape_disturbances(values, rng.random(horizon), amplitude, exact_sup)
-    return values
-
-
-def sample_disturbances(
-    dist_dim: int,
-    horizon: int,
-    amplitude: float,
-    rng: np.random.Generator,
-    exact_sup: bool = False,
-) -> DisturbanceSequence:
-    """Per-step vectors uniform in the amplitude ball; with ``exact_sup`` the
-    sequence is rescaled so its sup norm equals the amplitude exactly."""
-    return DisturbanceSequence.from_values(
-        _draw_disturbances(dist_dim, horizon, amplitude, rng, exact_sup))
 
 
 def budget_from_certificate(certificate) -> DwellTimeBudget:
@@ -592,11 +508,13 @@ def _draw_campaign_inputs(
     The streams of a block of ``_DRAW_BLOCK`` episodes are seeded in one
     ``_stream_states`` pass, and each is read through one reused PCG64
     generator set to its state.  The loop over episodes makes only the
-    generator calls of that layout, assuming the first batch holds a start.
-    Start acceptance and the disturbance shaping then run on the block; an
-    episode whose first batch holds no start is drawn again from its own
-    ``derive_rng`` stream by the sequential samplers.  Either way the draws
-    are bit for bit those of drawing each episode on its own.
+    generator calls of that layout, assuming the first batch holds a start,
+    and start acceptance then runs on the block.  An episode whose first
+    batch holds no start is read again: the generator is set back to its
+    state, draws batches up to the one holding a start, and reads the rest
+    of the stream anew.  The requests are then scattered and the
+    disturbances shaped once per block, so every draw is bit for bit that
+    of drawing the episode on its own.
     """
     if horizon < 1:
         raise ValueError("horizon must be at least 1")
@@ -606,8 +524,7 @@ def _draw_campaign_inputs(
     rate = min(1.0, 1.0 / budget.na)
     level = certificate.omega
     lo, hi = _sampling_box(library, level)
-    ids = library.ids
-    size = len(ids)
+    size = len(library)
     switching = size > 1 and horizon > 1
     x0s = np.empty((episode_count, library.state_dim))
     initial = np.empty(episode_count, dtype=np.min_scalar_type(size))
@@ -617,41 +534,51 @@ def _draw_campaign_inputs(
     box = np.empty((rows, _X0_BATCH, library.state_dim))
     proposals = np.empty((rows, horizon - 1))
     radii = np.empty((rows, horizon))
+    picks = [None] * rows
     x0_proposals = 0
     bits = np.random.PCG64(0)
     gen = np.random.Generator(bits)
+    # a fresh generator: no buffered half of a 64-bit output
+    fresh = {"bit_generator": "PCG64", "has_uint32": 0, "uinteger": 0}
+
+    def read_rest(i: int, e: int) -> None:
+        """Episode e's stream after its start state, into row i of the block."""
+        initial[e] = gen.integers(size)
+        if switching:
+            gen.random(out=proposals[i])
+            picks[i] = gen.integers(size - 1, size=np.count_nonzero(proposals[i] < rate))
+        if amplitude:
+            gen.standard_normal(out=dists[e])
+            gen.random(out=radii[i])
+
     for start in range(0, episode_count, _DRAW_BLOCK):
         count = min(_DRAW_BLOCK, episode_count - start)
-        picks = []
-        for i, (state, inc) in enumerate(_stream_states(seed, stream, start, start + count)):
-            # a fresh generator: no buffered half of a 64-bit output
-            bits.state = {"bit_generator": "PCG64", "state": {"state": state, "inc": inc},
-                          "has_uint32": 0, "uinteger": 0}
+        states = _stream_states(seed, stream, start, start + count)
+        for i, (state, inc) in enumerate(states):
+            bits.state = dict(fresh, state={"state": state, "inc": inc})
             gen.random(out=box[i])
-            initial[start + i] = gen.integers(size)
-            if switching:
-                gen.random(out=proposals[i])
-                picks.append(gen.integers(size - 1,
-                                          size=np.count_nonzero(proposals[i] < rate)))
-            if amplitude:
-                gen.standard_normal(out=dists[start + i])
-                gen.random(out=radii[i])
-        if switching:
-            requests[start:start + count][proposals[:count] < rate] = np.concatenate(picks)
-        if amplitude:
-            _shape_disturbances(dists[start:start + count], radii[:count], amplitude, exact_sup)
+            read_rest(i, start + i)
         first = _first_inside(library, level, lo, hi, box[:count])
         # rows with first = -1 take a wrong point here and are redrawn below
         x0s[start:start + count] = lo + (hi - lo) * box[np.arange(count), first]
         x0_proposals += int(np.sum(first + 1))
         for i in np.flatnonzero(first < 0).tolist():
-            rng = derive_rng(seed, stream, start + i)
-            x0s[start + i], drawn = _draw_initial_state(library, level, (lo, hi), rng)
-            initial_id, requests[start + i] = _draw_signal(ids, horizon, rate, rng)
-            initial[start + i] = ids.index(initial_id)
-            dists[start + i] = _draw_disturbances(library.dist_dim, horizon, amplitude, rng,
-                                                  exact_sup)
-            x0_proposals += drawn
+            state, inc = states[i]
+            bits.state = dict(fresh, state={"state": state, "inc": inc})
+            for batch in range(_MAX_X0_BATCHES):
+                gen.random(out=box[i])
+                hit = int(_first_inside(library, level, lo, hi, box[i:i + 1])[0])
+                if hit >= 0:
+                    break
+            else:
+                raise RuntimeError("failed to sample the sublevel intersection")
+            x0s[start + i] = lo + (hi - lo) * box[i, hit]
+            x0_proposals += batch * _X0_BATCH + hit + 1
+            read_rest(i, start + i)
+        if switching:
+            requests[start:start + count][proposals[:count] < rate] = np.concatenate(picks[:count])
+        if amplitude:
+            _shape_disturbances(dists[start:start + count], radii[:count], amplitude, exact_sup)
     cols, deferred = _supervise_columns(size, initial, requests, budget)
     return x0s, cols, dists, deferred, x0_proposals
 
@@ -688,11 +615,8 @@ def _batch_stats(
         inside = values <= levels
         if not inside.all():
             first[(first < 0) & ~np.all(inside, axis=1)] = k
-        # np.maximum keeps a NaN, made +inf after the loop, as is a -inf here
-        per_min = values.min(axis=1)
-        np.maximum(max_min, per_min, out=max_min)
-        if per_min.min() == -np.inf:
-            max_min[per_min == -np.inf] = np.inf
+        # np.maximum keeps a NaN, made +inf after the loop
+        np.maximum(max_min, values.min(axis=1), out=max_min)
         previous[:] = values
 
     _rollout(library, x0s, cols, dists, (1.0,), observe)

