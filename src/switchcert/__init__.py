@@ -8,75 +8,22 @@ stride-to-stride reduced dynamics.
 
 __version__ = "0.1.0"
 
-from .primitives import (
-    BasinReport,
-    ContractionReport,
-    Primitive,
-    PrimitiveLibrary,
-    PrimitiveMap,
-    QuadraticLyapunov,
-    certify_basin,
-    sample_in_sublevel_set,
-    verify_contraction,
-)
-from .library_io import (
-    library_fingerprint,
-    library_from_dict,
-    library_to_dict,
-    load_library,
-    save_library,
-)
-from .switching import (
-    DwellTimeBudget,
-    DwellTimeReport,
-    Supervisor,
-    SwitchingSignal,
-    count_switches,
-    heading_policy,
-    supervise_batch,
-    validate_dwell_time,
-)
-from .simulation import (
-    CampaignReport,
-    DisturbanceSequence,
-    Trace,
-    budget_from_certificate,
-    derive_rng,
-    monte_carlo,
-    run,
-)
-from .certificates import (
-    Certificate,
-    ContainmentReport,
-    KappaDiagnostic,
-    MarginEstimate,
-    SynthesisResult,
-    default_epsilon,
-    default_kappa_grid,
-    dwell_time_bound,
-    estimate_disturbance_margin,
-    feasibility_check,
-    mu_analytic,
-    mu_grid,
-    omega_analytic,
-    omega_grid,
-    synthesize_certificate,
-)
-from .walker import (
-    LeaderModel,
-    Pose,
-    ScenarioTrace,
-    StridePrimitive,
-    WalkerScenario,
-    force_bearing,
-    integrate_stride_force,
-    load_scenario,
-    run_scenario,
-    shipped_certificate,
-    shipped_stride_primitives,
-    shipped_walker_library,
-    stride_update,
-    wrap_angle,
-)
+from .primitives import Primitive, PrimitiveLibrary, PrimitiveMap, QuadraticLyapunov
+from .library_io import load_library, save_library
+from .switching import DwellTimeBudget, SwitchingSignal, count_switches, validate_dwell_time
+from .simulation import monte_carlo, run
+from .certificates import (Certificate, estimate_disturbance_margin, mu_analytic, mu_grid,
+                           omega_analytic, omega_grid, synthesize_certificate)
+from .walker import load_scenario, run_scenario, shipped_certificate, shipped_walker_library
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+# What the acceptance gate, the README's Python API and CI's scripts use, and
+# each input kind's loader; every other name is imported from its module.
+__all__ = [
+    "Certificate", "DwellTimeBudget", "Primitive", "PrimitiveLibrary", "PrimitiveMap",
+    "QuadraticLyapunov", "SwitchingSignal",
+    "count_switches", "estimate_disturbance_margin", "load_library", "load_scenario",
+    "monte_carlo",
+    "mu_analytic", "mu_grid", "omega_analytic", "omega_grid",
+    "run", "run_scenario", "save_library", "shipped_certificate", "shipped_walker_library",
+    "synthesize_certificate", "validate_dwell_time",
+]

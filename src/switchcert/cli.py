@@ -10,8 +10,9 @@ the tool version, input hashes, seed, and resolved parameters; reruns with
 the same inputs and seed reproduce all other output bytes exactly.
 
 Environment variables prefixed ``SWITCHCERT_`` provide defaults for the
-global options (``SWITCHCERT_SEED``, ``SWITCHCERT_OUT_DIR``,
-``SWITCHCERT_CONFIG``); explicit flags win.
+global options ``--seed`` and ``--out-dir`` (``SWITCHCERT_SEED``,
+``SWITCHCERT_OUT_DIR``) and for ``scenario --config``
+(``SWITCHCERT_CONFIG``); explicit flags win.
 
 Paths given as flags resolve against the working directory; a path inside
 a scenario config resolves against the config file's directory.
@@ -269,8 +270,6 @@ def build_parser() -> argparse.ArgumentParser:
                         help="root seed for all randomness, a nonnegative integer (default 0)")
     common.add_argument("--out-dir", default=_env_default("OUT_DIR"),
                         help="directory for outputs and the run manifest")
-    common.add_argument("--config", default=_env_default("CONFIG"),
-                        help="scenario config JSON (scenario subcommand)")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("certify", parents=[common],
@@ -307,6 +306,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("scenario", parents=[common],
                        help="closed-loop leader-following walker run")
+    p.add_argument("--config", default=_env_default("CONFIG"), help="scenario config JSON")
     p.add_argument("--mode", default=None,
                    help="override the config mode: adaptive or fixed:<id>")
     p.add_argument("--certificate", default=None,

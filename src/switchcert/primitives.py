@@ -260,9 +260,6 @@ class PrimitiveLibrary:
                     out.append((q.id, p.id, v))
         return out
 
-    def fixed_points_contained(self) -> bool:
-        return not self.fixed_point_violations()
-
 
 def sample_in_sublevel_set(
     lyapunov: QuadraticLyapunov, level: float, count: int, rng: np.random.Generator

@@ -24,7 +24,6 @@ from .library_io import library_fingerprint, write_table
 from .primitives import PrimitiveLibrary
 from .switching import DwellTimeBudget, SwitchingSignal, _supervise_columns
 
-_NORM_TOL = 1e-12
 _X0_BATCH = 128
 _MAX_X0_BATCHES = 200_000
 
@@ -85,38 +84,6 @@ def _stream_states(seed: int, stream: int, start: int, stop: int) -> list[tuple[
     incs = [((hi << 64 | lo) << 1 | 1) & mask for hi, lo in zip(inc_hi, inc_lo)]
     return [(((hi << 64 | lo) + inc) * 0x2360ED051FC65DA44385DF649FCCF645 + inc & mask, inc)
             for hi, lo, inc in zip(state_hi, state_lo, incs)]
-
-
-@dataclass(frozen=True)
-class DisturbanceSequence:
-    """Per-step disturbance vectors with a cached sup norm."""
-
-    values: np.ndarray
-    sup_norm: float
-
-    def __post_init__(self):
-        arr = np.array(self.values, dtype=float)
-        if arr.ndim != 2:
-            raise ValueError("values must have shape (steps, dist_dim)")
-        arr.setflags(write=False)
-        actual = float(np.max(np.linalg.norm(arr, axis=1))) if arr.shape[0] else 0.0
-        if abs(actual - float(self.sup_norm)) > _NORM_TOL * max(1.0, actual):
-            raise ValueError(f"declared sup_norm {self.sup_norm} differs from recomputed {actual}")
-        object.__setattr__(self, "values", arr)
-        object.__setattr__(self, "sup_norm", actual)
-
-    @classmethod
-    def from_values(cls, values: np.ndarray) -> "DisturbanceSequence":
-        arr = np.asarray(values, dtype=float)
-        sup = float(np.max(np.linalg.norm(arr, axis=1))) if arr.shape[0] else 0.0
-        return cls(arr, sup)
-
-    @classmethod
-    def zeros(cls, steps: int, dist_dim: int) -> "DisturbanceSequence":
-        return cls(np.zeros((steps, dist_dim)), 0.0)
-
-    def __len__(self) -> int:
-        return self.values.shape[0]
 
 
 @dataclass(frozen=True)
@@ -293,13 +260,14 @@ def run(
     library: PrimitiveLibrary,
     signal: SwitchingSignal,
     x0: np.ndarray,
-    disturbances: DisturbanceSequence | None,
+    disturbances: np.ndarray | None,
     horizon: int,
 ) -> Trace:
     """Roll the switched system forward for ``horizon`` steps.
 
-    The rollout continues through basin escapes and non-finite states; the
-    trace flags them instead of raising.
+    ``disturbances`` is a (steps, m) array with steps >= ``horizon``, or
+    None for none.  The rollout continues through basin escapes and
+    non-finite states; the trace flags them instead of raising.
     """
     horizon = int(horizon)
     if horizon < 0:
@@ -307,10 +275,13 @@ def run(
     if len(signal) < horizon:
         raise ValueError(f"signal covers {len(signal)} steps, horizon is {horizon}")
     if disturbances is None:
-        disturbances = DisturbanceSequence.zeros(horizon, library.dist_dim)
-    if len(disturbances) < horizon:
-        raise ValueError(f"disturbance sequence covers {len(disturbances)} steps, horizon is {horizon}")
-    if disturbances.values.shape[1] != library.dist_dim:
+        disturbances = np.zeros((horizon, library.dist_dim))
+    dvals = np.asarray(disturbances, dtype=float)
+    if dvals.ndim != 2:
+        raise ValueError("disturbances must have shape (steps, dist_dim)")
+    if dvals.shape[0] < horizon:
+        raise ValueError(f"disturbances cover {dvals.shape[0]} steps, horizon is {horizon}")
+    if dvals.shape[1] != library.dist_dim:
         raise ValueError("disturbance dimension does not match the library")
     x0 = np.asarray(x0, dtype=float)
     if x0.shape != (library.state_dim,):
@@ -321,7 +292,6 @@ def run(
     def record(k: int, x: np.ndarray) -> None:
         states[k] = x[0, 0]
 
-    dvals = disturbances.values
     _rollout(library, x0[None], cols, dvals[None, :horizon], (1.0,), record)
     levels = np.array([p.basin_level for p in library])
     with np.errstate(over="ignore", invalid="ignore"):
@@ -498,7 +468,7 @@ def _draw_campaign_inputs(
     and all episodes' requests go through one ``_supervise_columns`` call,
     whose (episodes, horizon) columns, in ``np.min_scalar_type(P)``
     (uint8 up to 255 members), are returned as they are.  ``ids[cols]``
-    is the assignments of ``supervise_batch``.
+    are the supervised assignments.
 
     Each stream holds, in order: the start state (batches of ``_X0_BATCH``
     box points, up to the first batch holding a point inside every member's
@@ -706,7 +676,7 @@ def monte_carlo(
             library,
             SwitchingSignal(ids[cols[e]]),
             x0s[e],
-            DisturbanceSequence.from_values(dists[e]),
+            dists[e],
             horizon,
         )
         for e in range(min(keep_traces, episode_count))

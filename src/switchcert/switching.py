@@ -11,8 +11,8 @@ Validation and admission read one profile, g(j) = j/Na - P[j], where P[j]
 counts the switches before step j.  The slack of [a, b) is N0 + g(b) - g(a):
 the validator takes a suffix minimum of g, and admission tests the deficit
 max_{a<=j} g(a) - g(j), a prefix maximum of g, which the supervisor keeps up
-to date in O(1) per step.  ``supervise_batch`` runs the same update for many
-signals at once, one numpy step per step, for Monte Carlo campaigns.
+to date in O(1) per step.  ``_supervise_columns`` runs the same update for
+many signals at once, one numpy step per step, for Monte Carlo campaigns.
 """
 from __future__ import annotations
 
@@ -247,7 +247,6 @@ class Supervisor:
         self._known = None if known_ids is None else frozenset(int(i) for i in known_ids)
         self._check_known(initial_id)
         self._ids = [int(initial_id)]
-        self._budget = budget
         self._deficit = 0.0
         self._decay = 1.0 / budget.na
         self._limit = budget.n0 + _SLACK_TOL
@@ -259,10 +258,6 @@ class Supervisor:
     @property
     def current(self) -> int:
         return self._ids[-1]
-
-    @property
-    def budget(self) -> DwellTimeBudget:
-        return self._budget
 
     def request(self, requested: int) -> bool:
         """Advance one step; returns True when the request was admitted."""
@@ -281,12 +276,19 @@ class Supervisor:
 
 def _supervise_columns(size: int, initial: np.ndarray, requests: np.ndarray,
                        budget: DwellTimeBudget) -> tuple[np.ndarray, int]:
-    """The column recursion of ``supervise_batch`` for members 0..size - 1.
+    """``Supervisor.request`` for a batch of signals over members
+    0..size - 1, one numpy step per step.
 
-    Row e starts at column ``initial[e]``; ``requests`` (E, K), of any
-    integer dtype, is read one step at a time.  Returns the (E, K + 1)
-    columns, stored in ``np.min_scalar_type(size)`` and step-major (each
-    step's column is contiguous), and the number of deferred requests.
+    Row e starts at column ``initial[e]``.  At step k + 1 it requests, for
+    r = ``requests[e, k]`` >= 0, the member r + 1 places after its current
+    one, counted cyclically (so r in 0..size - 2 names each other member
+    once), and holds its current member where r is -1.  ``requests`` (E, K)
+    may have any integer dtype and is read one step at a time.  Every row
+    keeps its own deficit and steps it with ``_deficit_step``, as
+    ``Supervisor.request`` does, so the result equals a per-row replay of
+    ``Supervisor`` bit for bit.  Returns the (E, K + 1) columns, stored in
+    ``np.min_scalar_type(size)`` and step-major (each step's column is
+    contiguous), and the number of deferred requests.
     """
     count, steps = requests.shape
     cols = np.empty((steps + 1, count), dtype=np.min_scalar_type(size))
@@ -327,46 +329,6 @@ def _integers(values, name: str) -> np.ndarray:
             and np.all(np.isfinite(arr) & (arr == np.floor(arr)) & (np.abs(arr) < 2.0 ** 63))):
         return arr.astype(np.int64)
     raise ValueError(f"{name} must be integers")
-
-
-def supervise_batch(ids, initial, requests, budget: DwellTimeBudget) -> tuple[np.ndarray, np.ndarray]:
-    """``Supervisor.request`` for a batch of signals, one numpy step per step.
-
-    Row e starts at ``initial[e]``, one of ``ids``.  At step k + 1 it
-    requests, for r = ``requests[e, k]`` >= 0, the member r + 1 places after
-    its current one in ``ids``, counted cyclically (so r in 0..len(ids) - 2
-    names each other member once), and its current id where r is -1.  Every
-    row keeps its own deficit and steps it with ``_deficit_step``, as
-    ``Supervisor.request`` does, so the result equals a per-row replay of
-    ``Supervisor`` bit for bit.  Returns the
-    (E, K + 1) assignments and the (E, K) admitted mask, which is False
-    exactly where a requested switch was deferred.
-
-    ``initial`` and ``requests`` must hold integers (integral floats are
-    accepted); ``requests`` keeps its integer dtype, so a narrow one costs
-    no copy.  The recursion itself runs on member columns
-    (``_supervise_columns``, which campaigns call directly); this function
-    maps ids to columns and back.
-    """
-    ids = np.asarray(ids, dtype=np.int64)
-    initial = _integers(initial, "initial ids")
-    requests = _integers(requests, "requests")
-    # A set, not np.unique: numpy 2 imports numpy.ma on the first np.unique.
-    if ids.ndim != 1 or ids.size == 0 or len(set(ids.tolist())) != ids.size:
-        raise ValueError("ids must be a nonempty sequence of distinct integers")
-    if requests.ndim != 2 or initial.shape != requests.shape[:1]:
-        raise ValueError("requests must have shape (len(initial), steps)")
-    match = initial[:, None] == ids
-    if not np.all(np.any(match, axis=1)):
-        unknown = sorted(set(initial.tolist()) - set(ids.tolist()))
-        raise ValueError(f"unknown primitive id in {unknown}")
-    if requests.size and not (requests.min() >= -1 and requests.max() <= ids.size - 2):
-        raise ValueError(f"requests must lie in -1..{ids.size - 2}")
-    cols, _ = _supervise_columns(ids.size, np.argmax(match, axis=1), requests, budget)
-    # a request names another member, so it was deferred exactly where the
-    # column holds
-    admitted = (requests < 0) | (cols[:, 1:] != cols[:, :-1])
-    return ids[cols], admitted
 
 
 def heading_policy(phi: float, dead_zone: float = 0.0) -> int:

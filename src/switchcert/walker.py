@@ -30,13 +30,16 @@ from .library_io import (
     write_table,
     write_tables,
 )
-from .primitives import Primitive, PrimitiveLibrary
+from .primitives import Primitive, PrimitiveLibrary, _frozen_array
 from .simulation import _member_values, budget_from_certificate
 from .switching import Supervisor, SwitchingSignal, heading_policy, validate_dwell_time
 
 STRIDE_IDS = (0, 1, 2)
 DEFAULT_SPEED = 0.65
 DEFAULT_STRIDE_DURATION = 0.5
+# The leader's default impedance gains.
+DEFAULT_STIFFNESS = ((10.0, 0.0), (0.0, 10.0))
+DEFAULT_DAMPING = ((2.0, 0.0), (0.0, 2.0))
 _SPAN_SLACK = 1e-9
 # Integrals this small are roundoff; snapping them to the exact zero vector
 # keeps the zero-force bearing convention meaningful.
@@ -58,26 +61,6 @@ def wrap_angle(angle: float) -> float:
     return wrapped
 
 
-def _vec2(value, name: str) -> np.ndarray:
-    arr = np.array(value, dtype=float)
-    if arr.shape != (2,):
-        raise ValueError(f"{name} must be a 2-vector")
-    if not np.all(np.isfinite(arr)):
-        raise ValueError(f"{name} must be finite")
-    arr.setflags(write=False)
-    return arr
-
-
-def _mat2(value, name: str) -> np.ndarray:
-    arr = np.array(value, dtype=float)
-    if arr.shape != (2, 2):
-        raise ValueError(f"{name} must be a 2x2 matrix")
-    if not np.all(np.isfinite(arr)):
-        raise ValueError(f"{name} must be finite")
-    arr.flags.writeable = False
-    return arr
-
-
 @dataclass(frozen=True)
 class Pose:
     """World-frame planar pose: position in meters, heading in radians.
@@ -89,7 +72,7 @@ class Pose:
     heading: float
 
     def __post_init__(self):
-        object.__setattr__(self, "position", _vec2(self.position, "position"))
+        object.__setattr__(self, "position", _frozen_array(self.position, "position", (2,)))
         if not math.isfinite(self.heading):
             raise ValueError("heading must be finite")
         object.__setattr__(self, "heading", wrap_angle(float(self.heading)))
@@ -133,14 +116,14 @@ class StridePrimitive:
             raise ValueError("nominal_heading_change must be finite")
         object.__setattr__(
             self, "nominal_displacement",
-            _vec2(self.nominal_displacement, "nominal_displacement"))
+            _frozen_array(self.nominal_displacement, "nominal_displacement", (2,)))
         object.__setattr__(
-            self, "force_coupling", _mat2(self.force_coupling, "force_coupling"))
+            self, "force_coupling", _frozen_array(self.force_coupling, "force_coupling", (2, 2)))
         object.__setattr__(
-            self, "heading_gain", _vec2(self.heading_gain, "heading_gain"))
+            self, "heading_gain", _frozen_array(self.heading_gain, "heading_gain", (2,)))
         object.__setattr__(
             self, "displacement_gain",
-            _mat2(self.displacement_gain, "displacement_gain"))
+            _frozen_array(self.displacement_gain, "displacement_gain", (2, 2)))
         reduced = self.reduced.map
         if reduced.state_dim != 2 or reduced.dist_dim != 2:
             raise ValueError("reduced map must have a 2-D state and a 2-D disturbance")
@@ -191,8 +174,8 @@ class LeaderModel:
             raise ValueError("waypoints must be (len(times), 2)")
         if not (np.all(np.isfinite(times)) and np.all(np.isfinite(points))):
             raise ValueError("times and waypoints must be finite")
-        stiffness = _mat2(self.stiffness, "stiffness")
-        damping = _mat2(self.damping, "damping")
+        stiffness = _frozen_array(self.stiffness, "stiffness", (2, 2))
+        damping = _frozen_array(self.damping, "damping", (2, 2))
         for name, mat in (("stiffness", stiffness), ("damping", damping)):
             if not np.allclose(mat, mat.T, atol=1e-10):
                 raise ValueError(f"{name} must be symmetric")
@@ -217,9 +200,8 @@ class LeaderModel:
         cls,
         waypoints,
         speed: float = DEFAULT_SPEED,
-        stiffness=None,
-        damping=None,
-        start_time: float = 0.0,
+        stiffness=DEFAULT_STIFFNESS,
+        damping=DEFAULT_DAMPING,
     ) -> "LeaderModel":
         """Timestamp waypoints by cumulative chord length at constant speed."""
         points = np.array(waypoints, dtype=float)
@@ -230,11 +212,7 @@ class LeaderModel:
         chords = np.linalg.norm(np.diff(points, axis=0), axis=1)
         if np.any(chords <= 0.0):
             raise ValueError("consecutive waypoints must be distinct")
-        times = start_time + np.concatenate(([0.0], np.cumsum(chords))) / speed
-        if stiffness is None:
-            stiffness = 10.0 * np.eye(2)
-        if damping is None:
-            damping = 2.0 * np.eye(2)
+        times = np.concatenate(([0.0], np.cumsum(chords))) / speed
         return cls(times=times, waypoints=points, stiffness=stiffness, damping=damping)
 
     @property
@@ -783,8 +761,8 @@ def load_scenario(
     if not isinstance(leader_cfg, dict) or "waypoints" not in leader_cfg:
         raise ValueError("config needs leader.waypoints")
     waypoints = np.array(leader_cfg["waypoints"], dtype=float)
-    stiffness = np.array(leader_cfg.get("stiffness", (10.0 * np.eye(2)).tolist()), dtype=float)
-    damping = np.array(leader_cfg.get("damping", (2.0 * np.eye(2)).tolist()), dtype=float)
+    stiffness = leader_cfg.get("stiffness", DEFAULT_STIFFNESS)
+    damping = leader_cfg.get("damping", DEFAULT_DAMPING)
     if "timestamps" in leader_cfg:
         leader = LeaderModel(
             times=np.array(leader_cfg["timestamps"], dtype=float),

@@ -15,9 +15,9 @@ from switchcert import (
     PrimitiveMap,
     QuadraticLyapunov,
     shipped_certificate,
-    shipped_stride_primitives,
     shipped_walker_library,
 )
+from switchcert.walker import shipped_stride_primitives
 
 EYE2 = np.eye(2)
 

@@ -9,17 +9,16 @@ import pytest
 from switchcert import (
     Certificate,
     PrimitiveLibrary,
-    dwell_time_bound,
     estimate_disturbance_margin,
-    feasibility_check,
-    library_fingerprint,
     mu_analytic,
     mu_grid,
     omega_analytic,
     omega_grid,
-    sample_in_sublevel_set,
     synthesize_certificate,
 )
+from switchcert.certificates import dwell_time_bound, feasibility_check
+from switchcert.library_io import library_fingerprint
+from switchcert.primitives import sample_in_sublevel_set
 
 from conftest import make_pair_library, make_primitive
 from switchcert import simulation

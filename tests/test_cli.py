@@ -19,15 +19,11 @@ from switchcert import (
     Primitive,
     PrimitiveMap,
     QuadraticLyapunov,
-    Supervisor,
     SwitchingSignal,
-    budget_from_certificate,
-    heading_policy,
     load_scenario,
     run_scenario,
     save_library,
     shipped_certificate,
-    shipped_stride_primitives,
 )
 from switchcert import cli
 from switchcert.cli import (
@@ -38,6 +34,9 @@ from switchcert.cli import (
     main,
 )
 from switchcert.library_io import read_document
+from switchcert.simulation import budget_from_certificate
+from switchcert.switching import Supervisor, heading_policy
+from switchcert.walker import shipped_stride_primitives
 
 from conftest import make_pair_library, make_primitive
 from test_simulation import draw_campaign_oracle
@@ -599,9 +598,11 @@ class TestArgumentErrors:
         assert main(["certify"]) == EXIT_INPUT
 
     def test_certify_has_no_method_option(self, tmp_path, capsys):
-        argv = ["certify", "--library", "shipped-walker", "--method", "grid"]
-        assert main(argv + ["--out-dir", str(tmp_path)]) == EXIT_INPUT
-        assert "unrecognized arguments: --method grid" in capsys.readouterr().err
+        # nor a --config option, which only scenario reads
+        for option in (["--method", "grid"], ["--config", "x"]):
+            argv = ["certify", "--library", "shipped-walker", *option]
+            assert main(argv + ["--out-dir", str(tmp_path)]) == EXIT_INPUT
+            assert f"unrecognized arguments: {' '.join(option)}" in capsys.readouterr().err
 
     @pytest.mark.parametrize("seed", ["-1", "abc", "1.5"])
     def test_bad_seed_is_an_input_error_before_anything_runs(

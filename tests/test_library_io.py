@@ -11,17 +11,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from switchcert import (
-    SwitchingSignal,
-    library_from_dict,
+from switchcert import SwitchingSignal, load_library, load_scenario, run_scenario, save_library
+from switchcert.library_io import (
+    _TABLE_BLOCK,
     library_fingerprint,
+    library_from_dict,
     library_to_dict,
-    load_library,
-    load_scenario,
-    run_scenario,
-    save_library,
+    write_table,
+    write_tables,
 )
-from switchcert.library_io import _TABLE_BLOCK, write_table, write_tables
 
 from conftest import make_pair_library, make_primitive
 from switchcert import PrimitiveLibrary

@@ -12,24 +12,19 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from switchcert import (
-    DisturbanceSequence,
-    MarginEstimate,
-    Supervisor,
     SwitchingSignal,
-    budget_from_certificate,
-    derive_rng,
     estimate_disturbance_margin,
-    library_fingerprint,
     monte_carlo,
     run,
-    supervise_batch,
     validate_dwell_time,
 )
 
 from conftest import make_pair_library, make_primitive
+from test_switching import replay_supervisor
 from switchcert import Primitive, PrimitiveLibrary, PrimitiveMap, QuadraticLyapunov
 from switchcert import simulation
-from switchcert.certificates import _ROUND_DEPTH
+from switchcert.certificates import _ROUND_DEPTH, MarginEstimate
+from switchcert.library_io import library_fingerprint
 from switchcert.simulation import (
     _DRAW_BLOCK,
     _X0_BATCH,
@@ -38,7 +33,10 @@ from switchcert.simulation import (
     _escapes,
     _inside,
     _member_values,
+    budget_from_certificate,
+    derive_rng,
 )
+from switchcert.switching import Supervisor
 
 # Regression values for the shipped library captured from a seeded run
 # (seed path (424242, 7) for the signal, (424242, 8) for the start state).
@@ -115,24 +113,6 @@ class TestBlockSeeding:
                 assert np.array_equal(draw(gen), draw(fresh))
 
 
-class TestDisturbanceSequence:
-    def test_sup_norm_matches_recomputation(self):
-        rng = np.random.default_rng(0)
-        values = rng.normal(size=(40, 2))
-        seq = DisturbanceSequence.from_values(values)
-        recomputed = float(np.max(np.linalg.norm(values, axis=1)))
-        assert abs(seq.sup_norm - recomputed) <= 1e-12
-
-    def test_zeros_constructor(self):
-        seq = DisturbanceSequence.zeros(10, 2)
-        assert seq.sup_norm == 0.0
-        assert len(seq) == 10
-
-    def test_inconsistent_declared_sup_rejected(self):
-        with pytest.raises(ValueError):
-            DisturbanceSequence(values=np.ones((3, 2)), sup_norm=0.1)
-
-
 class TestRun:
     def test_constant_signal_at_fixed_point_stays_there(self):
         library = make_pair_library()
@@ -160,7 +140,7 @@ class TestRun:
         certificate = SimpleNamespace(omega=0.5, n0_bar=2.0, na_bar=2.0)
         x0s, cols, dists, *_ = _draw_campaign_inputs(library, certificate, 1, 40, 0.05, 9, 0)
         signal = SwitchingSignal(np.asarray(library.ids)[cols[0]])
-        x0, d = x0s[0], DisturbanceSequence.from_values(dists[0])
+        x0, d = x0s[0], dists[0]
         a = run(library, signal, x0, d, 40)
         b = run(library, signal, x0, d, 40)
         assert np.array_equal(a.states, b.states)
@@ -169,7 +149,7 @@ class TestRun:
     def test_disturbance_enters_through_the_gain(self):
         library = PrimitiveLibrary((make_primitive(0),))
         signal = SwitchingSignal((0, 0))
-        d = DisturbanceSequence.from_values(np.array([[0.1, 0.2]]))
+        d = np.array([[0.1, 0.2]])
         trace = run(library, signal, np.array([1.0, 0.0]), d, 1)
         assert np.allclose(trace.states[1], [0.6, 0.2], atol=0.0)
 
@@ -178,9 +158,13 @@ class TestRun:
         signal = SwitchingSignal((0, 0))
         with pytest.raises(ValueError):
             run(library, signal, np.zeros(2), None, 5)
-        short = DisturbanceSequence.zeros(2, 2)
-        with pytest.raises(ValueError):
-            run(library, SwitchingSignal((0,) * 6), np.zeros(2), short, 5)
+        long_signal = SwitchingSignal((0,) * 6)
+        with pytest.raises(ValueError, match="cover 2 steps"):
+            run(library, long_signal, np.zeros(2), np.zeros((2, 2)), 5)
+        with pytest.raises(ValueError, match="dimension"):
+            run(library, long_signal, np.zeros(2), np.zeros((5, 3)), 5)
+        with pytest.raises(ValueError, match="shape"):
+            run(library, long_signal, np.zeros(2), np.zeros(10), 5)
 
     def test_unknown_signal_id_rejected(self):
         library = make_pair_library()
@@ -192,8 +176,7 @@ class TestRun:
         budget = budget_from_certificate(walker_certificate)
         initial, requests, _ = rest_oracle(walker_library, walker_certificate, 200, 0.0,
                                            derive_rng(424242, 7))
-        sigmas, _ = supervise_batch(walker_library.ids, [initial], requests[None], budget)
-        signal = SwitchingSignal(sigmas[0])
+        signal = SwitchingSignal(replay_supervisor(walker_library.ids, initial, requests, budget)[0])
         x0, _ = start_oracle(walker_library, walker_certificate.omega, derive_rng(424242, 8))
         trace = run(walker_library, signal, x0, None, 200)
         assert validate_dwell_time(signal, budget).valid
@@ -225,7 +208,7 @@ class TestSafetyMonitor:
         trace = run(library, signal, np.zeros(2), None, 10)
         assert trace.in_all_basins.all()
         assert trace.first_violation is None
-        assert library.fixed_points_contained()
+        assert not library.fixed_point_violations()
 
     def test_escaping_state_is_flagged_with_location(self):
         library = PrimitiveLibrary((make_primitive(0, basin_level=1.0),))
@@ -388,8 +371,8 @@ def rest_oracle(library, certificate, horizon, amplitude, rng, exact_sup=False):
     """An episode's stream from ``rng`` after its start state: the initial
     member, the Bernoulli proposals at rate min(1, 1/na) and the picks among
     the other members, then the disturbance directions and radii.  Returns
-    the initial id, the requests in ``supervise_batch`` form and the
-    disturbances."""
+    the initial id, the requests (r >= 0 asks for the member r + 1 places
+    after the current one, cyclically; -1 holds) and the disturbances."""
     rate = min(1.0, 1.0 / budget_from_certificate(certificate).na)
     ids = library.ids
     initial = ids[rng.integers(len(ids))]
@@ -416,10 +399,9 @@ def run_episode(library, certificate, horizon, amplitude, rng):
     start state, then the rest of the stream, supervised and rolled out."""
     x0, _ = start_oracle(library, certificate.omega, rng)
     initial, requests, dists = rest_oracle(library, certificate, horizon, amplitude, rng)
-    sigmas, _ = supervise_batch(library.ids, [initial], requests[None],
-                                budget_from_certificate(certificate))
-    return run(library, SwitchingSignal(sigmas[0]), x0, DisturbanceSequence.from_values(dists),
-               horizon)
+    sigma, _ = replay_supervisor(library.ids, initial, requests,
+                                 budget_from_certificate(certificate))
+    return run(library, SwitchingSignal(sigma), x0, dists, horizon)
 
 
 def draw_campaign_oracle(library, certificate, episode_count, horizon, amplitude, seed, stream,
@@ -429,21 +411,20 @@ def draw_campaign_oracle(library, certificate, episode_count, horizon, amplitude
     of its stream.  Returns the draw's ``(x0s, sigmas, dists, deferred)``
     and each episode's number of box points drawn up to and including its
     start."""
-    x0s, drawn, initial, requests, dists = [], [], [], [], []
+    budget = budget_from_certificate(certificate)
+    x0s, drawn, sigmas, dists, deferred = [], [], [], [], 0
     for episode in range(episode_count):
         rng = derive_rng(seed, stream, episode)
         x0, count = start_oracle(library, certificate.omega, rng)
         initial_id, row, values = rest_oracle(library, certificate, horizon, amplitude, rng,
                                               exact_sup)
+        sigma, admitted = replay_supervisor(library.ids, initial_id, row, budget)
         x0s.append(x0)
         drawn.append(count)
-        initial.append(initial_id)
-        requests.append(row)
+        sigmas.append(sigma)
         dists.append(values)
-    sigmas, admitted = supervise_batch(
-        library.ids, np.array(initial), np.array(requests).reshape(episode_count, horizon - 1),
-        budget_from_certificate(certificate))
-    return np.array(x0s), sigmas, np.array(dists), int(np.count_nonzero(~admitted)), drawn
+        deferred += admitted.count(False)
+    return np.array(x0s), np.array(sigmas), np.array(dists), deferred, drawn
 
 
 def crossed_library(aspect=100.0):
@@ -655,8 +636,8 @@ class TestSharedKernel:
         dists = rng.uniform(-0.05, 0.05, (count, horizon, dist_dim))
         first, max_min, max_ratio = _batch_stats(library, x0s, cols, dists)
         traces = [
-            run(library, SwitchingSignal(np.asarray(library.ids)[cols[e]]), x0s[e],
-                DisturbanceSequence.from_values(dists[e]), horizon)
+            run(library, SwitchingSignal(np.asarray(library.ids)[cols[e]]), x0s[e], dists[e],
+                horizon)
             for e in range(count)
         ]
         violating = {e for e, trace in enumerate(traces) if trace.first_violation is not None}
@@ -693,7 +674,7 @@ class TestSharedKernel:
         assert first.tolist() == [-1, 0]
         for e in range(2):
             trace = run(library, SwitchingSignal(np.asarray(library.ids)[sigmas[e]]), x0s[e],
-                        DisturbanceSequence.from_values(dists[e]), 5)
+                        dists[e], 5)
             assert max_min[e] == trace.max_min_level
             with np.errstate(invalid="ignore"):  # inf / inf
                 ratio = trace.max_active_step_ratio
@@ -716,8 +697,8 @@ class TestSharedKernel:
             sigmas = np.zeros((3, 4), dtype=np.int64)
             dists = np.zeros((3, 4, 3))
             first, max_min, _ = _batch_stats(library, x0s, sigmas, dists)
-            traces = [run(library, SwitchingSignal(np.zeros(4, dtype=np.int64)), x0,
-                          DisturbanceSequence.from_values(dists[0]), 4) for x0 in x0s]
+            traces = [run(library, SwitchingSignal(np.zeros(4, dtype=np.int64)), x0, dists[0], 4)
+                      for x0 in x0s]
             # horizon 0: only the start states are judged
             escaped = _escapes(library, x0s, sigmas[:, :0], dists[:, :0], [1.0])
         assert max_min.tolist() == [trace.max_min_level for trace in traces]

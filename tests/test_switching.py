@@ -8,16 +8,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from switchcert import (
-    DwellTimeBudget,
-    Supervisor,
-    SwitchingSignal,
-    count_switches,
-    heading_policy,
-    supervise_batch,
-    validate_dwell_time,
-)
-from switchcert.switching import _supervise_columns
+from switchcert import DwellTimeBudget, SwitchingSignal, count_switches, validate_dwell_time
+from switchcert.switching import Supervisor, _supervise_columns, heading_policy
 
 
 def brute_force_worst(assignments, n0, na):
@@ -301,7 +293,12 @@ any_n0 = st.one_of(st.floats(0.5, 3.0), half_integer_n0)
 
 
 def replay_supervisor(ids, initial, requests, budget):
-    """Per-step ``Supervisor.request`` replay of a ``supervise_batch`` row."""
+    """Per-step ``Supervisor.request`` replay of one signal over ``ids``.
+
+    Starting at ``initial``, a request r >= 0 asks for the member r + 1
+    places after the current one in ``ids``, counted cyclically, and -1
+    holds.  Returns the assignments and each step's admitted flag.
+    """
     supervisor = Supervisor(initial_id=initial, budget=budget, known_ids=ids)
     admitted = []
     for r in requests:
@@ -312,94 +309,69 @@ def replay_supervisor(ids, initial, requests, budget):
     return supervisor.signal.assignments, admitted
 
 
+def member_requests(data, members, rows, steps):
+    """(rows, steps) requests in -1..members - 2, drawn from ``data``."""
+    return np.array(
+        data.draw(st.lists(st.lists(st.integers(-1, members - 2), min_size=steps,
+                                    max_size=steps), min_size=rows, max_size=rows)),
+        dtype=np.int64,
+    ).reshape(rows, steps)
+
+
 class TestSuperviseBatch:
+    """``_supervise_columns``, the supervisor of a whole batch of signals,
+    against a per-row replay of the scalar ``Supervisor``."""
+
     @property_settings
     @given(member_ids, any_n0, any_na, st.integers(1, 5), st.integers(0, 40),
            st.data())
     def test_matches_the_scalar_supervisor_bit_for_bit(self, ids, n0, na, rows, steps, data):
         budget = DwellTimeBudget(n0=n0, na=na)
         initial = data.draw(st.lists(st.sampled_from(ids), min_size=rows, max_size=rows))
-        requests = np.array(
-            data.draw(st.lists(st.lists(st.integers(-1, len(ids) - 2), min_size=steps,
-                                        max_size=steps), min_size=rows, max_size=rows)),
-            dtype=np.int64,
-        ).reshape(rows, steps)
-        assignments, admitted = supervise_batch(ids, initial, requests, budget)
-        assert assignments.shape == (rows, steps + 1)
-        assert admitted.shape == (rows, steps)
+        requests = member_requests(data, len(ids), rows, steps)
+        cols, deferred = _supervise_columns(
+            len(ids), [ids.index(i) for i in initial], requests, budget)
+        assert cols.shape == (rows, steps + 1)
+        # a request names another member, so it was deferred exactly where
+        # the column holds
+        admitted = (requests < 0) | (cols[:, 1:] != cols[:, :-1])
+        assignments = np.asarray(ids)[cols]
+        replayed_deferrals = 0
         for e in range(rows):
             expected, expected_admitted = replay_supervisor(ids, initial[e], requests[e], budget)
             assert np.array_equal(assignments[e], expected)
             assert admitted[e].tolist() == expected_admitted
             assert validate_dwell_time(SwitchingSignal(assignments[e]), budget).valid
+            replayed_deferrals += expected_admitted.count(False)
+        assert deferred == replayed_deferrals
 
     def test_a_deferral_holds_the_current_member(self):
         budget = DwellTimeBudget(n0=1.0, na=3.0)
-        assignments, admitted = supervise_batch((4, 7), [4], [[0, 0, -1]], budget)
-        assert assignments.tolist() == [[4, 7, 7, 7]]
-        assert admitted.tolist() == [[True, False, True]]
-
-    def test_integral_floats_run_as_the_integers_they_hold(self):
-        budget = DwellTimeBudget(n0=1.0, na=3.0)
-        assignments, admitted = supervise_batch((4, 7), [4.0], [[0.0, 0.0, -1.0]], budget)
-        assert assignments.tolist() == [[4, 7, 7, 7]]
-        assert admitted.tolist() == [[True, False, True]]
-
-    @pytest.mark.parametrize("ids", [(), (3, 3), (0, 1, 0)])
-    def test_ids_must_be_nonempty_and_distinct(self, ids):
-        with pytest.raises(ValueError, match="distinct integers"):
-            supervise_batch(ids, [0], [[-1]], DwellTimeBudget(n0=1.0, na=1.0))
-
-    def test_unknown_initial_id_rejected(self):
-        with pytest.raises(ValueError, match="unknown primitive id"):
-            supervise_batch((0, 1), [2], [[-1]], DwellTimeBudget(n0=1.0, na=1.0))
-
-    @pytest.mark.parametrize("request_code", [-2, 1])
-    def test_request_outside_the_other_members_rejected(self, request_code):
-        with pytest.raises(ValueError, match="requests must lie in"):
-            supervise_batch((0, 1), [0], [[request_code]], DwellTimeBudget(n0=1.0, na=1.0))
-
-    @pytest.mark.parametrize("initial, requests", [
-        ([0], [[0.7, -0.5, 1.9]]),  # would truncate to [0, 0, 1]
-        ([1.6], [[-1, 0, 1]]),      # would start at member 1
-        ([0], [[np.nan, 0, 1]]),
-        ([np.inf], [[-1, 0, 1]]),
-        (["0"], [[-1, 0, 1]]),
-    ])
-    def test_non_integral_ids_and_requests_rejected(self, initial, requests):
-        with pytest.raises(ValueError, match="must be integers"):
-            supervise_batch((0, 1, 2), initial, requests, DwellTimeBudget(n0=1.0, na=1.0))
+        cols, deferred = _supervise_columns(2, [0], np.array([[0, 0, -1]]), budget)
+        assert cols.tolist() == [[0, 1, 1, 1]]
+        assert deferred == 1
+        assignments, admitted = replay_supervisor((4, 7), 4, [0, 0, -1], budget)
+        assert assignments.tolist() == [4, 7, 7, 7]
+        assert admitted == [True, False, True]
 
     @property_settings
     @given(st.integers(1, 4), any_n0, any_na, st.integers(1, 4), st.integers(0, 30), st.data())
     def test_narrow_request_dtypes_give_identical_assignments(
         self, members, n0, na, rows, steps, data
     ):
-        # ids far from the columns 0..P-1, so an id used as a column, or a
-        # column returned as an id, shows
-        ids = [10**12 + 7 * k for k in range(members)]
         budget = DwellTimeBudget(n0=n0, na=na)
-        initial = data.draw(st.lists(st.sampled_from(ids), min_size=rows, max_size=rows))
-        requests = np.array(
-            data.draw(st.lists(st.lists(st.integers(-1, members - 2), min_size=steps,
-                                        max_size=steps), min_size=rows, max_size=rows)),
-            dtype=np.int64,
-        ).reshape(rows, steps)
-        expected, expected_admitted = supervise_batch(ids, initial, requests, budget)
+        initial = data.draw(st.lists(st.integers(0, members - 1), min_size=rows, max_size=rows))
+        requests = member_requests(data, members, rows, steps)
+        expected = [replay_supervisor(list(range(members)), initial[e], requests[e], budget)
+                    for e in range(rows)]
         for dtype in (np.int8, np.int16, np.int64):
-            narrow = requests.astype(dtype)
-            assignments, admitted = supervise_batch(ids, initial, narrow, budget)
-            assert np.array_equal(assignments, expected)
-            assert np.array_equal(admitted, expected_admitted)
             cols, deferred = _supervise_columns(
-                members, [ids.index(i) for i in initial], narrow, budget)
+                members, np.array(initial, dtype=np.min_scalar_type(members)),
+                requests.astype(dtype), budget)
             assert cols.dtype == np.min_scalar_type(members)
-            assert np.array_equal(np.asarray(ids)[cols], expected)
-            assert deferred == np.count_nonzero(~expected_admitted)
-        for e in range(rows):
-            replayed, replayed_admitted = replay_supervisor(ids, initial[e], requests[e], budget)
-            assert np.array_equal(expected[e], replayed)
-            assert expected_admitted[e].tolist() == replayed_admitted
+            for e in range(rows):
+                assert np.array_equal(cols[e], expected[e][0])
+            assert deferred == sum(admitted.count(False) for _, admitted in expected)
 
 
 class TestHeadingPolicy:
@@ -438,6 +410,11 @@ class TestSignalValidation:
     def test_signal_ids_must_be_integers(self, assignments):
         with pytest.raises(ValueError, match="must be integers"):
             SwitchingSignal(assignments)
+
+    def test_integral_floats_run_as_the_integers_they_hold(self):
+        signal = SwitchingSignal([4.0, 7.0, 7.0, -1.0])
+        assert signal.assignments.tolist() == [4, 7, 7, -1]
+        assert signal.assignments.dtype == np.int64
 
     def test_unsigned_ids_must_fit_int64(self):
         # An id of 2**63 or more would wrap to a negative int64 id.

@@ -16,20 +16,20 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import switchcert
-from switchcert import (
+from switchcert import load_scenario, run_scenario, validate_dwell_time
+from switchcert.simulation import budget_from_certificate
+from switchcert.switching import Supervisor
+from switchcert.walker import (
+    _FORCE_SNAP,
+    _PATH_BLOCK,
+    _SPAN_SLACK,
     LeaderModel,
     Pose,
-    Supervisor,
-    budget_from_certificate,
     force_bearing,
     integrate_stride_force,
-    load_scenario,
-    run_scenario,
     stride_update,
-    validate_dwell_time,
     wrap_angle,
 )
-from switchcert.walker import _FORCE_SNAP, _PATH_BLOCK, _SPAN_SLACK
 
 EXAMPLES = Path(__file__).resolve().parent.parent / "docs" / "examples"
 
