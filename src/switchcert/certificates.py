@@ -554,9 +554,7 @@ class MarginEstimate:
 # Levels of the bisection's decision tree that one stacked rollout decides.
 # On the shipped walker library at 100 trials, depth 3 (seven amplitudes
 # per round) beat depth 2 and tied depth 4, which steps twice as many
-# speculative amplitudes.  Below ``simulation._STACKED_EPISODES`` episodes
-# ``_escapes`` evaluates every block on its own, so stacking buys nothing
-# and a round steps one amplitude.
+# speculative amplitudes.
 _ROUND_DEPTH = 3
 
 
@@ -585,11 +583,10 @@ def estimate_disturbance_margin(
     ``upper`` is tested alone.  After that, each round steps every
     midpoint the next ``_ROUND_DEPTH`` bisection steps could test under
     the current bracket, the whole subtree of the decision tree, in one
-    stacked rollout, then walks the tree with those verdicts.  Below
-    ``simulation._STACKED_EPISODES`` episodes a round is one bisection
-    step.  The midpoints are computed as the bisection computes them and
-    only the walked ones are recorded in ``evaluations``, so the result is
-    the sequential bisection's.
+    stacked rollout, then walks the tree with those verdicts.  The
+    midpoints are computed as the bisection computes them and only the
+    walked ones are recorded in ``evaluations``, so the result is the
+    sequential bisection's.
     """
     if trial_budget < 1:
         raise ValueError("trial_budget must be positive")
@@ -604,9 +601,8 @@ def estimate_disturbance_margin(
         return MarginEstimate(upper, upper, trial_budget, horizon, int(seed), tuple(evaluations))
     lo, hi = 0.0, upper
     remaining, converged = iterations, False
-    round_depth = _ROUND_DEPTH if trial_budget >= simulation._STACKED_EPISODES else 1
     while remaining and not converged:
-        depth = min(round_depth, remaining)
+        depth = min(_ROUND_DEPTH, remaining)
         # node i brackets (a, b) and tests their midpoint; its children, 2i + 1
         # after a violation and 2i + 2 after none, bracket the two halves
         brackets, mids = [(lo, hi)], []

@@ -19,6 +19,34 @@ _SAMPLE_BATCH = 512
 _MAX_SAMPLE_BATCHES = 100_000
 
 
+# numpy rounds a row differently in smaller batches: matmul sends a lone
+# row down another BLAS route, and einsum sums one or two 2-D rows in
+# another order.  The kernels pad smaller batches with zero rows, so a row's
+# bits never depend on the batch it is in.
+_MAP_ROWS = 2
+_VALUE_ROWS = 3
+
+
+def _padded(points, rows: int) -> np.ndarray:
+    """``points`` (N, ...) as floats, with zero rows appended up to ``rows``."""
+    points = np.asarray(points, dtype=float)
+    if len(points) >= rows:
+        return points
+    return np.concatenate((points, np.zeros((rows - len(points), *points.shape[1:]))))
+
+
+def _quadratic_forms(points, centers: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """(x - c)^T W (x - c) at each of the points x (N, n) for each of the
+    stacked centres c (P, n) and weights W (P, n, n), shape (N, P).
+
+    The offsets are stacked column-major, so einsum adds each value's n²
+    terms i-major and j-minor, as over a row-major stack of one member.
+    """
+    count = len(points)
+    y = np.subtract(_padded(points, _VALUE_ROWS)[:, None, :], centers, order="F")
+    return np.einsum("npi,pij,npj->np", y, weights, y)[:count]
+
+
 def _frozen_array(value, name: str, shape: tuple[int, ...] | None = None) -> np.ndarray:
     arr = np.array(value, dtype=float)
     if shape is not None and arr.shape != shape:
@@ -82,14 +110,16 @@ class PrimitiveMap:
         The offsets from the fixed point are stacked column-major, so the
         quadratic term's einsum loops along the N rows innermost; it sums
         the same products in the same order as over a row-major stack.
+        Each row's update is bit for bit the same at any N.
         """
-        y = np.subtract(points, self.fixed_point, order="F")
+        count = len(points)
+        y = np.subtract(_padded(points, _MAP_ROWS), self.fixed_point, order="F")
         out = self.fixed_point + y @ self.linear.T
         if self.quadratic is not None:
             out = out + np.einsum("ni,kij,nj->nk", y, self.quadratic, y)
         if disturbances is not None:
-            out = out + np.asarray(disturbances, dtype=float) @ self.disturbance_gain.T
-        return out
+            out = out + _padded(disturbances, _MAP_ROWS) @ self.disturbance_gain.T
+        return out[:count]
 
 
 @dataclass(frozen=True)
@@ -121,24 +151,11 @@ class QuadraticLyapunov:
         return self.center.size
 
     def value(self, x: np.ndarray) -> float:
-        y = np.asarray(x, dtype=float) - self.center
-        return float(y @ self.weight @ y)
+        return float(self.values(np.asarray(x)[None])[0])
 
     def values(self, points: np.ndarray) -> np.ndarray:
-        """V at each of a stack of states (N, n).
-
-        numpy's einsum adds each row's n² terms one at a time, i-major and
-        j-minor, except on one or two 2-D rows: there it adds each i's two
-        terms first, so such a value can differ in the last bit from the
-        same state's value in a longer batch.  Three or more rows are
-        stacked column-major, which loops along the rows innermost and sums
-        in the same order.  Fewer stay row-major, so this quirk stays too:
-        one row is the same array in either layout, and a column-major pair
-        of 2-D rows would be summed like a long batch, changing its bits.
-        ``simulation._inside`` pads its batches so no verdict rests on it.
-        """
-        y = np.subtract(points, self.center, order="F" if len(points) > 2 else "C")
-        return np.einsum("ni,ij,nj->n", y, self.weight, y)
+        """V at each of a stack of states (N, n), each bit for bit the same at any N."""
+        return _quadratic_forms(points, self.center[None], self.weight[None])[:, 0]
 
     def eig_bounds(self) -> tuple[float, float]:
         eigs = np.linalg.eigvalsh(self.weight)
@@ -252,13 +269,11 @@ class PrimitiveLibrary:
 
     def fixed_point_violations(self) -> list[tuple[int, int, float]]:
         """Pairs (q, p, value) where fixed point of q falls outside the basin of p."""
-        out = []
-        for q in self.primitives:
-            for p in self.primitives:
-                v = p.lyapunov.value(q.map.fixed_point)
-                if v > p.basin_level:
-                    out.append((q.id, p.id, v))
-        return out
+        fixed_points = np.array([q.map.fixed_point for q in self.primitives])
+        values = _quadratic_forms(fixed_points, self.centers, self.weights)
+        return [(q.id, p.id, float(values[i, j]))
+                for i, q in enumerate(self.primitives) for j, p in enumerate(self.primitives)
+                if values[i, j] > p.basin_level]
 
 
 def sample_in_sublevel_set(

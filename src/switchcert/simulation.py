@@ -21,7 +21,7 @@ import numpy as np
 import numpy.random  # numpy 2 loads it lazily, on the first default_rng
 
 from .library_io import library_fingerprint, write_table
-from .primitives import PrimitiveLibrary
+from .primitives import PrimitiveLibrary, _quadratic_forms
 from .switching import DwellTimeBudget, SwitchingSignal, _supervise_columns
 
 _X0_BATCH = 128
@@ -151,19 +151,11 @@ class Trace:
 
 def _member_values(library: PrimitiveLibrary, states: np.ndarray) -> np.ndarray:
     """Every member's Lyapunov value at each state, shape (N, P), bit for
-    bit each member's ``QuadraticLyapunov.values``.
-
-    Three or more states go through one einsum over the column-major
-    (N, P, n) stack of their offsets from the members' centres; fewer go
-    member by member, because einsum sums one or two 2-D rows in another
-    order (see ``QuadraticLyapunov.values``).  A value of -inf, which an
+    bit each member's ``QuadraticLyapunov.values``, from one evaluation on
+    the library's stacked centres and weights.  A value of -inf, which an
     overflowed partial sum of cross terms can give, is made +inf.
     """
-    if len(states) < 3:
-        values = np.column_stack([p.lyapunov.values(states) for p in library])
-    else:
-        y = np.subtract(states[:, None, :], library.centers, order="F")
-        values = np.einsum("npi,pij,npj->np", y, library.weights, y)
+    values = _quadratic_forms(states, library.centers, library.weights)
     values[values == -np.inf] = np.inf
     return values
 
@@ -202,11 +194,7 @@ def _rollout(library: PrimitiveLibrary, x0s: np.ndarray, cols: np.ndarray, unit:
     member order (a stable sort of its column of ``cols``, computed with
     the members' slab bounds for ``_ORDER_STEPS`` steps at a time as the
     loop reaches them), passes each member's contiguous slab of episodes
-    through ``PrimitiveMap.apply_batch`` and scatters the result back.  A
-    row's update does not depend on the rest of a batch of two or more
-    rows, but a lone row takes another BLAS route, so a member that drives
-    a single episode steps its blocks one by one, as a rollout of each
-    block on its own does.
+    through ``PrimitiveMap.apply_batch`` and scatters the result back.
     """
     maps = [p.map for p in library]
     count, horizon = cols.shape
@@ -247,11 +235,8 @@ def _rollout(library: PrimitiveLibrary, x0s: np.ndarray, cols: np.ndarray, unit:
                 ds *= row_scales
             slabs = bounds[k % _ORDER_STEPS]
             for map_, start, stop in zip(maps, slabs, slabs[1:]):
-                lo, hi = start * blocks, stop * blocks
-                if stop - start == 1:
-                    for r in range(lo, hi):
-                        flat[r] = map_.apply_batch(flat[r:r + 1], ds[r:r + 1])[0]
-                elif stop > start:
+                if stop > start:
+                    lo, hi = start * blocks, stop * blocks
                     flat[lo:hi] = map_.apply_batch(flat[lo:hi], ds[lo:hi])
             x[rows] = xs
 
@@ -293,6 +278,12 @@ def run(
         states[k] = x[0, 0]
 
     _rollout(library, x0[None], cols, dvals[None, :horizon], (1.0,), record)
+    return _trace(library, states, signal, dvals[:horizon].copy())
+
+
+def _trace(library: PrimitiveLibrary, states: np.ndarray, signal: SwitchingSignal,
+           disturbances: np.ndarray) -> Trace:
+    """The ``Trace`` of a rollout's states, with its Lyapunov and basin columns."""
     levels = np.array([p.basin_level for p in library])
     with np.errstate(over="ignore", invalid="ignore"):
         lyap = _member_values(library, states)
@@ -300,7 +291,7 @@ def run(
     return Trace(
         states=states,
         signal=signal,
-        disturbances=dvals[:horizon].copy(),
+        disturbances=disturbances,
         lyapunov=lyap,
         member_ids=library.ids,
         basin_levels=levels,
@@ -323,22 +314,6 @@ def _sampling_box(library: PrimitiveLibrary, level: float) -> tuple[np.ndarray, 
     if np.any(lo > hi):
         raise ValueError("intersection of sublevel sets appears empty at this level")
     return lo, hi
-
-
-# numpy's einsum sums a batch of one or two 2-D points in another order
-# than a longer batch, and ``_member_values`` keeps that order to stay bit
-# for bit (see ``QuadraticLyapunov.values``), so smaller batches are padded
-# to this many rows.
-_MIN_ROWS = 8
-
-
-def _inside(library: PrimitiveLibrary, level: float, points: np.ndarray) -> np.ndarray:
-    """Whether each of the (N, n) points lies in every member's ``level``
-    sublevel set, each point's verdict independent of the rest of the batch."""
-    count = len(points)
-    if count < _MIN_ROWS:
-        points = np.concatenate((points, np.zeros((_MIN_ROWS - count, points.shape[1]))))
-    return np.all(_member_values(library, points) <= level, axis=1)[:count]
 
 
 def _request_dtype(size: int) -> np.dtype:
@@ -435,7 +410,8 @@ def _first_inside(library: PrimitiveLibrary, level: float, lo: np.ndarray, hi: n
     start, stop = 0, 1
     while pending.size and start < uniforms.shape[1]:
         points = lo + width * uniforms[pending, start:stop]
-        ok = _inside(library, level, points.reshape(-1, lo.size)).reshape(points.shape[:2])
+        values = _member_values(library, points.reshape(-1, lo.size))
+        ok = np.all(values <= level, axis=1).reshape(points.shape[:2])
         hit = np.any(ok, axis=1)
         first[pending[hit]] = start + np.argmax(ok[hit], axis=1)
         pending = pending[~hit]
@@ -558,13 +534,16 @@ def _batch_stats(
     x0s: np.ndarray,
     cols: np.ndarray,
     dists: np.ndarray,
+    kept_states: np.ndarray | None = None,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Step every episode jointly and stream per-episode statistics.
 
     ``cols[e, k]`` is the library index of the member that drives episode e
     at step k.  Returns ``(first_violation, max_min_level,
     max_active_step_ratio)`` as ``Trace`` defines them, with
-    first_violation = -1 for clean episodes.
+    first_violation = -1 for clean episodes.  A ``kept_states`` array of
+    shape (keep, horizon + 1, n) receives the states of the first keep
+    episodes.
     """
     count = x0s.shape[0]
     levels = np.array([p.basin_level for p in library])
@@ -575,6 +554,8 @@ def _batch_stats(
     previous = np.empty((count, len(library)))
 
     def observe(k: int, x: np.ndarray) -> None:
+        if kept_states is not None:
+            kept_states[:, k] = x[:len(kept_states), 0]
         values = _member_values(library, x[:, 0])
         if k:
             col = cols[:, k - 1]
@@ -594,11 +575,6 @@ def _batch_stats(
     return first, max_min, max_ratio
 
 
-# Fewest episodes whose Lyapunov values ``_escapes`` evaluates for all
-# blocks in one stack (see ``_member_values``).
-_STACKED_EPISODES = 3
-
-
 def _escapes(
     library: PrimitiveLibrary,
     x0s: np.ndarray,
@@ -612,9 +588,7 @@ def _escapes(
     overflowed state counts as an escape).
 
     Each amplitude is one block of ``_rollout``, and a block stops stepping
-    at the first step at which any of its episodes has escaped.  Fewer
-    than three episodes are evaluated block by block, since
-    ``_member_values`` sums fewer than three rows in another order.
+    at the first step at which any of its episodes has escaped.
     """
     levels = np.array([p.basin_level for p in library])
     escaped = np.zeros(len(amplitudes), dtype=bool)
@@ -623,10 +597,7 @@ def _escapes(
     def observe(k: int, x: np.ndarray) -> np.ndarray:
         nonlocal live
         count, blocks, n = x.shape
-        if count < _STACKED_EPISODES:
-            values = np.stack([_member_values(library, x[:, b]) for b in range(blocks)], axis=1)
-        else:
-            values = _member_values(library, x.reshape(-1, n))
+        values = _member_values(library, x.reshape(-1, n))
         # each block's largest value per member; np.max keeps a NaN, which
         # then fails the comparison
         peaks = np.max(values.reshape(count, -1), axis=0).reshape(blocks, -1)
@@ -653,7 +624,7 @@ def monte_carlo(
     Episodes are independent and reproducible: episode e draws from
     ``derive_rng(seed, 0, e)``.  The certificate must fingerprint-match the
     library it was synthesized for.  Episodes are stepped jointly for speed;
-    kept traces are re-run individually from the same inputs.
+    the kept traces are the first ``keep_traces`` episodes of that rollout.
     """
     if episode_count < 1:
         raise ValueError("episode_count must be positive")
@@ -665,22 +636,15 @@ def monte_carlo(
         library, certificate, episode_count, horizon, disturbance_amplitude,
         seed, _EPISODE_STREAM,
     )
-    first, max_min, max_ratio = _batch_stats(library, x0s, cols, dists)
+    kept_states = np.empty((min(keep_traces, episode_count), horizon + 1, library.state_dim))
+    first, max_min, max_ratio = _batch_stats(library, x0s, cols, dists, kept_states)
     ids = np.asarray(library.ids)
     bad_episodes = np.flatnonzero(first >= 0)
     recorded = tuple(
         (int(e), int(first[e])) for e in bad_episodes[:_MAX_RECORDED_VIOLATIONS]
     )
-    kept = [
-        run(
-            library,
-            SwitchingSignal(ids[cols[e]]),
-            x0s[e],
-            dists[e],
-            horizon,
-        )
-        for e in range(min(keep_traces, episode_count))
-    ]
+    kept = [_trace(library, states, SwitchingSignal(ids[cols[e]]), dists[e].copy())
+            for e, states in enumerate(kept_states)]
     report = CampaignReport(
         episodes=episode_count,
         horizon=horizon,
