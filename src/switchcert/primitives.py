@@ -23,16 +23,15 @@ _MAX_SAMPLE_BATCHES = 100_000
 # row down another BLAS route, and einsum sums one or two 2-D rows in
 # another order.  The kernels pad smaller batches with zero rows, so a row's
 # bits never depend on the batch it is in.
-_MAP_ROWS = 2
-_VALUE_ROWS = 3
+_MIN_BATCH = 3
 
 
-def _padded(points, rows: int) -> np.ndarray:
-    """``points`` (N, ...) as floats, with zero rows appended up to ``rows``."""
+def _padded(points) -> np.ndarray:
+    """``points`` (N, ...) as floats, with zero rows appended up to ``_MIN_BATCH``."""
     points = np.asarray(points, dtype=float)
-    if len(points) >= rows:
+    if len(points) >= _MIN_BATCH:
         return points
-    return np.concatenate((points, np.zeros((rows - len(points), *points.shape[1:]))))
+    return np.concatenate((points, np.zeros((_MIN_BATCH - len(points), *points.shape[1:]))))
 
 
 def _quadratic_forms(points, centers: np.ndarray, weights: np.ndarray) -> np.ndarray:
@@ -43,7 +42,7 @@ def _quadratic_forms(points, centers: np.ndarray, weights: np.ndarray) -> np.nda
     terms i-major and j-minor, as over a row-major stack of one member.
     """
     count = len(points)
-    y = np.subtract(_padded(points, _VALUE_ROWS)[:, None, :], centers, order="F")
+    y = np.subtract(_padded(points)[:, None, :], centers, order="F")
     return np.einsum("npi,pij,npj->np", y, weights, y)[:count]
 
 
@@ -113,12 +112,12 @@ class PrimitiveMap:
         Each row's update is bit for bit the same at any N.
         """
         count = len(points)
-        y = np.subtract(_padded(points, _MAP_ROWS), self.fixed_point, order="F")
+        y = np.subtract(_padded(points), self.fixed_point, order="F")
         out = self.fixed_point + y @ self.linear.T
         if self.quadratic is not None:
             out = out + np.einsum("ni,kij,nj->nk", y, self.quadratic, y)
         if disturbances is not None:
-            out = out + _padded(disturbances, _MAP_ROWS) @ self.disturbance_gain.T
+            out = out + _padded(disturbances) @ self.disturbance_gain.T
         return out[:count]
 
 

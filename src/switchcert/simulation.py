@@ -534,16 +534,16 @@ def _batch_stats(
     x0s: np.ndarray,
     cols: np.ndarray,
     dists: np.ndarray,
-    kept_states: np.ndarray | None = None,
+    kept_states: np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Step every episode jointly and stream per-episode statistics.
 
     ``cols[e, k]`` is the library index of the member that drives episode e
     at step k.  Returns ``(first_violation, max_min_level,
     max_active_step_ratio)`` as ``Trace`` defines them, with
-    first_violation = -1 for clean episodes.  A ``kept_states`` array of
-    shape (keep, horizon + 1, n) receives the states of the first keep
-    episodes.
+    first_violation = -1 for clean episodes.  ``kept_states``, shape
+    (keep, horizon + 1, n) with keep possibly 0, receives the states of the
+    first keep episodes.
     """
     count = x0s.shape[0]
     levels = np.array([p.basin_level for p in library])
@@ -554,8 +554,7 @@ def _batch_stats(
     previous = np.empty((count, len(library)))
 
     def observe(k: int, x: np.ndarray) -> None:
-        if kept_states is not None:
-            kept_states[:, k] = x[:len(kept_states), 0]
+        kept_states[:, k] = x[:len(kept_states), 0]
         values = _member_values(library, x[:, 0])
         if k:
             col = cols[:, k - 1]

@@ -552,7 +552,8 @@ class TestDisturbanceMargin:
             walker_library, walker_certificate, 200, 200, 1.0, 20260822, 1, exact_sup=True)
         verdicts = set()
         for amplitude, violated in estimate.evaluations:
-            first, _, _ = _batch_stats(walker_library, x0s, cols, amplitude * unit)
+            first, _, _ = _batch_stats(walker_library, x0s, cols, amplitude * unit,
+                                       np.empty((0, 201, 2)))
             assert violated == bool(np.any(first >= 0)), amplitude
             verdicts.add(violated)
         assert verdicts == {True, False}

@@ -657,7 +657,8 @@ class TestSharedKernel:
         x0s = rng.uniform(-0.3, 0.3, (count, state_dim))
         cols = rng.integers(len(library), size=(count, horizon))
         dists = rng.uniform(-0.05, 0.05, (count, horizon, dist_dim))
-        first, max_min, max_ratio = _batch_stats(library, x0s, cols, dists)
+        kept = np.empty((count, horizon + 1, state_dim))
+        first, max_min, max_ratio = _batch_stats(library, x0s, cols, dists, kept)
         traces = [
             run(library, SwitchingSignal(np.asarray(library.ids)[cols[e]]), x0s[e], dists[e],
                 horizon)
@@ -669,6 +670,7 @@ class TestSharedKernel:
             assert first[e] == (-1 if trace.first_violation is None else trace.first_violation)
             assert max_min[e] == trace.max_min_level
             assert max_ratio[e] == trace.max_active_step_ratio
+            assert np.array_equal(kept[e], trace.states)
 
     @kernel_settings
     @given(library_specs, st.integers(1, 8), st.integers(1, 20))
@@ -684,7 +686,8 @@ class TestSharedKernel:
         scales = [0.0, 1e-3, 0.05, 1.0, 30.0, 1e200]
         verdicts = _escapes(library, x0s, cols, unit, scales)
         for scale, verdict in zip(scales, verdicts):
-            first, _, _ = _batch_stats(library, x0s, cols, scale * unit)
+            first, _, _ = _batch_stats(library, x0s, cols, scale * unit,
+                                       np.empty((0, horizon + 1, state_dim)))
             assert verdict == bool(np.any(first >= 0)), scale
 
     @pytest.mark.parametrize("bad_value", [np.nan, np.inf, 1e200])
@@ -693,7 +696,8 @@ class TestSharedKernel:
         x0s = np.array([[0.1, 0.0], [bad_value, 0.0]])
         sigmas = np.zeros((2, 5), dtype=np.int64)
         dists = np.zeros((2, 5, 2))
-        first, max_min, max_ratio = _batch_stats(library, x0s, sigmas, dists)
+        first, max_min, max_ratio = _batch_stats(library, x0s, sigmas, dists,
+                                                 np.empty((0, 6, 2)))
         assert first.tolist() == [-1, 0]
         for e in range(2):
             trace = run(library, SwitchingSignal(np.asarray(library.ids)[sigmas[e]]), x0s[e],
@@ -719,7 +723,7 @@ class TestSharedKernel:
             assert _member_values(library, x0s)[1, 0] == np.inf
             sigmas = np.zeros((3, 4), dtype=np.int64)
             dists = np.zeros((3, 4, 3))
-            first, max_min, _ = _batch_stats(library, x0s, sigmas, dists)
+            first, max_min, _ = _batch_stats(library, x0s, sigmas, dists, np.empty((0, 5, 3)))
             traces = [run(library, SwitchingSignal(np.zeros(4, dtype=np.int64)), x0, dists[0], 4)
                       for x0 in x0s]
             # horizon 0: only the start states are judged
@@ -752,7 +756,8 @@ class TestSharedKernel:
                             lambda lib, x: evaluated.append(1) or member_values(lib, x))
         assert _escapes(library, x0s, sigmas, dists, [1.0]).tolist() == [True]
         assert len(evaluated) == escape_step + 1
-        first, _, _ = _batch_stats(library, x0s, sigmas, dists)
+        first, _, _ = _batch_stats(library, x0s, sigmas, dists,
+                                   np.empty((0, horizon + 1, 2)))
         assert first.tolist() == [-1, escape_step]
 
 
