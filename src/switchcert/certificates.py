@@ -572,7 +572,7 @@ def estimate_disturbance_margin(
 
     The ``trial_budget`` episodes (random admissible signal at the
     dwell-time limit, random start in the omega-intersection, random
-    disturbances) are drawn once, from streams ``derive_rng(seed, 1, e)``,
+    disturbances) are drawn once, from streams ``derive_rng(seed, 1, e, ...)``,
     with disturbances whose sup norm is exactly 1.  Every candidate
     amplitude reuses that one sample with the disturbances scaled to it,
     and counts a violation as soon as any episode leaves the basin

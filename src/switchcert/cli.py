@@ -65,9 +65,12 @@ def _env_default(name: str, fallback=None):
 
 
 def _seed(text: str) -> int:
-    """A root seed: a nonnegative integer, as numpy's ``SeedSequence`` takes."""
+    """A root seed: an integer in 0..2**128 - 1, the key of every Philox
+    stream derived from it."""
     if not text.strip().isdecimal():
         raise argparse.ArgumentTypeError(f"seed must be a nonnegative integer, got {text!r}")
+    if int(text) >= 1 << 128:
+        raise argparse.ArgumentTypeError(f"seed must be below 2**128, got {text!r}")
     return int(text)
 
 
@@ -267,7 +270,8 @@ def build_parser() -> argparse.ArgumentParser:
     common = _Parser(add_help=False)
     # argparse passes a string default through ``type`` too
     common.add_argument("--seed", type=_seed, default=_env_default("SEED", "0"),
-                        help="root seed for all randomness, a nonnegative integer (default 0)")
+                        help="root seed for all randomness, an integer in 0..2**128 - 1 "
+                             "(default 0)")
     common.add_argument("--out-dir", default=_env_default("OUT_DIR"),
                         help="directory for outputs and the run manifest")
     sub = parser.add_subparsers(dest="command", required=True)

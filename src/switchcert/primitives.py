@@ -15,9 +15,6 @@ FIXED_POINT_TOL = 1e-12
 SYMMETRY_TOL = 1e-10
 RATIO_TOL = 1e-12
 
-_SAMPLE_BATCH = 512
-_MAX_SAMPLE_BATCHES = 100_000
-
 
 # numpy rounds a row differently in smaller batches: matmul sends a lone
 # row down another BLAS route, and einsum sums one or two 2-D rows in
@@ -275,32 +272,37 @@ class PrimitiveLibrary:
                 if values[i, j] > p.basin_level]
 
 
+def _ball_points(directions: np.ndarray, radii: np.ndarray, radius: float = 1.0) -> np.ndarray:
+    """Turn Gaussian ``directions`` (..., n) in place into points uniform in
+    the ball of ``radius``, with lengths radius · radii^(1/n) for uniforms
+    ``radii`` (...), and return them.  Each row is shaped as it would be on
+    its own; a zero direction becomes the zero vector."""
+    norms = np.linalg.norm(directions, axis=-1)
+    norms[norms == 0.0] = np.inf
+    directions *= (radius * radii ** (1.0 / directions.shape[-1]) / norms)[..., None]
+    return directions
+
+
+def _ellipsoid_points(lyapunov: QuadraticLyapunov, level: float, directions: np.ndarray,
+                      radii: np.ndarray) -> np.ndarray:
+    """Points uniform in {x : V(x) <= level}: ``_ball_points`` of the
+    Gaussian ``directions`` (..., n) and uniforms ``radii`` (...), mapped
+    from the unit ball onto the ellipsoid through the eigenbasis of the
+    weight.  ``directions`` is overwritten."""
+    if not (level > 0.0 and np.isfinite(level)):
+        raise ValueError("level must be positive and finite")
+    evals, evecs = np.linalg.eigh(lyapunov.weight)
+    scale = evecs * np.sqrt(level / evals)
+    return lyapunov.center + _ball_points(directions, radii) @ scale.T
+
+
 def sample_in_sublevel_set(
     lyapunov: QuadraticLyapunov, level: float, count: int, rng: np.random.Generator
 ) -> np.ndarray:
-    """Uniform samples from {x : V(x) <= level} by rejection.
-
-    Proposals are drawn in the eigenbasis bounding box of the ellipsoid; the
-    accept test reduces to the unit ball there, so the accepted sequence for
-    a fixed generator state scales exactly with sqrt(level).
-    """
-    if not (level > 0.0 and np.isfinite(level)):
-        raise ValueError("level must be positive and finite")
-    if count <= 0:
-        return np.empty((0, lyapunov.state_dim))
-    evals, evecs = np.linalg.eigh(lyapunov.weight)
-    scale = evecs * np.sqrt(level / evals)
-    out = np.empty((count, lyapunov.state_dim))
-    have = 0
-    for _ in range(_MAX_SAMPLE_BATCHES):
-        u = rng.uniform(-1.0, 1.0, size=(_SAMPLE_BATCH, lyapunov.state_dim))
-        keep = u[np.einsum("ni,ni->n", u, u) <= 1.0]
-        take = min(count - have, keep.shape[0])
-        out[have : have + take] = lyapunov.center + keep[:take] @ scale.T
-        have += take
-        if have == count:
-            return out
-    raise RuntimeError("rejection sampling failed to fill the request")
+    """``count`` uniform samples from {x : V(x) <= level}: ``count``
+    Gaussian directions, then ``count`` uniform radii, from ``rng``."""
+    directions = rng.standard_normal((count, lyapunov.state_dim))
+    return _ellipsoid_points(lyapunov, level, directions, rng.random(count))
 
 
 def _decrease_ratios(primitive: Primitive, points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

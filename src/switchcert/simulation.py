@@ -6,10 +6,12 @@ located.  Only ``_escapes``, the margin's yes/no question, stops stepping
 each amplitude at its first escape.
 
 All campaign randomness derives from one root seed through a counter-based
-scheme: ``derive_rng(seed, stream, e)`` defines episode e's stream.  The
-campaign draw seeds a block of episodes' streams in one vectorised pass and
-reads every stream, one it must read again included, through one reused
-generator, so it builds no ``derive_rng`` generator.
+generator, Philox (Salmon, Moraes, Dror & Shaw, SC 2011): the seed is its
+key and a path of up to three words its counter words 1-3, so
+``derive_rng(seed, stream, e)`` is episode e's stream and ``derive_rng(seed,
+stream, e, b + 1)`` holds its start proposals of batch b.  The campaign draw
+reads every address through one reused Philox whose counter it sets in
+place, so it builds no ``derive_rng`` generator and reads no address twice.
 """
 from __future__ import annotations
 
@@ -21,69 +23,26 @@ import numpy as np
 import numpy.random  # numpy 2 loads it lazily, on the first default_rng
 
 from .library_io import library_fingerprint, write_table
-from .primitives import PrimitiveLibrary, _quadratic_forms
+from .primitives import PrimitiveLibrary, _ball_points, _ellipsoid_points, _quadratic_forms
 from .switching import DwellTimeBudget, SwitchingSignal, _supervise_columns
 
-_X0_BATCH = 128
+# Start proposals per counter address; an episode whose batch holds no start
+# reads the next address, up to _MAX_X0_BATCHES of them.
+_X0_BATCH = 8
 _MAX_X0_BATCHES = 200_000
 
 
 def derive_rng(seed: int, *path: int) -> np.random.Generator:
-    """Deterministic child generator for (seed, counters...)."""
-    return np.random.default_rng(np.random.SeedSequence([int(seed), *[int(p) for p in path]]))
-
-
-def _multipliers(init: int, mult: int, count: int) -> np.ndarray:
-    """init · mult^k mod 2**32 for k = 0..count, as a uint32 column."""
-    return np.array([init * pow(mult, k, 1 << 32) % (1 << 32) for k in range(count + 1)],
-                    dtype=np.uint32)[:, None]
-
-
-def _stream_states(seed: int, stream: int, start: int, stop: int) -> list[tuple[int, int]]:
-    """The PCG64 ``(state, inc)`` of ``derive_rng(seed, stream, e)`` for e
-    in ``range(start, stop)``, episode indices below 2**32.
-
-    Runs numpy's ``SeedSequence`` pool hash (pool size 4) on uint32 arrays,
-    one column per episode, then PCG64's seeding from its four 64-bit output
-    words.  The hash's multipliers do not depend on the data, so its calls
-    on different pool words run as rows of one operation.
-    """
-    if not 0 <= start <= stop <= 1 << 32:
-        raise ValueError("episode indices must lie in 0..2**32 - 1")
-    words = []  # SeedSequence's 32-bit words of each int, low word first
-    for value in (int(seed), int(stream)):
-        if value < 0:
-            raise ValueError("expected non-negative integer")
-        words += [value >> 32 * i & 0xFFFFFFFF for i in range(max(1, -(-value.bit_length() // 32)))]
-    entropy = np.zeros((max(len(words) + 1, 4), stop - start), dtype=np.uint32)
-    entropy[:len(words)] = np.array(words, dtype=np.uint32)[:, None]
-    entropy[len(words)] = np.arange(start, stop, dtype=np.uint32)
-    # four hash calls per entropy row, the padding rows included
-    consts = _multipliers(0x43B0D7E5, 0x931E8875, 4 * len(entropy))
-
-    def hashmix(values, k):  # hash calls k, k + 1, ... on the rows of values
-        values = (values ^ consts[k:k + len(values)]) * consts[k + 1:k + 1 + len(values)]
-        return values ^ values >> 16
-
-    def mix(x, y):
-        result = x * np.uint32(0xCA01F9DD) - y * np.uint32(0x4973F715)
-        return result ^ result >> 16
-
-    pool = hashmix(entropy[:4], 0)
-    for src in range(4):
-        dst = [d for d in range(4) if d != src]
-        pool[dst] = mix(pool[dst], hashmix(pool[[src] * 3], 4 + 3 * src))
-    for j, word in enumerate(entropy[4:]):
-        pool = mix(pool, hashmix(np.tile(word, (4, 1)), 16 + 4 * j))
-    generate = _multipliers(0x8B51F9DD, 0x58F38DED, 8)
-    out = (pool[[0, 1, 2, 3, 0, 1, 2, 3]] ^ generate[:8]) * generate[1:]
-    out = (out ^ out >> 16).astype(np.uint64)
-    # little-endian word pairs: state high, state low, inc high, inc low
-    state_hi, state_lo, inc_hi, inc_lo = (out[0::2] | out[1::2] << np.uint64(32)).tolist()
-    mask = (1 << 128) - 1
-    incs = [((hi << 64 | lo) << 1 | 1) & mask for hi, lo in zip(inc_hi, inc_lo)]
-    return [(((hi << 64 | lo) + inc) * 0x2360ED051FC65DA44385DF649FCCF645 + inc & mask, inc)
-            for hi, lo, inc in zip(state_hi, state_lo, incs)]
+    """The Philox generator keyed by ``seed`` (0..2**128 - 1) whose counter
+    words 1-3 hold ``path``, up to three words in 0..2**64 - 1.  Word 0
+    counts blocks of four 64-bit outputs, so each path owns 2**66 draws."""
+    seed, path = int(seed), [int(p) for p in path]
+    if not 0 <= seed < 1 << 128:
+        raise ValueError("seed must lie in 0..2**128 - 1")
+    if len(path) > 3 or not all(0 <= p < 1 << 64 for p in path):
+        raise ValueError("a stream path is at most three words in 0..2**64 - 1")
+    counter = sum(p << 64 * (i + 1) for i, p in enumerate(path))
+    return np.random.Generator(np.random.Philox(key=seed, counter=counter))
 
 
 @dataclass(frozen=True)
@@ -299,23 +258,6 @@ def _trace(library: PrimitiveLibrary, states: np.ndarray, signal: SwitchingSigna
     )
 
 
-def _sampling_box(library: PrimitiveLibrary, level: float) -> tuple[np.ndarray, np.ndarray]:
-    """Corners ``(lo, hi)`` of the intersection of the members' bounding
-    boxes of their ``level`` sublevel sets."""
-    if not (level > 0.0 and np.isfinite(level)):
-        raise ValueError("level must be positive and finite")
-    los, his = [], []
-    for p in library:
-        half = np.sqrt(level * np.diag(np.linalg.inv(p.lyapunov.weight)))
-        los.append(p.lyapunov.center - half)
-        his.append(p.lyapunov.center + half)
-    lo = np.max(los, axis=0)
-    hi = np.min(his, axis=0)
-    if np.any(lo > hi):
-        raise ValueError("intersection of sublevel sets appears empty at this level")
-    return lo, hi
-
-
 def _request_dtype(size: int) -> np.dtype:
     """The narrowest signed integer type holding the requests -1..size - 2."""
     return np.min_scalar_type(-max(size - 1, 1))
@@ -328,9 +270,7 @@ def _shape_disturbances(values: np.ndarray, radii: np.ndarray, amplitude: float,
     radii^(1/dist_dim) for uniforms ``radii`` (..., steps); with
     ``exact_sup`` each sequence is rescaled so its largest norm equals the
     amplitude.  Every sequence is shaped as it would be on its own."""
-    norms = np.linalg.norm(values, axis=-1)
-    norms[norms == 0.0] = np.inf  # a zero direction becomes the zero vector
-    values *= (amplitude * radii ** (1.0 / values.shape[-1]) / norms)[..., None]
+    _ball_points(values, radii, amplitude)
     if exact_sup:
         peaks = np.max(np.linalg.norm(values, axis=-1), axis=-1, keepdims=True)
         values *= np.divide(amplitude, peaks, out=np.ones_like(peaks),
@@ -356,11 +296,11 @@ class CampaignReport:
     contraction rate: under disturbance it is dominated by steps that start
     near the active fixed point, where V_active is tiny and the disturbance
     alone sets the next value (1000 episodes x 200 steps at amplitude 0.1
-    report values of order 1e5).  ``deferred_requests`` counts the switch proposals the
-    supervisor deferred, summed over episodes.  ``x0_proposals`` counts the
-    box points the start-state sampler drew, up to and including each
-    episode's accepted start, summed over episodes: ``episodes /
-    x0_proposals`` is the sampler's acceptance rate.
+    report values of order 1e5).  ``deferred_requests`` counts the switch
+    proposals the supervisor deferred, summed over episodes.
+    ``x0_proposals`` counts the ellipsoid proposals the start-state sampler
+    drew, up to and including each episode's accepted start, summed over
+    episodes: ``episodes / x0_proposals`` is the sampler's acceptance rate.
     """
 
     episodes: int
@@ -395,30 +335,6 @@ _EPISODE_STREAM = 0
 _MAX_RECORDED_VIOLATIONS = 64
 
 
-def _first_inside(library: PrimitiveLibrary, level: float, lo: np.ndarray, hi: np.ndarray,
-                  uniforms: np.ndarray) -> np.ndarray:
-    """Index of each episode's first box point lo + (hi - lo) · u, over
-    ``uniforms`` (episodes, points, n), that lies in every member's
-    ``level`` sublevel set; -1 where none does.
-
-    Column 0 is tested for every episode, then columns 1, 2-3, 4-7, ... for
-    the episodes still without a hit.
-    """
-    width = hi - lo
-    first = np.full(len(uniforms), -1)
-    pending = np.arange(len(uniforms))
-    start, stop = 0, 1
-    while pending.size and start < uniforms.shape[1]:
-        points = lo + width * uniforms[pending, start:stop]
-        values = _member_values(library, points.reshape(-1, lo.size))
-        ok = np.all(values <= level, axis=1).reshape(points.shape[:2])
-        hit = np.any(ok, axis=1)
-        first[pending[hit]] = start + np.argmax(ok[hit], axis=1)
-        pending = pending[~hit]
-        start, stop = stop, min(2 * stop, uniforms.shape[1])
-    return first
-
-
 # Episodes per block of the campaign draw: 128-episode blocks were no
 # faster and raised a 1000-episode campaign's peak memory by 0.7 MB.
 _DRAW_BLOCK = 64
@@ -435,9 +351,9 @@ def _draw_campaign_inputs(
     exact_sup: bool = False,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, int, int]:
     """Per-episode start states, member columns and disturbances, episode
-    ``e`` drawn from ``derive_rng(seed, stream, e)``, plus the number of
-    switch requests the supervisor deferred and the number of box points
-    drawn for the start states (``CampaignReport.x0_proposals``).
+    ``e`` drawn from ``derive_rng(seed, stream, e, ...)``, plus the number
+    of switch requests the supervisor deferred and the number of start
+    proposals drawn (``CampaignReport.x0_proposals``).
 
     The signals stay library indices throughout: the initial members and
     the requests are stored in the narrowest integer types that hold them,
@@ -446,21 +362,20 @@ def _draw_campaign_inputs(
     (uint8 up to 255 members), are returned as they are.  ``ids[cols]``
     are the supervised assignments.
 
-    Each stream holds, in order: the start state (batches of ``_X0_BATCH``
-    box points, up to the first batch holding a point inside every member's
-    ω sublevel set), the initial member, the switch requests (proposals,
-    then picks) and the disturbances (directions, then radii).
+    Start proposals are uniform in the ω-ellipsoid of the member of
+    smallest volume (largest weight determinant): batch b of episode e
+    holds ``_X0_BATCH`` Gaussian directions, then as many uniform radii,
+    from ``derive_rng(seed, stream, e, b + 1)``.  The start is the first
+    proposal inside every member's ω sublevel set.  The episode's own
+    stream ``derive_rng(seed, stream, e)`` holds the initial member, the
+    switch requests (proposals, then picks) and the disturbances
+    (directions, then radii).
 
-    The streams of a block of ``_DRAW_BLOCK`` episodes are seeded in one
-    ``_stream_states`` pass, and each is read through one reused PCG64
-    generator set to its state.  The loop over episodes makes only the
-    generator calls of that layout, assuming the first batch holds a start,
-    and start acceptance then runs on the block.  An episode whose first
-    batch holds no start is read again: the generator is set back to its
-    state, draws batches up to the one holding a start, and reads the rest
-    of the stream anew.  The requests are then scattered and the
-    disturbances shaped once per block, so every draw is bit for bit that
-    of drawing the episode on its own.
+    A block of ``_DRAW_BLOCK`` episodes reads batch 0 and the stream of
+    each episode, then accepts the starts of the whole block at once; an
+    episode whose batch 0 holds no start reads its next batches one by one.
+    The requests are scattered and the disturbances shaped once per block,
+    so every draw is bit for bit that of drawing the episode on its own.
     """
     if horizon < 1:
         raise ValueError("horizon must be at least 1")
@@ -469,7 +384,7 @@ def _draw_campaign_inputs(
     budget = budget_from_certificate(certificate)
     rate = min(1.0, 1.0 / budget.na)
     level = certificate.omega
-    lo, hi = _sampling_box(library, level)
+    smallest = max(library, key=lambda p: np.linalg.slogdet(p.lyapunov.weight)[1]).lyapunov
     size = len(library)
     switching = size > 1 and horizon > 1
     x0s = np.empty((episode_count, library.state_dim))
@@ -477,50 +392,64 @@ def _draw_campaign_inputs(
     requests = np.full((episode_count, horizon - 1), -1, dtype=_request_dtype(size))
     dists = np.zeros((episode_count, horizon, library.dist_dim))
     rows = min(_DRAW_BLOCK, episode_count)
-    box = np.empty((rows, _X0_BATCH, library.state_dim))
+    directions = np.empty((rows, _X0_BATCH, library.state_dim))
+    lengths = np.empty((rows, _X0_BATCH))
     proposals = np.empty((rows, horizon - 1))
     radii = np.empty((rows, horizon))
     picks = [None] * rows
     x0_proposals = 0
-    bits = np.random.PCG64(0)
+    bits = derive_rng(seed, stream).bit_generator
     gen = np.random.Generator(bits)
-    # a fresh generator: no buffered half of a 64-bit output
-    fresh = {"bit_generator": "PCG64", "has_uint32": 0, "uinteger": 0}
+    # one state dict, whose counter words 2-3 are rewritten in place to move
+    # to an address: a dict built per address took 2.7 us against 1.4 us
+    # (numpy 2.4, one Xeon core)
+    state = bits.state
+    counter = state["state"]["counter"]
 
-    def read_rest(i: int, e: int) -> None:
-        """Episode e's stream after its start state, into row i of the block."""
-        initial[e] = gen.integers(size)
-        if switching:
-            gen.random(out=proposals[i])
-            picks[i] = gen.integers(size - 1, size=np.count_nonzero(proposals[i] < rate))
-        if amplitude:
-            gen.standard_normal(out=dists[e])
-            gen.random(out=radii[i])
+    def seek(e: int, batch: int = 0) -> None:
+        """Move the generator to the start of ``derive_rng(seed, stream, e)``,
+        or of ``derive_rng(seed, stream, e, batch)``."""
+        counter[2:] = (e, batch)
+        bits.state = state
+
+    def propose(i: int, e: int, batch: int) -> None:
+        """Episode e's start proposals of ``batch``, into row i of the block."""
+        seek(e, batch + 1)
+        gen.standard_normal(out=directions[i])
+        gen.random(out=lengths[i])
+
+    def inside(points: np.ndarray) -> np.ndarray:
+        values = _member_values(library, points.reshape(-1, library.state_dim))
+        return np.all(values <= level, axis=1).reshape(points.shape[:-1])
 
     for start in range(0, episode_count, _DRAW_BLOCK):
         count = min(_DRAW_BLOCK, episode_count - start)
-        states = _stream_states(seed, stream, start, start + count)
-        for i, (state, inc) in enumerate(states):
-            bits.state = dict(fresh, state={"state": state, "inc": inc})
-            gen.random(out=box[i])
-            read_rest(i, start + i)
-        first = _first_inside(library, level, lo, hi, box[:count])
-        # rows with first = -1 take a wrong point here and are redrawn below
-        x0s[start:start + count] = lo + (hi - lo) * box[np.arange(count), first]
-        x0_proposals += int(np.sum(first + 1))
-        for i in np.flatnonzero(first < 0).tolist():
-            state, inc = states[i]
-            bits.state = dict(fresh, state={"state": state, "inc": inc})
-            for batch in range(_MAX_X0_BATCHES):
-                gen.random(out=box[i])
-                hit = int(_first_inside(library, level, lo, hi, box[i:i + 1])[0])
-                if hit >= 0:
+        for i in range(count):
+            e = start + i
+            propose(i, e, 0)
+            seek(e)
+            initial[e] = gen.integers(size)
+            if switching:
+                gen.random(out=proposals[i])
+                picks[i] = gen.integers(size - 1, size=np.count_nonzero(proposals[i] < rate))
+            if amplitude:
+                gen.standard_normal(out=dists[e])
+                gen.random(out=radii[i])
+        points = _ellipsoid_points(smallest, level, directions[:count], lengths[:count])
+        ok = inside(points)
+        for i in np.flatnonzero(~np.any(ok, axis=1)).tolist():
+            for batch in range(1, _MAX_X0_BATCHES):
+                propose(i, start + i, batch)
+                points[i] = _ellipsoid_points(smallest, level, directions[i], lengths[i])
+                ok[i] = inside(points[i])
+                if np.any(ok[i]):
                     break
             else:
                 raise RuntimeError("failed to sample the sublevel intersection")
-            x0s[start + i] = lo + (hi - lo) * box[i, hit]
-            x0_proposals += batch * _X0_BATCH + hit + 1
-            read_rest(i, start + i)
+            x0_proposals += batch * _X0_BATCH
+        first = np.argmax(ok, axis=1)
+        x0s[start:start + count] = points[np.arange(count), first]
+        x0_proposals += int(np.sum(first + 1))
         if switching:
             requests[start:start + count][proposals[:count] < rate] = np.concatenate(picks[:count])
         if amplitude:
@@ -621,7 +550,7 @@ def monte_carlo(
     """Monte Carlo safety campaign under a certificate.
 
     Episodes are independent and reproducible: episode e draws from
-    ``derive_rng(seed, 0, e)``.  The certificate must fingerprint-match the
+    ``derive_rng(seed, 0, e, ...)``, as ``_draw_campaign_inputs`` lays out.  The certificate must fingerprint-match the
     library it was synthesized for.  Episodes are stepped jointly for speed;
     the kept traces are the first ``keep_traces`` episodes of that rollout.
     """

@@ -335,9 +335,9 @@ class TestSimulate:
         assert summary["violation_count"] == 0
         # the shipped na_bar is below 1, so no proposed switch is ever deferred
         assert summary["deferred_requests"] == 0
-        # box points drawn for the 20 starts, counted one episode at a time
+        # ellipsoid proposals drawn for the 20 starts, counted one episode at a time
         drawn = draw_campaign_oracle(walker_library, walker_certificate, 20, 50, 0.0, 7, 0)[4]
-        assert summary["x0_proposals"] == sum(drawn) == 32
+        assert summary["x0_proposals"] == sum(drawn) == 23
         for index in range(3):
             assert (tmp_path / f"trace_{index:04d}.csv").exists()
 
@@ -617,6 +617,21 @@ class TestArgumentErrors:
         assert f"argument --seed: seed must be a nonnegative integer, got '{seed}'" in err
         assert "Traceback" not in err
         assert not out.exists()
+
+    def test_seed_from_2_128_is_an_input_error(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "read_document", lambda *a: pytest.fail("input was read"))
+        out = tmp_path / "out"
+        argv = ["simulate", "--library", "shipped-walker", "--certificate", "shipped",
+                "--out-dir", str(out)]
+        assert main(argv + ["--seed", str(2**128)]) == EXIT_INPUT
+        err = capsys.readouterr().err
+        assert f"argument --seed: seed must be below 2**128, got '{2**128}'" in err
+        assert "Traceback" not in err
+        monkeypatch.setenv("SWITCHCERT_SEED", str(2**128 + 5))
+        assert main(argv) == EXIT_INPUT
+        assert f"seed must be below 2**128, got '{2**128 + 5}'" in capsys.readouterr().err
+        assert not out.exists()
+        assert cli.build_parser().parse_args(argv + ["--seed", str(2**128 - 1)]).seed == 2**128 - 1
 
     def test_bad_seed_from_the_environment_is_an_input_error(
         self, tmp_path, capsys, monkeypatch

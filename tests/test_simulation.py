@@ -1,6 +1,7 @@
 """Switched-system execution, diagnostics, safety monitoring, and Monte
 Carlo campaigns."""
 
+import itertools
 import math
 import tracemalloc
 from dataclasses import fields, replace
@@ -16,6 +17,7 @@ from switchcert import (
     estimate_disturbance_margin,
     monte_carlo,
     run,
+    synthesize_certificate,
     validate_dwell_time,
 )
 
@@ -31,7 +33,6 @@ from switchcert.simulation import (
     _batch_stats,
     _draw_campaign_inputs,
     _escapes,
-    _first_inside,
     _member_values,
     budget_from_certificate,
     derive_rng,
@@ -39,11 +40,11 @@ from switchcert.simulation import (
 from switchcert.switching import Supervisor
 
 # Regression values for the shipped library captured from a seeded run
-# (seed path (424242, 7) for the signal, (424242, 8) for the start state).
-SHIPPED_RUN_STATE_5 = (2.201561680136684e-05, -9.530985694347292e-05)
-SHIPPED_RUN_STATE_200 = (4.119610338028307e-05, -6.98368850945439e-05)
-SHIPPED_RUN_MAX_MIN_LEVEL = 2.9757824897515896e-07
-SHIPPED_RUN_MAX_STEP_RATIO = 0.143865414053178
+# (seed path (424242, 7) for the signal, (424242, 8, b) for start batch b).
+SHIPPED_RUN_STATE_5 = (6.723756914510815e-05, -6.276018588967258e-05)
+SHIPPED_RUN_STATE_200 = (1.7779816772837133e-05, 9.412321315320294e-05)
+SHIPPED_RUN_MAX_MIN_LEVEL = 4.896738500691086e-06
+SHIPPED_RUN_MAX_STEP_RATIO = 0.16019494250629013
 # 300 episodes, horizon 200, amplitude ten times the shipped margin, seed 777
 SHIPPED_TENFOLD_VIOLATION_RATE = 1.0
 
@@ -61,53 +62,42 @@ class TestDerivedRng:
         assert not np.array_equal(a, b)
         assert not np.array_equal(a, c)
 
+    def test_the_path_is_the_philox_counter_and_the_seed_its_key(self):
+        for seed, path in ((0, ()), (2**128 - 1, (2**64 - 1, 2**32 + 5, 3)), (7, (1, 2))):
+            state = derive_rng(seed, *path).bit_generator.state["state"]
+            assert state["key"].tolist() == [seed % 2**64, seed >> 64]
+            assert state["counter"].tolist() == [0, *path, *[0] * (3 - len(path))]
 
-def pcg64_state(rng):
-    state = rng.bit_generator.state["state"]
-    return state["state"], state["inc"]
-
-
-# seeds of one, two and three 32-bit words
-seeds = st.one_of(st.integers(0, 2**32 - 1), st.integers(2**32, 2**64 - 1),
-                  st.integers(2**64, 2**96 - 1))
-
-
-class TestBlockSeeding:
-    """``_stream_states`` seeds a block of ``derive_rng`` streams at once."""
-
-    @settings(max_examples=80, derandomize=True, deadline=None, database=None)
-    @given(seeds, st.integers(0, 3), st.integers(0, 2**32 - 1), st.integers(0, 70))
-    @example(0, 0, 0, 70)
-    @example(2**32 - 1, 1, 2**32 - 70, 70)
-    @example(2**32, 2, 0, 5)
-    @example(2**70 + 7, 3, 2**32 - 1, 1)
-    @example(2**70 + 7, 0, 2**32 - 3, 3)
-    @example(7, 0, 12, 0)
-    def test_block_states_equal_derive_rng(self, seed, stream, start, length):
-        stop = min(start + length, 2**32)
-        expected = [pcg64_state(derive_rng(seed, stream, e)) for e in range(start, stop)]
-        assert simulation._stream_states(seed, stream, start, stop) == expected
-
-    def test_episodes_from_2_32_and_negative_seeds_are_rejected(self):
-        with pytest.raises(ValueError, match="episode indices"):
-            simulation._stream_states(1, 0, 2**32 - 1, 2**32 + 1)
-        with pytest.raises(ValueError, match="episode indices"):
-            simulation._stream_states(1, 0, 3, 2)
-        with pytest.raises(ValueError, match="non-negative"):
-            simulation._stream_states(-1, 0, 0, 4)
-        with pytest.raises(ValueError, match="non-negative"):
+    def test_seeds_from_2_128_and_long_paths_are_rejected(self):
+        with pytest.raises(ValueError, match="seed"):
+            derive_rng(2**128, 0, 0)
+        with pytest.raises(ValueError, match="seed"):
             derive_rng(-1, 0, 0)
+        for path in ((-1,), (0, 2**64), (1, 2, 3, 4)):
+            with pytest.raises(ValueError, match="path"):
+                derive_rng(5, *path)
+        # episode indices from 2**32 are ordinary counter words
+        assert derive_rng(5, 0, 2**32 + 5).random() != derive_rng(5, 0, 5).random()
+        library = make_pair_library()
+        with pytest.raises(ValueError, match="seed"):
+            _draw_campaign_inputs(library, pair_certificate(), 2, 3, 0.0, 2**128, 0)
+        draw = _draw_campaign_inputs(library, pair_certificate(), 2, 3, 0.1, 2**128 - 1, 0)
+        assert_draws_equal(draw, draw_campaign_oracle(library, pair_certificate(), 2, 3, 0.1,
+                                                      2**128 - 1, 0), library.ids)
 
     @pytest.mark.parametrize("seed", [0, 11, 2**32 + 5, 2**70 + 7])
     def test_a_reused_generator_draws_as_fresh_ones(self, seed):
         # integers(3) takes half of a 64-bit output and buffers the other
-        # half, so a state left buffered by one episode would show in the next
-        bits = np.random.PCG64(0)
+        # half, and Philox buffers four outputs, so a buffer left by one
+        # address would show in the next: rewriting the counter of one state
+        # dict and setting it must start afresh, as the campaign draw does
+        bits = derive_rng(seed, 2).bit_generator
         gen = np.random.Generator(bits)
-        for e, (state, inc) in enumerate(simulation._stream_states(seed, 2, 0, 6)):
-            bits.state = {"bit_generator": "PCG64", "state": {"state": state, "inc": inc},
-                          "has_uint32": 0, "uinteger": 0}
-            fresh = derive_rng(seed, 2, e)
+        state = bits.state
+        for e in range(6):
+            state["state"]["counter"][2:] = (e, e % 2)
+            bits.state = state
+            fresh = derive_rng(seed, 2, e, e % 2)
             for draw in (lambda g: g.random(5), lambda g: g.integers(3, size=e + 1),
                          lambda g: g.standard_normal((e + 2, 2)), lambda g: g.integers(7)):
                 assert np.array_equal(draw(gen), draw(fresh))
@@ -127,7 +117,7 @@ class TestRun:
         signal = SwitchingSignal((0,) * 31)
         rng = np.random.default_rng(3)
         for _ in range(20):
-            x0, _ = start_oracle(library, 4.0, rng)
+            x0, _ = start_oracle(library, 4.0, lambda batch: rng)
             trace = run(library, signal, x0, None, 30)
             values = trace.lyapunov[:, 0]
             for k in range(30):
@@ -177,7 +167,8 @@ class TestRun:
         initial, requests, _ = rest_oracle(walker_library, walker_certificate, 200, 0.0,
                                            derive_rng(424242, 7))
         signal = SwitchingSignal(replay_supervisor(walker_library.ids, initial, requests, budget)[0])
-        x0, _ = start_oracle(walker_library, walker_certificate.omega, derive_rng(424242, 8))
+        x0, _ = start_oracle(walker_library, walker_certificate.omega,
+                             lambda batch: derive_rng(424242, 8, batch))
         trace = run(walker_library, signal, x0, None, 200)
         assert validate_dwell_time(signal, budget).valid
         assert trace.in_all_basins.all()
@@ -254,13 +245,14 @@ def pair_library_with_dist_dim(dist_dim):
 
 
 def assert_disturbances_follow_the_initial_member(library, certificate, draw, seed, stream):
-    """Each episode's stream holds its start state, its initial member, and
-    right after that its disturbance directions: no switch request."""
+    """Each episode's stream holds its initial member, and right after that
+    its disturbance directions: no switch request."""
     x0s, cols, dists, deferred, _ = draw
     assert deferred == 0
     for e, values in enumerate(dists):
+        start = start_oracle(library, certificate.omega, proposal_rngs(seed, stream, e))
+        assert np.array_equal(start[0], x0s[e])
         rng = derive_rng(seed, stream, e)
-        assert np.array_equal(start_oracle(library, certificate.omega, rng)[0], x0s[e])
         assert np.all(cols[e] == rng.integers(len(library)))
         directions = rng.standard_normal(values.shape)
         np.testing.assert_allclose(
@@ -347,24 +339,34 @@ class TestSamplers:
         assert_disturbances_follow_the_initial_member(library, pair_certificate(), draw, 6, 1)
 
 
-def start_oracle(library, level, rng):
-    """A start state from ``rng``: batches of 128 points of the box around
-    the members' ``level`` sublevel sets, up to the first batch with a point
-    inside all of them.  Returns the point and the number of box points
-    drawn up to and including it."""
-    halves = [np.sqrt(level * np.diag(np.linalg.inv(p.lyapunov.weight))) for p in library]
-    lo = np.max([p.lyapunov.center - h for p, h in zip(library, halves)], axis=0)
-    hi = np.min([p.lyapunov.center + h for p, h in zip(library, halves)], axis=0)
-    count = 0
-    while True:
-        points = rng.uniform(lo, hi, size=(128, library.state_dim))
-        ok = np.ones(128, dtype=bool)
+def start_oracle(library, level, batch_rng):
+    """A start state: batches of 8 proposals uniform in the ``level``
+    ellipsoid of the member with the largest weight determinant, batch b
+    drawn from ``batch_rng(b)`` as Gaussian directions, then radii, up to
+    the first proposal inside every member's ``level`` sublevel set.
+    Returns the point and the number of proposals drawn up to and
+    including it."""
+    smallest = max(library, key=lambda p: np.linalg.slogdet(p.lyapunov.weight)[1]).lyapunov
+    evals, evecs = np.linalg.eigh(smallest.weight)
+    scale = evecs * np.sqrt(level / evals)
+    n = library.state_dim
+    for batch in itertools.count():
+        rng = batch_rng(batch)
+        directions = rng.standard_normal((8, n))
+        lengths = rng.random(8) ** (1.0 / n) / np.linalg.norm(directions, axis=1)
+        points = smallest.center + (directions * lengths[:, None]) @ scale.T
+        ok = np.ones(8, dtype=bool)
         for p in library:
             ok &= p.lyapunov.values(points) <= level
         hits = np.flatnonzero(ok)
         if hits.size:
-            return points[hits[0]], count + int(hits[0]) + 1
-        count += 128
+            return points[hits[0]], 8 * batch + int(hits[0]) + 1
+
+
+def proposal_rngs(seed, stream, episode):
+    """Episode ``episode``'s start proposals: batch b from
+    ``derive_rng(seed, stream, episode, b + 1)``."""
+    return lambda batch: derive_rng(seed, stream, episode, batch + 1)
 
 
 def rest_oracle(library, certificate, horizon, amplitude, rng, exact_sup=False):
@@ -394,11 +396,12 @@ def rest_oracle(library, certificate, horizon, amplitude, rng, exact_sup=False):
     return initial, requests, values
 
 
-def run_episode(library, certificate, horizon, amplitude, rng):
-    """Reference for one campaign episode drawn on its own from ``rng``: the
-    start state, then the rest of the stream, supervised and rolled out."""
-    x0, _ = start_oracle(library, certificate.omega, rng)
-    initial, requests, dists = rest_oracle(library, certificate, horizon, amplitude, rng)
+def run_episode(library, certificate, horizon, amplitude, seed, episode):
+    """Reference for episode ``episode`` of a campaign, drawn on its own:
+    the start state, then the episode's stream, supervised and rolled out."""
+    x0, _ = start_oracle(library, certificate.omega, proposal_rngs(seed, 0, episode))
+    initial, requests, dists = rest_oracle(library, certificate, horizon, amplitude,
+                                           derive_rng(seed, 0, episode))
     sigma, _ = replay_supervisor(library.ids, initial, requests,
                                  budget_from_certificate(certificate))
     return run(library, SwitchingSignal(sigma), x0, dists, horizon)
@@ -406,18 +409,19 @@ def run_episode(library, certificate, horizon, amplitude, rng):
 
 def draw_campaign_oracle(library, certificate, episode_count, horizon, amplitude, seed, stream,
                          exact_sup=False):
-    """Reference for ``_draw_campaign_inputs``: each episode drawn on its own
-    from ``derive_rng(seed, stream, e)``, its start state and then the rest
-    of its stream.  Returns the draw's ``(x0s, sigmas, dists, deferred)``
-    and each episode's number of box points drawn up to and including its
+    """Reference for ``_draw_campaign_inputs``: each episode drawn on its own,
+    its start state from ``derive_rng(seed, stream, e, b + 1)`` for batches
+    b = 0, 1, ... and the rest from ``derive_rng(seed, stream, e)``.
+    Returns the draw's ``(x0s, sigmas, dists, deferred)`` and each
+    episode's number of start proposals drawn up to and including its
     start."""
     budget = budget_from_certificate(certificate)
     x0s, drawn, sigmas, dists, deferred = [], [], [], [], 0
     for episode in range(episode_count):
-        rng = derive_rng(seed, stream, episode)
-        x0, count = start_oracle(library, certificate.omega, rng)
-        initial_id, row, values = rest_oracle(library, certificate, horizon, amplitude, rng,
-                                              exact_sup)
+        x0, count = start_oracle(library, certificate.omega,
+                                 proposal_rngs(seed, stream, episode))
+        initial_id, row, values = rest_oracle(library, certificate, horizon, amplitude,
+                                              derive_rng(seed, stream, episode), exact_sup)
         sigma, admitted = replay_supervisor(library.ids, initial_id, row, budget)
         x0s.append(x0)
         drawn.append(count)
@@ -429,14 +433,25 @@ def draw_campaign_oracle(library, certificate, episode_count, horizon, amplitude
 
 def crossed_library(aspect=100.0):
     """Two 2-D members whose unit sublevel sets are thin ellipses along the
-    two diagonals: their intersection fills about 2% of its bounding box,
-    so about one start in thirteen needs a second batch of 128 points."""
+    two diagonals: their intersection fills about 13% of either ellipse, so
+    about one start in three needs a second batch of proposals."""
     turn = np.array([[1.0, -1.0], [1.0, 1.0]]) / np.sqrt(2.0)
     members = []
     for pid, axes in enumerate(((1.0, aspect), (aspect, 1.0))):
         weight = turn @ np.diag(axes) @ turn.T
         members.append(make_primitive(pid, weight=0.5 * (weight + weight.T), basin_level=2.0))
     return PrimitiveLibrary(tuple(members))
+
+
+def twelve_dimensional_library():
+    """Two 12-D members with identity weights whose centres lie 0.01 apart
+    in every coordinate, so each ω-ball pokes out of the other."""
+    eye = np.eye(12)
+    return PrimitiveLibrary(tuple(
+        Primitive(id=i, map=PrimitiveMap(linear=0.5 * eye, fixed_point=c, disturbance_gain=eye),
+                  lyapunov=QuadraticLyapunov(weight=eye, center=c), basin_level=2.0,
+                  contraction_rate=0.25)
+        for i, c in enumerate((np.zeros(12), np.full(12, 0.01)))))
 
 
 def assert_draws_equal(draw, oracle, ids):
@@ -488,6 +503,16 @@ class TestMonteCarlo:
         with pytest.raises(ValueError):
             monte_carlo(library, walker_certificate, 5, 10, 0.0, 1)
 
+    def test_twelve_dimensional_starts_need_few_proposals(self):
+        # Box rejection drew thousands of points per start here; proposals
+        # from one member's ω-ball land in the other's about one time in five.
+        library = twelve_dimensional_library()
+        result = synthesize_certificate(library)
+        assert result.feasible
+        report, _ = monte_carlo(library, result.certificate, 1000, 50, 0.0, 0)
+        assert report.violation_count == 0
+        assert report.x0_proposals / report.episodes < 10
+
     def test_campaign_matches_sequential_episode_replay(self, walker_library, walker_certificate):
         episodes = 40
         report, traces = monte_carlo(
@@ -498,7 +523,7 @@ class TestMonteCarlo:
         violations = sum(1 for t in traces if not t.in_all_basins.all())
         assert violations == report.violation_count
         replayed = [
-            run_episode(walker_library, walker_certificate, 120, 0.02, derive_rng(99, 0, e))
+            run_episode(walker_library, walker_certificate, 120, 0.02, 99, e)
             for e in range(episodes)
         ]
         for kept, again in zip(traces, replayed):
@@ -518,10 +543,11 @@ class TestMonteCarlo:
         )
         deferred = 0
         for e, trace in enumerate(traces):
-            # the per-episode stream: start state, initial member, proposals, picks
+            # the start state, then the episode's stream: initial member,
+            # proposals, picks
+            start = start_oracle(walker_library, certificate.omega, proposal_rngs(5, 0, e))
+            assert np.array_equal(trace.states[0], start[0])
             rng = derive_rng(5, 0, e)
-            assert np.array_equal(trace.states[0],
-                                  start_oracle(walker_library, certificate.omega, rng)[0])
             supervisor = Supervisor(ids[rng.integers(len(ids))], budget, known_ids=ids)
             proposals = rng.random(horizon - 1) < 1.0 / 3.0
             picks = iter(rng.integers(len(ids) - 1, size=int(np.count_nonzero(proposals))))
@@ -806,59 +832,51 @@ class TestCampaignDraw:
         assert cols.dtype == np.min_scalar_type(members)
         assert_draws_equal(draw, draw_campaign_oracle(*args), library.ids)
 
-    def test_inside_verdicts_do_not_depend_on_the_batch(self):
-        # einsum sums a lone 2-D row in another order than a batch: at a level
-        # between the two sums, a start's verdict must still be the batch's
-        rng = np.random.default_rng(3)
-        weight = rng.normal(size=(2, 2))
-        library = PrimitiveLibrary((make_primitive(0, weight=weight @ weight.T + np.eye(2)),))
-        lyapunov = library.primitives[0].lyapunov
-        points = rng.normal(size=(_X0_BATCH, 2))
-        batch = lyapunov.values(points)
-        alone = np.array([row_major_values(lyapunov, points[i:i + 1])[0]
-                          for i in range(len(points))])
-        differ = np.flatnonzero(batch != alone)
-        if not differ.size:
-            pytest.skip("this numpy sums a lone point as it sums a batch")
-        lo, hi = np.zeros(2), np.ones(2)  # box point lo + (hi - lo) · u is u
-        for i in differ:
-            level = min(batch[i], alone[i])
-            # one point per episode: 0 where it is inside, -1 where not
-            first = _first_inside(library, level, lo, hi, points[:, None])
-            assert first[i] == (0 if batch[i] <= level else -1)
-            assert _first_inside(library, level, lo, hi, points[i:i + 1, None])[0] == first[i]
-            assert _first_inside(library, level, lo, hi, points[i:i + 2, None])[0] == first[i]
-
     def test_starts_rejected_by_a_whole_batch_are_redrawn_exactly(self, monkeypatch):
         library = crossed_library()
         certificate = SimpleNamespace(omega=1.0, n0_bar=1.0, na_bar=2.0)
         args = (library, certificate, 2 * _DRAW_BLOCK + 22, 30, 0.2, 4, 0, True)
         oracle = draw_campaign_oracle(*args)
-        slow = [e for e, drawn in enumerate(oracle[4]) if drawn > 128]
-        assert len(slow) >= 3
+        slow = [e for e, drawn in enumerate(oracle[4]) if drawn > _X0_BATCH]
+        assert len(slow) >= 3 and max(oracle[4]) > 2 * _X0_BATCH
         assert any(e < _DRAW_BLOCK for e in slow) and any(e >= _DRAW_BLOCK for e in slow)
-        seeded, derived = [], []
-        derive, seed_block = simulation.derive_rng, simulation._stream_states
+        derived = []
+        derive = simulation.derive_rng
         monkeypatch.setattr(simulation, "derive_rng",
                             lambda *path: derived.append(path) or derive(*path))
-        monkeypatch.setattr(
-            simulation, "_stream_states",
-            lambda seed, stream, start, stop: seeded.extend(
-                (seed, stream, e) for e in range(start, stop)) or seed_block(seed, stream, start, stop))
         assert_draws_equal(_draw_campaign_inputs(*args), oracle, library.ids)
-        # every stream is seeded once, in order, and the episodes that needed
-        # a second batch read their stream again without a derive_rng generator
-        assert seeded == [(4, 0, e) for e in range(args[2])]
-        assert derived == []
+        # one generator, keyed once, moves between the episodes' addresses
+        assert derived == [(4, 0)]
+
+    @pytest.mark.parametrize("block", [1, 7, 64])
+    @pytest.mark.parametrize("make_library, level", [
+        (crossed_library, 1.0), (twelve_dimensional_library, 0.0024)])
+    def test_rows_depend_on_neither_the_block_nor_the_episode_count(
+        self, monkeypatch, block, make_library, level
+    ):
+        library = make_library()
+        certificate = SimpleNamespace(omega=level, n0_bar=1.0, na_bar=2.0)
+        args = (library, certificate, 150, 20, 0.2, 12, 0)
+        whole = _draw_campaign_inputs(*args)
+        monkeypatch.setattr(simulation, "_DRAW_BLOCK", block)
+        assert_same_draw(_draw_campaign_inputs(*args), whole)
+        # the first 41 episodes of a 150-episode draw are a 41-episode draw
+        prefix = _draw_campaign_inputs(library, certificate, 41, *args[3:])
+        for part, full in zip(prefix[:3], whole[:3]):
+            assert np.array_equal(part, full[:41])
 
     def test_shipped_campaign_draw_matches_the_oracle(self, walker_library, walker_certificate):
-        # seeds of one, two and three 32-bit words
         for seed, amplitude, exact_sup in ((11, 0.1, False), (11, 1.0, True), (11, 0.0, False),
-                                           (2**32 + 3, 0.1, False), (2**70 + 7, 1.0, True)):
+                                           (2**32 + 3, 0.1, False), (2**128 - 1, 1.0, True)):
             args = (walker_library, walker_certificate, _DRAW_BLOCK + 9, 200, amplitude, seed, 0,
                     exact_sup)
             assert_draws_equal(_draw_campaign_inputs(*args), draw_campaign_oracle(*args),
                                walker_library.ids)
+
+
+def assert_same_draw(draw, other):
+    assert all(np.array_equal(a, b) for a, b in zip(draw[:3], other[:3]))
+    assert draw[3:] == other[3:]
 
 
 # The stepping kernel and the margin bisection of earlier releases: one
@@ -978,7 +996,7 @@ class TestStackedRollout:
         weight = rng.normal(size=(2, 2))
         weight = weight @ weight.T + np.eye(2)
         lyapunov = QuadraticLyapunov(weight=weight, center=np.zeros(2))
-        points = rng.normal(size=(_X0_BATCH, 2))
+        points = rng.normal(size=(128, 2))
         stacked = lyapunov.values(points)
         alone = np.array([row_major_values(lyapunov, points[i:i + 1])[0]
                           for i in range(len(points))])
