@@ -16,10 +16,12 @@ SYMMETRY_TOL = 1e-10
 RATIO_TOL = 1e-12
 
 
-# numpy rounds a row differently in smaller batches: matmul sends a lone
-# row down another BLAS route, and einsum sums one or two 2-D rows in
-# another order.  The kernels pad smaller batches with zero rows, so a row's
-# bits never depend on the batch it is in.
+# numpy rounds a state differently in smaller batches: matmul sends a lone
+# state down another BLAS route, and einsum sums one or two 2-D states in
+# another order.  ``_step_stack`` stacks at least _MIN_BATCH states per
+# member (``apply_batch`` pads a smaller batch with zero rows, a rollout
+# with repeats of a row) and ``_quadratic_forms`` pads smaller batches with
+# zero rows, so a state's bits never depend on the batch it is in.
 _MIN_BATCH = 3
 
 
@@ -35,8 +37,10 @@ def _quadratic_forms(points, centers: np.ndarray, weights: np.ndarray) -> np.nda
     """(x - c)^T W (x - c) at each of the points x (N, n) for each of the
     stacked centres c (P, n) and weights W (P, n, n), shape (N, P).
 
-    The offsets are stacked column-major, so einsum adds each value's n²
-    terms i-major and j-minor, as over a row-major stack of one member.
+    The offsets are stacked column-major, so einsum loops along the N points
+    innermost and adds each value's n² terms i-major and j-minor, as over a
+    row-major stack of one member.  Simulation observers pass every state of
+    a chunk of steps at once, flattened to (steps · episodes · blocks, n).
     """
     count = len(points)
     y = np.subtract(_padded(points)[:, None, :], centers, order="F")
@@ -103,19 +107,79 @@ class PrimitiveMap:
     def apply_batch(self, points: np.ndarray, disturbances: np.ndarray | None = None) -> np.ndarray:
         """Update of a stack of states (N, n) under disturbances (N, m), or none.
 
-        The offsets from the fixed point are stacked column-major, so the
-        quadratic term's einsum loops along the N rows innermost; it sums
-        the same products in the same order as over a row-major stack.
-        Each row's update is bit for bit the same at any N.
+        The one-member case of ``_step_stack``, the kernel simulation steps
+        every member with: a batch of fewer than ``_MIN_BATCH`` states is
+        padded with zero rows, so each row's update is bit for bit the same
+        at any N.
         """
-        count = len(points)
-        y = np.subtract(_padded(points), self.fixed_point, order="F")
-        out = self.fixed_point + y @ self.linear.T
-        if self.quadratic is not None:
-            out = out + np.einsum("ni,kij,nj->nk", y, self.quadratic, y)
+        count, points = len(points), _padded(points)[:, None]
         if disturbances is not None:
-            out = out + _padded(disturbances) @ self.disturbance_gain.T
-        return out[:count]
+            disturbances = _padded(disturbances)[:, None]
+        rows = np.arange(len(points))
+        return _step_stack(_MapStack.of([self]), points, disturbances, rows[None],
+                           rows[:count])[:, 0]
+
+
+@dataclass(frozen=True)
+class _MapStack:
+    """P maps stacked for ``_step_stack``: transposed linear parts (P, n, n),
+    fixed points (P, n, 1), transposed disturbance gains (P, m, n), and the
+    quadratic coefficients (Q, n, n, n) of the Q ``curved`` members that
+    have one, in member order."""
+
+    linear_t: np.ndarray
+    fixed_points: np.ndarray
+    gains_t: np.ndarray
+    curved: np.ndarray
+    quadratic: np.ndarray
+
+    @classmethod
+    def of(cls, maps) -> "_MapStack":
+        curved = [i for i, m in enumerate(maps) if m.quadratic is not None]
+        n = maps[0].state_dim
+        return cls(np.array([m.linear.T for m in maps]),
+                   np.array([m.fixed_point for m in maps])[:, :, None],
+                   np.array([m.disturbance_gain.T for m in maps]),
+                   np.array(curved, dtype=np.intp),
+                   np.array([maps[i].quadratic for i in curved]).reshape(-1, n, n, n))
+
+
+def _step_stack(maps: _MapStack, points: np.ndarray, disturbances: np.ndarray | None,
+                gather: np.ndarray, back: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Every stacked map's update of the states it drives, in one call per
+    stage.  ``points`` (rows, blocks, n) holds rows of states, each row
+    driven by one member in every block, under ``disturbances`` (rows,
+    blocks, m), or none.  Member p updates the rows ``gather[p]``, M of
+    them, so that M · blocks is at least ``_MIN_BATCH``; a padding slot may
+    repeat any row, and its update is dropped.  ``back`` holds the slot of
+    each row to return, p · M + its index in ``gather[p]``.  Returns the
+    updated rows (len(back), blocks, n), into ``out`` if given.
+
+    The offsets from the fixed points are stacked coordinate-major, (P, n,
+    M · blocks), so the elementwise stages and the quadratic term's einsum
+    (over the curved members only) loop along the states innermost.  Both
+    BLAS products, one per member, take the states as rows, as a row-major
+    update does.  So each state's update sums the same products in the same
+    order as a row-major update by its member alone, in any dimension, and
+    depends on no other state.  A member without a quadratic term gets
+    none, so an infinite offset never meets a zero coefficient.
+    """
+    members, width = gather.shape
+    _, blocks, n = points.shape
+    rows = points.take(gather, axis=0).reshape(members, -1, n)
+    offsets = np.subtract(rows.transpose(0, 2, 1), maps.fixed_points, order="C")
+    linear = np.matmul(offsets.transpose(0, 2, 1), maps.linear_t)
+    update = np.add(linear.transpose(0, 2, 1), maps.fixed_points, order="C")
+    if len(maps.curved) == members:
+        update += np.einsum("pin,pkij,pjn->pkn", offsets, maps.quadratic, offsets)
+    elif len(maps.curved):
+        curved = offsets[maps.curved]
+        update[maps.curved] += np.einsum("pin,pkij,pjn->pkn", curved, maps.quadratic, curved)
+    update = update.transpose(0, 2, 1)
+    if disturbances is not None:
+        kicks = disturbances.take(gather, axis=0).reshape(members, -1, disturbances.shape[2])
+        update = np.add(update, np.matmul(kicks, maps.gains_t), order="C")
+    return np.take(update.reshape(members * width, blocks, n), back, axis=0, out=out)
 
 
 @dataclass(frozen=True)
@@ -214,6 +278,7 @@ class PrimitiveLibrary:
     primitives: tuple[Primitive, ...]
     centers: np.ndarray = field(init=False, repr=False, compare=False)   # (P, n)
     weights: np.ndarray = field(init=False, repr=False, compare=False)   # (P, n, n)
+    maps: "_MapStack" = field(init=False, repr=False, compare=False)     # P members
 
     def __post_init__(self):
         prims = tuple(self.primitives)
@@ -230,6 +295,7 @@ class PrimitiveLibrary:
         object.__setattr__(self, "primitives", prims)
         object.__setattr__(self, "centers", _frozen_array([p.lyapunov.center for p in prims], "centers"))
         object.__setattr__(self, "weights", _frozen_array([p.lyapunov.weight for p in prims], "weights"))
+        object.__setattr__(self, "maps", _MapStack.of([p.map for p in prims]))
 
     def __len__(self) -> int:
         return len(self.primitives)

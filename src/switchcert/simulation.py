@@ -23,7 +23,8 @@ import numpy as np
 import numpy.random  # numpy 2 loads it lazily, on the first default_rng
 
 from .library_io import library_fingerprint, write_table
-from .primitives import PrimitiveLibrary, _ball_points, _ellipsoid_points, _quadratic_forms
+from .primitives import (_MIN_BATCH, PrimitiveLibrary, _ball_points, _ellipsoid_points,
+                         _quadratic_forms, _step_stack)
 from .switching import DwellTimeBudget, SwitchingSignal, _supervise_columns
 
 # Start proposals per counter address; an episode whose batch holds no start
@@ -129,75 +130,90 @@ def _member_columns(ids, assignments: np.ndarray) -> np.ndarray:
     return np.argmax(match, axis=-1)
 
 
-# Steps of the member order computed at a time: argsort returns int64, and
-# sorting a few steps at a time inside the stepping loop keeps the order
-# from costing a (horizon, episodes) array.
-_ORDER_STEPS = 16
+# States per chunk of steps: a rollout sorts the member columns of, and
+# hands its observers the states of, as many steps at a time as keep a chunk
+# within this many states (at least one step).  Observing a chunk takes
+# about 90 bytes per state on the shipped library; at 4096 states a
+# 1000-episode campaign's traced peak stays at that of observing one step
+# at a time (4.17 MB), and 6000 to 12000 stepped the margin no faster.
+_CHUNK_STATES = 4096
+
+
+def _member_slots(chunk: np.ndarray, members: int, blocks: int) -> tuple[np.ndarray, np.ndarray]:
+    """The ``gather`` and ``back`` arguments of ``_step_stack`` for each step
+    of a chunk, from its (steps, episodes) narrow member columns ``chunk``,
+    every episode a row of ``blocks`` states.
+
+    Episode e takes slot i of its member's stack, i counting the episodes
+    before e that the member drives at that step.  ``gather`` (steps, P, M)
+    holds each slot's episode, episode 0 for a padding slot, and ``back``
+    (steps, episodes) each episode's slot p · M + i.  M is the most
+    episodes a member drives at any step of the chunk, and at least
+    ``_MIN_BATCH / blocks``.
+    """
+    steps, count = chunk.shape
+    # (step, member) keys of 8 or 16 bits sort by radix
+    keys = (chunk + np.arange(0, steps * members, members,
+                              dtype=np.min_scalar_type(steps * members))[:, None]).ravel()
+    order = np.argsort(keys, kind="stable")
+    sizes = np.bincount(keys, minlength=steps * members)
+    width = max(int(sizes.max()), -(-_MIN_BATCH // blocks))
+    keys = keys[order].astype(np.intp)
+    ranks = np.arange(keys.size) - (np.cumsum(sizes) - sizes)[keys]
+    # int32 indices: a chunk's (P, M) stacks stay far below 2**31 slots
+    gather = np.zeros((steps, members, width), dtype=np.int32)
+    gather.reshape(-1)[keys * width + ranks] = order % count
+    back = np.empty((steps, count), dtype=np.int32)
+    back.reshape(-1)[order] = keys % members * width + ranks
+    return gather, back
 
 
 def _rollout(library: PrimitiveLibrary, x0s: np.ndarray, cols: np.ndarray, unit: np.ndarray,
              scales, observe: Callable[[int, np.ndarray], np.ndarray | None]) -> None:
     """Step a batch of episodes jointly under blocks of scaled disturbances.
 
-    The state has shape (episodes, blocks, n), every block starting at
-    ``x0s``.  At step k, member ``cols[e, k]`` (a library index) drives
-    episode e in every block, block b under disturbance ``scales[b] *
-    unit[e, k]``.  ``observe(k, x)`` sees the states for k = 0..horizon
-    (``x`` is overwritten by the next step) and returns None to keep every
-    block, or a mask of the blocks to keep; stepping stops once none is
-    left.  Overflow and NaN propagate silently, so escapes are recorded
-    rather than raised.
+    Every block starts at ``x0s``.  At step k, member ``cols[e, k]`` (a
+    library index) drives episode e in every block, block b under
+    disturbance ``scales[b] * unit[e, k]``.  ``observe(k, xs)`` sees the
+    states k .. k + len(xs) - 1 as ``xs`` (steps, episodes, blocks, n): the
+    start states alone, then the states of each chunk of steps once the
+    chunk is stepped, as many steps as fit ``_CHUNK_STATES``.  It returns
+    None to keep every block, or a mask of the blocks to keep, which takes
+    effect at the next chunk; stepping stops once none is left.  Overflow
+    and NaN propagate silently, so escapes are recorded rather than raised.
 
     ``cols`` may have any integer dtype and layout; campaigns pass the
-    draw's narrow step-major columns.  Each step gathers the episodes into
-    member order (a stable sort of its column of ``cols``, computed with
-    the members' slab bounds for ``_ORDER_STEPS`` steps at a time as the
-    loop reaches them), passes each member's contiguous slab of episodes
-    through ``PrimitiveMap.apply_batch`` and scatters the result back.
+    draw's narrow step-major columns.  Each chunk's member columns are
+    sorted once (``_member_slots``), and each step is one ``_step_stack``
+    call that updates every member, the kernel behind
+    ``PrimitiveMap.apply_batch``, whose rows go straight into the chunk the
+    observers read.  So ``run``, campaigns and the margin step through one
+    kernel.
     """
-    maps = [p.map for p in library]
+    maps = library.maps
+    members = len(library)
     count, horizon = cols.shape
-    narrow = np.min_scalar_type(len(maps))
+    narrow = np.min_scalar_type(members)
     scales = np.asarray(scales, dtype=float)
-    # one block under the disturbances as they are: no repeat, no x 1.0
-    unscaled = scales.tolist() == [1.0]
-    x = np.repeat(np.asarray(x0s, dtype=float)[:, None, :], scales.size, axis=1)
-    n, m = x.shape[2], unit.shape[2]
-    row_scales = None
+    n = x0s.shape[1]
+    x = np.repeat(np.asarray(x0s, dtype=float)[:, None], scales.size, axis=1)
     with np.errstate(over="ignore", invalid="ignore"):
-        for k in range(horizon + 1):
-            keep = observe(k, x)
+        keep = observe(0, x[None])
+        start = 0
+        while start < horizon:
             if keep is not None and not np.all(keep):
                 if not np.any(keep):
                     return
-                x, scales, row_scales = x[:, keep], scales[keep], None
-            if k == horizon:
-                return
-            blocks = scales.size
-            if k % _ORDER_STEPS == 0:
-                # member indices narrowed to 8 or 16 bits sort by radix
-                chunk = cols[:, k:k + _ORDER_STEPS].T.astype(narrow, copy=False)
-                order = np.argsort(chunk, axis=1, kind="stable")
-                bounds = np.zeros((len(chunk), len(maps) + 1), dtype=np.int64)
-                for j in range(len(maps)):
-                    bounds[:, j + 1] = np.count_nonzero(chunk == j, axis=1)
-                bounds = np.cumsum(bounds, axis=1).tolist()
-            rows = order[k % _ORDER_STEPS]
-            xs = x.take(rows, axis=0)
-            flat = xs.reshape(-1, n)
-            ds = unit[:, k].take(rows, axis=0)
-            if not unscaled:
-                if row_scales is None:
-                    # the scale of each entry of the gathered (episode, block) rows
-                    row_scales = np.repeat(np.tile(scales, count), m).reshape(-1, m)
-                ds = np.repeat(ds, blocks, axis=0)
-                ds *= row_scales
-            slabs = bounds[k % _ORDER_STEPS]
-            for map_, start, stop in zip(maps, slabs, slabs[1:]):
-                if stop > start:
-                    lo, hi = start * blocks, stop * blocks
-                    flat[lo:hi] = map_.apply_batch(flat[lo:hi], ds[lo:hi])
-            x[rows] = xs
+                x, scales = x[:, keep], scales[keep]
+            steps = min(max(_CHUNK_STATES // max(count * scales.size, 1), 1), horizon - start)
+            chunk = cols[:, start:start + steps].T.astype(narrow, copy=False)
+            gather, back = _member_slots(chunk, members, scales.size)
+            states = np.empty((steps, count, scales.size, n))
+            dists = unit[:, start:start + steps].transpose(1, 0, 2)[:, :, None] * scales[:, None]
+            for t in range(steps):
+                x = _step_stack(maps, x, dists[t], gather[t], back[t], out=states[t])
+            keep = observe(start + 1, states)
+            start += steps
 
 
 def run(
@@ -233,8 +249,8 @@ def run(
     cols = _member_columns(library.ids, signal.assignments[None, :horizon])
     states = np.empty((horizon + 1, library.state_dim))
 
-    def record(k: int, x: np.ndarray) -> None:
-        states[k] = x[0, 0]
+    def record(k: int, xs: np.ndarray) -> None:
+        states[k:k + len(xs)] = xs[:, 0, 0]
 
     _rollout(library, x0[None], cols, dvals[None, :horizon], (1.0,), record)
     return _trace(library, states, signal, dvals[:horizon].copy())
@@ -340,6 +356,20 @@ _MAX_RECORDED_VIOLATIONS = 64
 _DRAW_BLOCK = 64
 
 
+def _check_boxes_meet(library: PrimitiveLibrary, level: float) -> None:
+    """Raise ``ValueError`` naming two members whose sublevel sets at
+    ``level`` are disjoint because their bounding boxes, c ± sqrt(level ·
+    diag(W⁻¹)), are: no start could ever be accepted."""
+    evals, evecs = np.linalg.eigh(library.weights)
+    radii = np.sqrt(level * (evecs ** 2 @ (1.0 / evals)[..., None])[..., 0])
+    gaps = np.abs(library.centers[:, None] - library.centers) > radii[:, None] + radii
+    pairs = np.argwhere(np.any(gaps, axis=2))
+    if len(pairs):
+        p, q = pairs[0]
+        raise ValueError(f"the omega-sets of members {library.ids[p]} and {library.ids[q]} are "
+                         f"disjoint, so no start lies in every member's omega-set")
+
+
 def _draw_campaign_inputs(
     library: PrimitiveLibrary,
     certificate,
@@ -384,6 +414,7 @@ def _draw_campaign_inputs(
     budget = budget_from_certificate(certificate)
     rate = min(1.0, 1.0 / budget.na)
     level = certificate.omega
+    _check_boxes_meet(library, level)
     smallest = max(library, key=lambda p: np.linalg.slogdet(p.lyapunov.weight)[1]).lyapunov
     size = len(library)
     switching = size > 1 and horizon > 1
@@ -445,7 +476,8 @@ def _draw_campaign_inputs(
                 if np.any(ok[i]):
                     break
             else:
-                raise RuntimeError("failed to sample the sublevel intersection")
+                raise ValueError(f"no start in the omega-intersection after {_MAX_X0_BATCHES} "
+                                 f"batches of {_X0_BATCH} proposals")
             x0_proposals += batch * _X0_BATCH
         first = np.argmax(ok, axis=1)
         x0s[start:start + count] = points[np.arange(count), first]
@@ -476,27 +508,30 @@ def _batch_stats(
     """
     count = x0s.shape[0]
     levels = np.array([p.basin_level for p in library])
-    rows = np.arange(count)
     first = np.full(count, -1, dtype=np.int64)
     max_min = np.full(count, -np.inf)
     max_ratio = np.zeros(count)
     previous = np.empty((count, len(library)))
 
-    def observe(k: int, x: np.ndarray) -> None:
-        kept_states[:, k] = x[:len(kept_states), 0]
-        values = _member_values(library, x[:, 0])
+    def observe(k: int, xs: np.ndarray) -> None:
+        steps = len(xs)
+        kept_states[:, k:k + steps] = xs[:, :len(kept_states), 0].transpose(1, 0, 2)
+        values = _member_values(library, xs.reshape(-1, xs.shape[-1])).reshape(steps, count, -1)
         if k:
-            col = cols[:, k - 1]
-            prev_active = previous[rows, col]
-            ok = prev_active > 0.0
-            ratio = values[rows, col] / np.where(ok, prev_active, 1.0)
-            np.maximum(max_ratio, np.where(ok, ratio, 0.0), out=max_ratio)
-        inside = values <= levels
-        if not inside.all():
-            first[(first < 0) & ~np.all(inside, axis=1)] = k
-        # np.maximum keeps a NaN, made +inf after the loop
-        np.maximum(max_min, values.min(axis=1), out=max_min)
-        previous[:] = values
+            # the active member's value before and after each step of the chunk
+            active = cols[:, k - 1:k - 1 + steps].T[:, :, None]
+            after = np.take_along_axis(values, active, axis=2)[:, :, 0]
+            before = np.concatenate((np.take_along_axis(previous, active[0], axis=1).T,
+                                     np.take_along_axis(values[:-1], active[1:], axis=2)[:, :, 0]))
+            ok = before > 0.0
+            ratio = after / np.where(ok, before, 1.0)
+            np.maximum(max_ratio, np.max(np.where(ok, ratio, 0.0), axis=0), out=max_ratio)
+        escaped = ~np.all(values <= levels, axis=2)
+        late = (first < 0) & np.any(escaped, axis=0)
+        first[late] = k + np.argmax(escaped[:, late], axis=0)
+        # np.max and np.maximum keep a NaN, made +inf after the rollout
+        np.maximum(max_min, np.max(values.min(axis=2), axis=0), out=max_min)
+        previous[:] = values[-1]
 
     _rollout(library, x0s, cols, dists, (1.0,), observe)
     max_min[np.isnan(max_min)] = np.inf
@@ -515,20 +550,24 @@ def _escapes(
     disturbances ``unit``, by the predicate of ``_batch_stats`` (a NaN or
     overflowed state counts as an escape).
 
-    Each amplitude is one block of ``_rollout``, and a block stops stepping
-    at the first step at which any of its episodes has escaped.
+    Each amplitude is one block of ``_rollout``.  A block stops stepping at
+    the end of the chunk of steps in which any of its episodes first
+    escaped: its verdict is already known, so the rest of the chunk does not
+    change it.
     """
     levels = np.array([p.basin_level for p in library])
     escaped = np.zeros(len(amplitudes), dtype=bool)
     live = np.arange(len(amplitudes))
 
-    def observe(k: int, x: np.ndarray) -> np.ndarray:
+    def observe(k: int, xs: np.ndarray) -> np.ndarray | None:
         nonlocal live
-        count, blocks, n = x.shape
-        values = _member_values(library, x.reshape(-1, n))
-        # each block's largest value per member; np.max keeps a NaN, which
-        # then fails the comparison
-        peaks = np.max(values.reshape(count, -1), axis=0).reshape(blocks, -1)
+        steps, count, blocks, n = xs.shape
+        values = _member_values(library, xs.reshape(-1, n))
+        if np.all(values <= levels):  # a NaN compares false
+            return None
+        # each block's largest value per member over the chunk; np.max keeps
+        # a NaN, which then fails the comparison
+        peaks = np.max(values.reshape(steps * count, blocks, -1), axis=0)
         inside = np.all(peaks <= levels, axis=1)
         escaped[live[~inside]] = True
         live = live[inside]

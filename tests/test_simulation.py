@@ -3,6 +3,7 @@ Carlo campaigns."""
 
 import itertools
 import math
+import time
 import tracemalloc
 from dataclasses import fields, replace
 from types import SimpleNamespace
@@ -674,6 +675,51 @@ class TestSharedKernel:
         assert_same_bits(simulation._member_values(library, states),
                          member_values_oracle(library, states))
 
+    @settings(max_examples=200, derandomize=True, deadline=None, database=None)
+    @given(st.tuples(st.integers(1, 8), st.integers(1, 3),
+                     st.lists(st.booleans(), min_size=1, max_size=5),
+                     st.integers(0, 2**32 - 1)),
+           st.lists(st.sampled_from([0, 1, 2, 3, 40]), min_size=5, max_size=5),
+           st.integers(1, 4), st.sampled_from([1.0, 1e150, 1e200]), st.booleans(), st.booleans())
+    @example((3, 2, [True, False, True], 7), [0, 1, 2, 0, 0], 1, 1e200, True, True)
+    @example((2, 2, [False, True], 3), [2, 0, 0, 0, 0], 2, 1.0, False, True)
+    def test_stacked_kernel_matches_the_row_major_oracle_member_by_member(
+        self, spec, sizes, blocks, scale, overflowed, disturbed
+    ):
+        # One _step_stack call steps every member's rows, 0, 1, 2 or more of
+        # them, each in `blocks` blocks; each member's rows must be the
+        # row-major update by that member alone, in a batch of three or more.
+        # At 1e150 and 1e200 the quadratic term overflows; an infinite
+        # coordinate must stay out of the members without one.
+        state_dim, dist_dim, flags, seed = spec
+        rng = np.random.default_rng(seed)
+        library = random_library(state_dim, dist_dim, flags, rng)
+        members = np.repeat(np.arange(len(library)), sizes[:len(library)])
+        if not members.size:
+            members = np.zeros(1, dtype=np.int64)
+        members = rng.permutation(members)
+        points = scale * rng.normal(size=(members.size, blocks, state_dim))
+        if overflowed:
+            points[rng.random(members.size) < 0.5, :, 0] = np.inf
+        dists = rng.normal(size=(members.size, blocks, dist_dim)) if disturbed else None
+        gather, back = simulation._member_slots(members[None].astype(np.uint8), len(library),
+                                                blocks)
+        with np.errstate(over="ignore", invalid="ignore"):
+            stepped = simulation._step_stack(library.maps, points, dists, gather[0], back[0])
+            assert stepped.shape == points.shape
+            for p, member in enumerate(library):
+                rows = np.flatnonzero(members == p)
+                ours = points[rows].reshape(-1, state_dim)
+                pad = max(3 - len(ours), 0)
+                expected = row_major_apply_batch(
+                    member.map, np.concatenate((ours, np.zeros((pad, state_dim)))),
+                    None if dists is None else np.concatenate(
+                        (dists[rows].reshape(-1, dist_dim), np.zeros((pad, dist_dim)))))
+                assert_same_bits(stepped[rows].reshape(-1, state_dim), expected[:len(ours)])
+                if member.map.quadratic is None:
+                    # one infinite coordinate makes infinite updates, never NaN
+                    assert not np.any(np.isnan(stepped[rows]))
+
     @kernel_settings
     @given(library_specs, st.integers(1, 8), st.integers(1, 20))
     def test_batch_statistics_match_per_episode_runs(self, spec, count, horizon):
@@ -762,11 +808,13 @@ class TestSharedKernel:
         assert [trace.first_violation for trace in traces] == [None, 0, None]
         assert escaped.tolist() == [True]
 
-    @pytest.mark.parametrize("escape_step", [0, 3, 40])
+    @pytest.mark.parametrize("escape_step", [0, 3, 8, 9, 40, 57])
     def test_early_stop_steps_no_further_than_the_first_escape(self, monkeypatch, escape_step):
         # The first episode rests at the fixed point.  The second starts at
         # |x| = 3 (V = 9 > 4) or is kicked there by the disturbance driving
         # step escape_step - 1, so it first leaves the basin at escape_step.
+        # Chunks of 8 steps: the start alone, then states 1-8, 9-16, ...; the
+        # rollout stops at the end of the chunk that holds the escape.
         library = PrimitiveLibrary((make_primitive(0, basin_level=4.0),))
         horizon = 60
         x0s = np.zeros((2, 2))
@@ -776,12 +824,20 @@ class TestSharedKernel:
             x0s[1, 0] = 3.0
         else:
             dists[1, escape_step - 1, 0] = 3.0
-        evaluated = []
+        monkeypatch.setattr(simulation, "_CHUNK_STATES", 16)
+        stepped, observed = [], []
+        step_stack = simulation._step_stack
+        monkeypatch.setattr(simulation, "_step_stack",
+                            lambda *a, **k: stepped.append(1) or step_stack(*a, **k))
         member_values = simulation._member_values
         monkeypatch.setattr(simulation, "_member_values",
-                            lambda lib, x: evaluated.append(1) or member_values(lib, x))
+                            lambda lib, x: observed.append(len(x)) or member_values(lib, x))
         assert _escapes(library, x0s, sigmas, dists, [1.0]).tolist() == [True]
-        assert len(evaluated) == escape_step + 1
+        chunk_end = min(-(-escape_step // 8) * 8, horizon)
+        assert len(stepped) == chunk_end
+        # one evaluation per chunk, of every state in it
+        tail = [2 * (chunk_end % 8)] if chunk_end % 8 else []
+        assert observed == [2] + [16] * (chunk_end // 8) + tail
         first, _, _ = _batch_stats(library, x0s, sigmas, dists,
                                    np.empty((0, horizon + 1, 2)))
         assert first.tolist() == [-1, escape_step]
@@ -864,6 +920,29 @@ class TestCampaignDraw:
         prefix = _draw_campaign_inputs(library, certificate, 41, *args[3:])
         for part, full in zip(prefix[:3], whole[:3]):
             assert np.array_equal(part, full[:41])
+
+    def test_disjoint_omega_sets_fail_before_drawing(self):
+        # unit weights, centres (0, 0) and (1, 0): the ω = 0.1 discs are
+        # 0.63 across and 1 apart
+        library = make_pair_library()
+        certificate = SimpleNamespace(omega=0.1, n0_bar=1.0, na_bar=2.0)
+        started = time.process_time()
+        with pytest.raises(ValueError, match="members 0 and 1 are disjoint"):
+            _draw_campaign_inputs(library, certificate, 5, 10, 0.1, 1, 0)
+        assert time.process_time() - started < 0.5
+
+    def test_an_exhausted_start_search_is_a_value_error(self, monkeypatch):
+        # two thin parallel ellipses 0.42 apart across their 0.1 half-widths:
+        # their boxes overlap, the sets do not
+        turn = np.array([[1.0, -1.0], [1.0, 1.0]]) / np.sqrt(2.0)
+        weight = turn @ np.diag([1.0, 100.0]) @ turn.T
+        weight = 0.5 * (weight + weight.T)
+        library = PrimitiveLibrary((make_primitive(0, weight=weight),
+                                    make_primitive(1, center=(0.3, -0.3), weight=weight)))
+        certificate = SimpleNamespace(omega=1.0, n0_bar=1.0, na_bar=2.0)
+        monkeypatch.setattr(simulation, "_MAX_X0_BATCHES", 3)
+        with pytest.raises(ValueError, match="no start in the omega-intersection after 3 batches"):
+            _draw_campaign_inputs(library, certificate, 2, 10, 0.1, 1, 0)
 
     def test_shipped_campaign_draw_matches_the_oracle(self, walker_library, walker_certificate):
         for seed, amplitude, exact_sup in ((11, 0.1, False), (11, 1.0, True), (11, 0.0, False),
@@ -956,9 +1035,10 @@ def margin_library(spec):
 class TestStackedRollout:
     @kernel_settings
     @given(library_specs, st.sampled_from([1, 2, 3, 5, 7, 64]), st.sampled_from([1, 2, 40]),
-           st.integers(0, 2**32 - 1))
-    @example((2, 2, [True, True, True], 4), 3, 40, 8)  # each member may drive one episode
-    def test_stacked_states_match_per_amplitude_rollouts(self, spec, episodes, horizon, seed):
+           st.integers(0, 2**32 - 1), st.sampled_from([1, 7, 64, 4096]))
+    @example((2, 2, [True, True, True], 4), 3, 40, 8, 4096)  # each member may drive one episode
+    def test_stacked_states_match_per_amplitude_rollouts(self, spec, episodes, horizon, seed,
+                                                         chunk_states):
         state_dim, dist_dim, flags, library_seed = spec
         library = random_library(state_dim, dist_dim, flags, np.random.default_rng(library_seed))
         rng = np.random.default_rng(seed)
@@ -966,27 +1046,33 @@ class TestStackedRollout:
         cols = rng.integers(len(library), size=(episodes, horizon))
         unit = rng.uniform(-1.0, 1.0, (episodes, horizon, dist_dim))
         scales = rng.choice([0.0, 0.01, 0.3, 1.0, 3.0, 1e200], size=rng.integers(1, 9))
-        # block b is dropped after step stops[b]; horizon + 1 keeps it to the end
+        # block b asks to be dropped at state stops[b]; horizon + 1 keeps it
+        # to the end.  The drop takes effect at the end of that chunk.
         stops = rng.integers(0, horizon + 2, size=scales.size)
         recorded = [[] for _ in scales]
         live = np.arange(scales.size)
 
-        def observe(k, x):
+        def observe(k, xs):
             nonlocal live
-            assert x.shape == (episodes, live.size, state_dim)
+            assert xs.shape[1:] == (episodes, live.size, state_dim)
+            last = k + len(xs) - 1
+            assert len(xs) == (1 if k == 0 else
+                               min(max(chunk_states // (episodes * live.size), 1), horizon - k + 1))
             for i, b in enumerate(live):
-                recorded[b].append(x[:, i].copy())
-            keep = stops[live] > k
+                recorded[b].extend(xs[:, :, i].copy())
+            keep = stops[live] > last
             live = live[keep]
             return keep
 
-        simulation._rollout(library, x0s, cols, unit, scales, observe)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(simulation, "_CHUNK_STATES", chunk_states)
+            simulation._rollout(library, x0s, cols, unit, scales, observe)
         for b, scale in enumerate(scales):
             expected = []
             grouped_rollout_oracle(library, x0s, cols, scale * unit,
-                                   lambda k, x: expected.append(x.copy()) or k >= stops[b])
-            assert len(recorded[b]) == len(expected) == min(stops[b], horizon) + 1
-            assert_same_bits(np.array(recorded[b]), np.array(expected))
+                                   lambda k, x: expected.append(x.copy()))
+            assert min(stops[b], horizon) + 1 <= len(recorded[b]) <= len(expected)
+            assert_same_bits(np.array(recorded[b]), np.array(expected[:len(recorded[b])]))
 
     def test_escape_verdicts_do_not_depend_on_the_stack(self):
         # einsum sums one or two 2-D rows in another order than three or
