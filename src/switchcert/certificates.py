@@ -12,10 +12,12 @@ Switching slower than the average dwell time ln(mu)/ln(epsilon/lambda)
 keeps trajectories started in the intersection of the omega-sublevel sets
 inside every basin, provided the mu^n0 * omega sublevel sets still sit
 strictly inside every basin.  Synthesis computes both constants, and the
-containment of those sets, exactly in any dimension: each is a maximum of
-one quadratic over an ellipsoid, a trust-region subproblem on a sphere.  A
-closed-form ellipsoid bound (analytic) and a grid maximization (grid) stay
-as oracles, with grid <= exact <= analytic.
+containment of those sets, exactly in any dimension from one table of
+pair maxima: each member's largest V over each member's sublevel set, a
+trust-region subproblem on a sphere.  omega(kappa) is the table's maximum
+at kappa, mu(kappa) is omega(kappa) / kappa, and containment reads the
+table at mu^n0 * omega.  A closed-form ellipsoid bound (analytic) and a
+grid maximization (grid) stay as oracles, with grid <= exact <= analytic.
 """
 from __future__ import annotations
 
@@ -242,12 +244,21 @@ def _level_max(outer: QuadraticLyapunov, inner: QuadraticLyapunov, level: float)
     return float(outer.values(x[None])[0])
 
 
+def _pair_maxima(library: PrimitiveLibrary, level: float) -> np.ndarray:
+    """The (P, P) table whose entry [i, j] is the maximum of member i's V
+    over member j's {V <= level}: ``level`` on the diagonal, ``_level_max``
+    off it."""
+    table = np.full((len(library), len(library)), float(level))
+    for (i, p), (j, q) in itertools.permutations(enumerate(library), 2):
+        table[i, j] = _level_max(p.lyapunov, q.lyapunov, level)
+    return table
+
+
 def _omega_exact(library: PrimitiveLibrary, kappa: float) -> float:
     """omega(kappa): every member's largest value on another's kappa-set,
     and at least kappa, which each member attains on its own."""
     _check_kappa_for_omega(library, kappa)
-    return max([kappa] + [_level_max(p.lyapunov, q.lyapunov, kappa)
-                          for p, q in itertools.permutations(library, 2)])
+    return float(np.max(_pair_maxima(library, kappa)))
 
 
 def _mu_exact(library: PrimitiveLibrary, kappa: float) -> float:
@@ -257,11 +268,12 @@ def _mu_exact(library: PrimitiveLibrary, kappa: float) -> float:
     is A_d + 2 B_d / s + C / s^2 with A_-d = A_d, B_-d = -B_d and
     C = V_q(c_p) >= 0.  The larger of the two values for d and -d,
     A_d + 2 |B_d| / s + C / s^2, falls in s, so the maximum over the
-    annulus lies on its inner level set V_p = kappa.
+    annulus lies on its inner level set V_p = kappa.  There the ratio is
+    V_q / kappa over omega's pairs, and dividing by kappa > 0 keeps the
+    order of rounded values, so mu is omega / kappa bit for bit.
     """
     _check_kappa_for_mu(library, kappa)
-    return max([1.0] + [_level_max(q.lyapunov, p.lyapunov, kappa) / kappa
-                        for p, q in itertools.permutations(library, 2)])
+    return _omega_exact(library, kappa) / kappa
 
 
 def dwell_time_bound(mu: float, contraction_rate: float, epsilon: float) -> float:
@@ -321,23 +333,22 @@ def feasibility_check(
 ) -> ContainmentReport:
     """Check that the mu^n0 * omega sublevel sets sit strictly inside every basin.
 
-    Same-member pairs are nested sublevel sets of one function.  A cross
-    pair's slack is kappa_bar_p minus the exact maximum of V_p over q's
-    set, so every slack is in Lyapunov units.
+    Slacks are kappa_bar_p minus the ``_pair_maxima`` entry of (p, q) at
+    that level: the level itself for the nested same-member pairs, an exact
+    maximum for cross pairs, so every slack is in Lyapunov units.
     """
     if n0_bar < 1 or int(n0_bar) != n0_bar:
         raise ValueError("n0_bar must be an integer >= 1")
     if not (omega > 0.0 and mu >= 1.0):
         raise ValueError("need omega > 0 and mu >= 1")
     level = (mu ** int(n0_bar)) * omega
+    maxima = _pair_maxima(library, level)
     pairs = []
-    for q in library:
-        for p in library:
-            if q.id == p.id:
-                mode, slack = "nested", p.basin_level - level
-            else:
-                mode, slack = "exact", p.basin_level - _level_max(p.lyapunov, q.lyapunov, level)
-            pairs.append(PairContainment(q.id, p.id, mode, float(slack), slack > 0.0))
+    for j, q in enumerate(library):
+        for i, p in enumerate(library):
+            slack = float(p.basin_level - maxima[i, j])
+            pairs.append(PairContainment(q.id, p.id, "nested" if i == j else "exact",
+                                         slack, slack > 0.0))
     return ContainmentReport(level=float(level), pairs=tuple(pairs), passed=all(c.passed for c in pairs))
 
 
@@ -435,7 +446,6 @@ class KappaDiagnostic:
     mu: float
     na_bar: float
     feasible_n0: tuple[int, ...]
-    note: str = ""
 
 
 @dataclass(frozen=True)
@@ -448,25 +458,22 @@ class SynthesisResult:
 
 def synthesize_certificate(
     library: PrimitiveLibrary,
-    kappa_grid: np.ndarray | None = None,
+    *,
     epsilon: float | None = None,
-    n0_candidates=DEFAULT_N0_CANDIDATES,
     method: str = "exact",
 ) -> SynthesisResult:
-    """Sweep candidate core levels (ascending) and return the first feasible certificate.
+    """Sweep ``default_kappa_grid`` (ascending) and return the first feasible certificate.
 
     At the first feasible kappa the largest feasible burst allowance among
-    ``n0_candidates`` wins (ties broken by the smaller dwell-time bound,
-    which cannot differ at fixed kappa).  An infeasible sweep returns
-    per-kappa diagnostics instead of a certificate.  ``method="grid"``
-    takes omega and mu from the grid oracles instead of the exact values;
-    containment is exact either way.
+    ``DEFAULT_N0_CANDIDATES`` wins (ties broken by the smaller dwell-time
+    bound, which cannot differ at fixed kappa).  An infeasible sweep
+    returns per-kappa diagnostics instead of a certificate.  The exact
+    mu is omega / kappa (see ``_mu_exact``); ``method="grid"`` takes both
+    constants from the grid oracles instead.  Containment is exact either
+    way.
     """
     if method not in ("exact", "grid"):
         raise ValueError("method must be 'exact' or 'grid'")
-    n0_candidates = tuple(sorted(set(int(n) for n in n0_candidates)))
-    if not n0_candidates or n0_candidates[0] < 1:
-        raise ValueError("n0_candidates must contain integers >= 1")
     rate = library.contraction_rate
     if epsilon is None:
         epsilon = default_epsilon(rate)
@@ -484,34 +491,22 @@ def synthesize_certificate(
                 f"(worst: member {worst[0]} in basin {worst[1]}, value {worst[2]:.6g})"
             ),
         )
-    if kappa_grid is None:
-        kappa_grid = default_kappa_grid(library)
-    kappa_grid = np.asarray(kappa_grid, dtype=float)
-    if kappa_grid.ndim != 1 or kappa_grid.size == 0:
-        raise ValueError("kappa_grid must be a nonempty 1-D array")
-    kappa_grid = np.sort(kappa_grid)
-
-    omega_fn, mu_fn = (omega_grid, mu_grid) if method == "grid" else (_omega_exact, _mu_exact)
     diagnostics = []
-    for kappa in kappa_grid:
-        if not (0.0 < kappa < library.min_basin_level):
-            diagnostics.append(KappaDiagnostic(float(kappa), np.nan, np.nan, np.nan, (), "kappa out of range"))
-            continue
-        omega = omega_fn(library, float(kappa))
-        mu = mu_fn(library, float(kappa))
+    # the grid lies inside (0, min basin level), where both constants are defined
+    for kappa in default_kappa_grid(library).tolist():
+        if method == "grid":
+            omega, mu = omega_grid(library, kappa), mu_grid(library, kappa)
+        else:
+            omega = _omega_exact(library, kappa)
+            mu = omega / kappa
         na = dwell_time_bound(mu, rate, epsilon)
-        feasible_n0 = []
-        reports = {}
-        for n0 in n0_candidates:
-            report = feasibility_check(library, n0, omega, mu)
-            reports[n0] = report
-            if report.passed:
-                feasible_n0.append(n0)
-        diagnostics.append(KappaDiagnostic(float(kappa), omega, mu, na, tuple(feasible_n0)))
+        reports = {n0: feasibility_check(library, n0, omega, mu) for n0 in DEFAULT_N0_CANDIDATES}
+        feasible_n0 = tuple(n0 for n0, report in reports.items() if report.passed)
+        diagnostics.append(KappaDiagnostic(kappa, omega, mu, na, feasible_n0))
         if feasible_n0:
             n0 = max(feasible_n0)
             certificate = Certificate(
-                kappa=float(kappa),
+                kappa=kappa,
                 omega=omega,
                 mu=mu,
                 epsilon=float(epsilon),

@@ -121,10 +121,9 @@ def cmd_certify(args) -> int:
     ]
     for diag in result.diagnostics:
         n0s = ",".join(str(n) for n in diag.feasible_n0) or "-"
-        note = f"  ({diag.note})" if diag.note else ""
         lines.append(
             f"{diag.kappa:>14.6e} {diag.omega:>14.6e} {diag.mu:>12.6f} "
-            f"{diag.na_bar:>10.4f}  {n0s}{note}")
+            f"{diag.na_bar:>10.4f}  {n0s}")
     lines.append("")
     resolved = {
         "method": "exact",

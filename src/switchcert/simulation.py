@@ -401,16 +401,16 @@ def _draw_campaign_inputs(
     switch requests (proposals, then picks) and the disturbances
     (directions, then radii).
 
-    A block of ``_DRAW_BLOCK`` episodes reads batch 0 and the stream of
-    each episode, then accepts the starts of the whole block at once; an
-    episode whose batch 0 holds no start reads its next batches one by one.
+    A block of ``_DRAW_BLOCK`` episodes reads the stream of each episode,
+    then searches the starts batch by batch: each pass proposes batch b for
+    the episodes still without a start and accepts them with one check.
     The requests are scattered and the disturbances shaped once per block,
     so every draw is bit for bit that of drawing the episode on its own.
     """
     if horizon < 1:
         raise ValueError("horizon must be at least 1")
-    if amplitude < 0.0:
-        raise ValueError("amplitude must be nonnegative")
+    if not (amplitude >= 0.0 and np.isfinite(amplitude)):
+        raise ValueError("amplitude must be nonnegative and finite")
     budget = budget_from_certificate(certificate)
     rate = min(1.0, 1.0 / budget.na)
     level = certificate.omega
@@ -457,7 +457,6 @@ def _draw_campaign_inputs(
         count = min(_DRAW_BLOCK, episode_count - start)
         for i in range(count):
             e = start + i
-            propose(i, e, 0)
             seek(e)
             initial[e] = gen.integers(size)
             if switching:
@@ -466,22 +465,23 @@ def _draw_campaign_inputs(
             if amplitude:
                 gen.standard_normal(out=dists[e])
                 gen.random(out=radii[i])
-        points = _ellipsoid_points(smallest, level, directions[:count], lengths[:count])
-        ok = inside(points)
-        for i in np.flatnonzero(~np.any(ok, axis=1)).tolist():
-            for batch in range(1, _MAX_X0_BATCHES):
-                propose(i, start + i, batch)
-                points[i] = _ellipsoid_points(smallest, level, directions[i], lengths[i])
-                ok[i] = inside(points[i])
-                if np.any(ok[i]):
-                    break
-            else:
-                raise ValueError(f"no start in the omega-intersection after {_MAX_X0_BATCHES} "
-                                 f"batches of {_X0_BATCH} proposals")
-            x0_proposals += batch * _X0_BATCH
-        first = np.argmax(ok, axis=1)
-        x0s[start:start + count] = points[np.arange(count), first]
-        x0_proposals += int(np.sum(first + 1))
+        pending = np.arange(start, start + count)
+        for batch in range(_MAX_X0_BATCHES):
+            for i, e in enumerate(pending.tolist()):
+                propose(i, e, batch)
+            points = _ellipsoid_points(smallest, level, directions[:pending.size],
+                                       lengths[:pending.size])
+            ok = inside(points)
+            hit = np.any(ok, axis=1)
+            first = np.argmax(ok[hit], axis=1)
+            x0s[pending[hit]] = points[hit, first]
+            x0_proposals += first.size * batch * _X0_BATCH + int(np.sum(first + 1))
+            pending = pending[~hit]
+            if not pending.size:
+                break
+        else:
+            raise ValueError(f"no start in the omega-intersection after {_MAX_X0_BATCHES} "
+                             f"batches of {_X0_BATCH} proposals")
         if switching:
             requests[start:start + count][proposals[:count] < rate] = np.concatenate(picks[:count])
         if amplitude:

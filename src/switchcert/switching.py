@@ -337,8 +337,8 @@ def heading_policy(phi: float, dead_zone: float = 0.0) -> int:
     phi = float(phi)
     if not math.isfinite(phi):
         raise ValueError("heading estimate must be finite")
-    if dead_zone < 0.0:
-        raise ValueError("dead_zone must be nonnegative")
+    if not (dead_zone >= 0.0 and math.isfinite(dead_zone)):
+        raise ValueError("dead_zone must be nonnegative and finite")
     if phi < -dead_zone:
         return 0
     if phi > dead_zone:

@@ -444,8 +444,8 @@ class WalkerScenario:
             raise ValueError("stride_count must be positive")
         if self.initial_primitive not in ids:
             raise ValueError("initial_primitive not in the stride library")
-        if self.dead_zone < 0.0:
-            raise ValueError("dead_zone must be nonnegative")
+        if not (self.dead_zone >= 0.0 and math.isfinite(self.dead_zone)):
+            raise ValueError("dead_zone must be nonnegative and finite")
         self.fixed_id  # validates the mode string
         fp = library_fingerprint(self.reduced_library)
         if self.certificate.library_fingerprint != fp:

@@ -5,6 +5,8 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from switchcert import (
     Certificate,
@@ -16,12 +18,12 @@ from switchcert import (
     omega_grid,
     synthesize_certificate,
 )
-from switchcert.certificates import dwell_time_bound, feasibility_check
+from switchcert.certificates import default_kappa_grid, dwell_time_bound, feasibility_check
 from switchcert.library_io import library_fingerprint
 from switchcert.primitives import sample_in_sublevel_set
 
 from conftest import make_pair_library, make_primitive
-from switchcert import simulation
+from switchcert import certificates, simulation
 from switchcert.certificates import _level_max, _mu_exact, _omega_exact, _sphere_max
 from switchcert.simulation import _batch_stats, _draw_campaign_inputs
 
@@ -290,6 +292,17 @@ class TestExactConstants:
         assert mu_grid(walker_library, kappa) == 1.583064446160993 < exact_mu
         assert walker_certificate.mu == exact_mu
 
+    @settings(max_examples=20, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), dim=st.integers(1, 5), members=st.integers(1, 4))
+    def test_mu_is_omega_over_kappa_bit_for_bit(self, seed, dim, members):
+        library = random_library(np.random.default_rng(seed), members, dim=dim)
+        for kappa in default_kappa_grid(library).tolist():
+            # mu as a maximum of its own ratios, one per ordered pair
+            per_pair = max([1.0] + [_level_max(q.lyapunov, p.lyapunov, kappa) / kappa
+                                    for p, q in itertools.permutations(library, 2)])
+            omega = _omega_exact(library, kappa)
+            assert per_pair == omega / kappa == _mu_exact(library, kappa), kappa
+
     def test_single_member_library_has_no_cross_pairs(self):
         library = PrimitiveLibrary((make_primitive(0, basin_level=2.0),))
         assert _omega_exact(library, 0.5) == 0.5
@@ -393,11 +406,11 @@ class TestSynthesis:
 
     def test_diagnostics_cover_the_searched_grid(self):
         library = PrimitiveLibrary((make_primitive(0, basin_level=2.0),))
-        result = synthesize_certificate(library, kappa_grid=np.array([0.01, 0.1, 0.5]))
+        result = synthesize_certificate(library)
         assert result.feasible
         assert len(result.diagnostics) >= 1
         first = result.diagnostics[0]
-        assert first.kappa == 0.01
+        assert first.kappa == default_kappa_grid(library)[0]
         assert first.mu >= 1.0
 
     def test_epsilon_outside_range_rejected(self):
@@ -435,6 +448,18 @@ class TestSynthesis:
     def test_only_exact_and_grid_are_synthesis_methods(self, walker_library):
         with pytest.raises(ValueError, match="'exact' or 'grid'"):
             synthesize_certificate(walker_library, method="analytic")
+
+    def test_synthesis_makes_eighteen_exact_maxima_per_kappa(self, walker_library, monkeypatch):
+        calls = []
+        level_max = certificates._level_max
+        monkeypatch.setattr(certificates, "_level_max",
+                            lambda *args: calls.append(args) or level_max(*args))
+        result = synthesize_certificate(walker_library)
+        # the shipped library certifies at the grid's first kappa: its six
+        # ordered pairs once for omega (mu is omega / kappa) and once for
+        # each of the two burst allowances' containment
+        assert len(result.diagnostics) == 1
+        assert len(calls) == 18
 
 
 class TestCertificateDocument:

@@ -371,6 +371,15 @@ class TestSimulate:
         assert "not a certificate document" in capsys.readouterr().err
 
 
+    @pytest.mark.parametrize("amplitude", ["nan", "inf"])
+    def test_non_finite_amplitude_is_an_input_error(self, tmp_path, capsys, amplitude):
+        code = main(["simulate", "--library", "shipped-walker", "--certificate", "shipped",
+                     "--episodes", "2", "--amplitude", amplitude, "--out-dir", str(tmp_path)])
+        assert code == EXIT_INPUT
+        assert "amplitude must be nonnegative and finite" in capsys.readouterr().err
+        assert not (tmp_path / "campaign_summary.json").exists()
+
+
 class TestScenario:
     def test_straight_leader_bundle(self, tmp_path):
         code = main(
@@ -435,6 +444,14 @@ class TestScenario:
         path = directory / "leader.json"
         path.write_text(json.dumps(config))
         return path
+
+    @pytest.mark.parametrize("dead_zone", [math.nan, math.inf])
+    def test_non_finite_dead_zone_is_an_input_error(self, tmp_path, capsys, dead_zone):
+        config = self.curved_config_in(tmp_path / "cfg", dead_zone=dead_zone)
+        code = main(["scenario", "--config", str(config), "--out-dir", str(tmp_path / "out")])
+        assert code == EXIT_INPUT
+        assert "dead_zone must be nonnegative and finite" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     def test_certificate_flag_resolves_against_the_working_directory(
         self, tmp_path, monkeypatch

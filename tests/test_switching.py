@@ -399,6 +399,9 @@ class TestHeadingPolicy:
         for phi in (np.nan, np.inf, -np.inf):
             with pytest.raises(ValueError):
                 heading_policy(phi)
+        for dead_zone in (np.nan, np.inf, -0.1):
+            with pytest.raises(ValueError, match="dead_zone must be nonnegative and finite"):
+                heading_policy(0.0, dead_zone=dead_zone)
 
 
 class TestSignalValidation:
