@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
@@ -308,22 +308,6 @@ class ContainmentReport:
     pairs: tuple[PairContainment, ...]
     passed: bool
 
-    def to_dict(self) -> dict:
-        return {
-            "level": self.level,
-            "passed": self.passed,
-            "pairs": [
-                {
-                    "inner_id": c.inner_id,
-                    "outer_id": c.outer_id,
-                    "mode": c.mode,
-                    "slack": c.slack,
-                    "passed": c.passed,
-                }
-                for c in self.pairs
-            ],
-        }
-
 
 def feasibility_check(
     library: PrimitiveLibrary,
@@ -388,21 +372,9 @@ class Certificate:
             raise ValueError("n0_bar must be at least 1")
 
     def to_dict(self) -> dict:
-        return {
-            "format": "switchcert-certificate",
-            "version": 1,
-            "kappa": self.kappa,
-            "omega": self.omega,
-            "mu": self.mu,
-            "epsilon": self.epsilon,
-            "contraction_rate": self.contraction_rate,
-            "n0_bar": self.n0_bar,
-            "na_bar": self.na_bar,
-            "method": self.method,
-            "containment": self.containment.to_dict(),
-            "library_fingerprint": self.library_fingerprint,
-            "delta_hat": self.delta_hat,
-        }
+        """The document's fields, the containment report nested as it is;
+        ``write_document`` sorts the keys and writes tuples as lists."""
+        return {"format": "switchcert-certificate", "version": 1, **asdict(self)}
 
     @classmethod
     def from_dict(cls, data: dict) -> "Certificate":

@@ -273,11 +273,16 @@ class PrimitiveLibrary:
     every member's basin; that condition is reported by
     ``fixed_point_violations`` rather than enforced at construction so that
     a failing library can still be loaded and diagnosed.
+
+    The library owns the basin facts every safety check reads: the members'
+    stacked centres, weights and basin ``levels``, and ``values``, the one
+    Lyapunov evaluation of a batch of states against all of them.
     """
 
     primitives: tuple[Primitive, ...]
     centers: np.ndarray = field(init=False, repr=False, compare=False)   # (P, n)
     weights: np.ndarray = field(init=False, repr=False, compare=False)   # (P, n, n)
+    levels: np.ndarray = field(init=False, repr=False, compare=False)    # (P,) basin levels
     maps: "_MapStack" = field(init=False, repr=False, compare=False)     # P members
 
     def __post_init__(self):
@@ -295,6 +300,7 @@ class PrimitiveLibrary:
         object.__setattr__(self, "primitives", prims)
         object.__setattr__(self, "centers", _frozen_array([p.lyapunov.center for p in prims], "centers"))
         object.__setattr__(self, "weights", _frozen_array([p.lyapunov.weight for p in prims], "weights"))
+        object.__setattr__(self, "levels", _frozen_array([p.basin_level for p in prims], "levels"))
         object.__setattr__(self, "maps", _MapStack.of([p.map for p in prims]))
 
     def __len__(self) -> int:
@@ -321,7 +327,19 @@ class PrimitiveLibrary:
 
     @property
     def min_basin_level(self) -> float:
-        return min(p.basin_level for p in self.primitives)
+        return float(self.levels.min())
+
+    def values(self, states: np.ndarray) -> np.ndarray:
+        """Every member's Lyapunov value at each state, shape (N, P), bit
+        for bit each member's ``QuadraticLyapunov.values``, from one
+        evaluation on the stacked centres and weights.  A value of -inf,
+        which an overflowed partial sum of cross terms can give, is made
+        +inf, so a state is inside every basin exactly when its row is at
+        most ``levels`` (a NaN compares false).
+        """
+        values = _quadratic_forms(states, self.centers, self.weights)
+        values[values == -np.inf] = np.inf
+        return values
 
     def by_id(self, id: int) -> Primitive:
         for p in self.primitives:
@@ -331,11 +349,10 @@ class PrimitiveLibrary:
 
     def fixed_point_violations(self) -> list[tuple[int, int, float]]:
         """Pairs (q, p, value) where fixed point of q falls outside the basin of p."""
-        fixed_points = np.array([q.map.fixed_point for q in self.primitives])
-        values = _quadratic_forms(fixed_points, self.centers, self.weights)
-        return [(q.id, p.id, float(values[i, j]))
-                for i, q in enumerate(self.primitives) for j, p in enumerate(self.primitives)
-                if values[i, j] > p.basin_level]
+        ids = self.ids
+        values = self.values(np.array([q.map.fixed_point for q in self.primitives]))
+        return [(ids[i], ids[j], float(values[i, j]))
+                for i, j in np.argwhere(values > self.levels).tolist()]
 
 
 def _ball_points(directions: np.ndarray, radii: np.ndarray, radius: float = 1.0) -> np.ndarray:

@@ -3,7 +3,9 @@
 Runs and campaigns never abort on a safety violation; they record per-step
 Lyapunov values and basin membership so that the first escape can be
 located.  Only ``_escapes``, the margin's yes/no question, stops stepping
-each amplitude at its first escape.
+each amplitude at its first escape.  Every one of these checks reads the
+library's own ``levels`` and ``values``: a state is safe when each member's
+Lyapunov value is at most that member's basin level.
 
 All campaign randomness derives from one root seed through a counter-based
 generator, Philox (Salmon, Moraes, Dror & Shaw, SC 2011): the seed is its
@@ -15,7 +17,7 @@ place, so it builds no ``derive_rng`` generator and reads no address twice.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Callable
 
@@ -23,8 +25,7 @@ import numpy as np
 import numpy.random  # numpy 2 loads it lazily, on the first default_rng
 
 from .library_io import library_fingerprint, write_table
-from .primitives import (_MIN_BATCH, PrimitiveLibrary, _ball_points, _ellipsoid_points,
-                         _quadratic_forms, _step_stack)
+from .primitives import _MIN_BATCH, PrimitiveLibrary, _ball_points, _ellipsoid_points, _step_stack
 from .switching import DwellTimeBudget, SwitchingSignal, _supervise_columns
 
 # Start proposals per counter address; an episode whose batch holds no start
@@ -49,7 +50,13 @@ def derive_rng(seed: int, *path: int) -> np.random.Generator:
 @dataclass(frozen=True)
 class Trace:
     """One rollout: states x_0..x_K, the driving signal and disturbances, and
-    per-step Lyapunov values for every library member."""
+    per-step Lyapunov values for every library member.
+
+    ``Trace.of`` builds one from a library and its rollout's states, so the
+    Lyapunov and basin columns of ``run``, of kept campaign traces and of a
+    walker scenario's reduced states come from the one evaluation,
+    ``PrimitiveLibrary.values`` against ``PrimitiveLibrary.levels``.
+    """
 
     states: np.ndarray            # (K+1, n)
     signal: SwitchingSignal       # first K entries drive the steps
@@ -58,6 +65,18 @@ class Trace:
     member_ids: tuple[int, ...]
     basin_levels: np.ndarray      # (P,)
     in_all_basins: np.ndarray     # (K+1,) bool
+
+    @classmethod
+    def of(cls, library: PrimitiveLibrary, states: np.ndarray, signal: SwitchingSignal,
+           disturbances: np.ndarray, **extra):
+        """The trace of ``library``'s rollout ``states``, with its Lyapunov and
+        basin columns; ``extra`` holds a subclass's own fields."""
+        with np.errstate(over="ignore", invalid="ignore"):
+            lyapunov = library.values(states)
+            in_all = np.all(lyapunov <= library.levels, axis=1)  # NaN compares false
+        return cls(states=states, signal=signal, disturbances=disturbances, lyapunov=lyapunov,
+                   member_ids=library.ids, basin_levels=library.levels, in_all_basins=in_all,
+                   **extra)
 
     @property
     def horizon(self) -> int:
@@ -107,17 +126,6 @@ class Trace:
         header += [f"V_{pid}" for pid in self.member_ids] + ["in_all_basins"]
         write_table(path, header, [steps, sigma[np.minimum(steps, sigma.size - 1)],
                                    *self.states.T, *self.lyapunov.T, self.in_all_basins])
-
-
-def _member_values(library: PrimitiveLibrary, states: np.ndarray) -> np.ndarray:
-    """Every member's Lyapunov value at each state, shape (N, P), bit for
-    bit each member's ``QuadraticLyapunov.values``, from one evaluation on
-    the library's stacked centres and weights.  A value of -inf, which an
-    overflowed partial sum of cross terms can give, is made +inf.
-    """
-    values = _quadratic_forms(states, library.centers, library.weights)
-    values[values == -np.inf] = np.inf
-    return values
 
 
 def _member_columns(ids, assignments: np.ndarray) -> np.ndarray:
@@ -253,25 +261,7 @@ def run(
         states[k:k + len(xs)] = xs[:, 0, 0]
 
     _rollout(library, x0[None], cols, dvals[None, :horizon], (1.0,), record)
-    return _trace(library, states, signal, dvals[:horizon].copy())
-
-
-def _trace(library: PrimitiveLibrary, states: np.ndarray, signal: SwitchingSignal,
-           disturbances: np.ndarray) -> Trace:
-    """The ``Trace`` of a rollout's states, with its Lyapunov and basin columns."""
-    levels = np.array([p.basin_level for p in library])
-    with np.errstate(over="ignore", invalid="ignore"):
-        lyap = _member_values(library, states)
-        in_all = np.all(lyap <= levels[None, :], axis=1)  # NaN compares false
-    return Trace(
-        states=states,
-        signal=signal,
-        disturbances=disturbances,
-        lyapunov=lyap,
-        member_ids=library.ids,
-        basin_levels=levels,
-        in_all_basins=in_all,
-    )
+    return Trace.of(library, states, signal, dvals[:horizon].copy())
 
 
 def _request_dtype(size: int) -> np.dtype:
@@ -332,19 +322,7 @@ class CampaignReport:
     first_violations: tuple[tuple[int, int], ...]  # (episode, step), capped
 
     def to_dict(self) -> dict:
-        return {
-            "episodes": self.episodes,
-            "horizon": self.horizon,
-            "amplitude": self.amplitude,
-            "seed": self.seed,
-            "violation_count": self.violation_count,
-            "violation_rate": self.violation_rate,
-            "trapping_level": self.trapping_level,
-            "max_step_ratio": self.max_step_ratio,
-            "deferred_requests": self.deferred_requests,
-            "x0_proposals": self.x0_proposals,
-            "first_violations": [list(v) for v in self.first_violations],
-        }
+        return asdict(self)
 
 
 _EPISODE_STREAM = 0
@@ -450,7 +428,7 @@ def _draw_campaign_inputs(
         gen.random(out=lengths[i])
 
     def inside(points: np.ndarray) -> np.ndarray:
-        values = _member_values(library, points.reshape(-1, library.state_dim))
+        values = library.values(points.reshape(-1, library.state_dim))
         return np.all(values <= level, axis=1).reshape(points.shape[:-1])
 
     for start in range(0, episode_count, _DRAW_BLOCK):
@@ -507,7 +485,6 @@ def _batch_stats(
     first keep episodes.
     """
     count = x0s.shape[0]
-    levels = np.array([p.basin_level for p in library])
     first = np.full(count, -1, dtype=np.int64)
     max_min = np.full(count, -np.inf)
     max_ratio = np.zeros(count)
@@ -516,7 +493,7 @@ def _batch_stats(
     def observe(k: int, xs: np.ndarray) -> None:
         steps = len(xs)
         kept_states[:, k:k + steps] = xs[:, :len(kept_states), 0].transpose(1, 0, 2)
-        values = _member_values(library, xs.reshape(-1, xs.shape[-1])).reshape(steps, count, -1)
+        values = library.values(xs.reshape(-1, xs.shape[-1])).reshape(steps, count, -1)
         if k:
             # the active member's value before and after each step of the chunk
             active = cols[:, k - 1:k - 1 + steps].T[:, :, None]
@@ -526,7 +503,7 @@ def _batch_stats(
             ok = before > 0.0
             ratio = after / np.where(ok, before, 1.0)
             np.maximum(max_ratio, np.max(np.where(ok, ratio, 0.0), axis=0), out=max_ratio)
-        escaped = ~np.all(values <= levels, axis=2)
+        escaped = ~np.all(values <= library.levels, axis=2)
         late = (first < 0) & np.any(escaped, axis=0)
         first[late] = k + np.argmax(escaped[:, late], axis=0)
         # np.max and np.maximum keep a NaN, made +inf after the rollout
@@ -555,20 +532,19 @@ def _escapes(
     escaped: its verdict is already known, so the rest of the chunk does not
     change it.
     """
-    levels = np.array([p.basin_level for p in library])
     escaped = np.zeros(len(amplitudes), dtype=bool)
     live = np.arange(len(amplitudes))
 
     def observe(k: int, xs: np.ndarray) -> np.ndarray | None:
         nonlocal live
         steps, count, blocks, n = xs.shape
-        values = _member_values(library, xs.reshape(-1, n))
-        if np.all(values <= levels):  # a NaN compares false
+        values = library.values(xs.reshape(-1, n))
+        if np.all(values <= library.levels):  # a NaN compares false
             return None
         # each block's largest value per member over the chunk; np.max keeps
         # a NaN, which then fails the comparison
         peaks = np.max(values.reshape(steps * count, blocks, -1), axis=0)
-        inside = np.all(peaks <= levels, axis=1)
+        inside = np.all(peaks <= library.levels, axis=1)
         escaped[live[~inside]] = True
         live = live[inside]
         return inside
@@ -610,7 +586,7 @@ def monte_carlo(
     recorded = tuple(
         (int(e), int(first[e])) for e in bad_episodes[:_MAX_RECORDED_VIOLATIONS]
     )
-    kept = [_trace(library, states, SwitchingSignal(ids[cols[e]]), dists[e].copy())
+    kept = [Trace.of(library, states, SwitchingSignal(ids[cols[e]]), dists[e].copy())
             for e, states in enumerate(kept_states)]
     report = CampaignReport(
         episodes=episode_count,

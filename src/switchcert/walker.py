@@ -31,7 +31,7 @@ from .library_io import (
     write_tables,
 )
 from .primitives import Primitive, PrimitiveLibrary, _frozen_array
-from .simulation import _member_values, budget_from_certificate
+from .simulation import Trace, budget_from_certificate
 from .switching import Supervisor, SwitchingSignal, heading_policy, validate_dwell_time
 
 STRIDE_IDS = (0, 1, 2)
@@ -446,6 +446,8 @@ class WalkerScenario:
             raise ValueError("initial_primitive not in the stride library")
         if not (self.dead_zone >= 0.0 and math.isfinite(self.dead_zone)):
             raise ValueError("dead_zone must be nonnegative and finite")
+        if not math.isfinite(self.start_time):
+            raise ValueError(f"start_time must be finite, got {self.start_time!r}")
         self.fixed_id  # validates the mode string
         fp = library_fingerprint(self.reduced_library)
         if self.certificate.library_fingerprint != fp:
@@ -478,23 +480,23 @@ class WalkerScenario:
 
 
 @dataclass(frozen=True)
-class ScenarioTrace:
-    """Everything one scenario run produced, at stride resolution."""
+class ScenarioTrace(Trace):
+    """Everything one scenario run produced, at stride resolution.
+
+    It is the ``Trace`` of the reduced library: ``states`` are the reduced
+    states (K+1, 2) at the stride boundaries, ``signal`` holds stride k's
+    primitive, ``disturbances`` (K, 2) are force_coupling · (fx, fy), the
+    reduced map's input, and the Lyapunov and basin columns are the
+    library's own.  The fields below are the walker's record.
+    """
 
     times: np.ndarray             # (K+1,)
     positions: np.ndarray         # (K+1, 2)
     headings: np.ndarray          # (K+1,)
-    reduced: np.ndarray           # (K+1, 2)
     forces: np.ndarray            # (K, 2) body frame integrals
     phis: np.ndarray              # (K,)
-    signal: SwitchingSignal       # K entries, stride k's primitive
-    lyapunov: np.ndarray          # (K+1, 3)
-    member_ids: tuple[int, ...]
-    basin_levels: np.ndarray
-    in_all_basins: np.ndarray     # (K+1,) bool
     lateral: np.ndarray           # (K+1,) signed cross-track offset from the leader
     leader_positions: np.ndarray  # (K+1, 2) leader at stride boundaries
-    disturbances: np.ndarray      # (K, 2) force_coupling · (fx, fy), the reduced map's input
     mode: str
     deferred_requests: int        # supervisor requests that returned False
 
@@ -529,8 +531,8 @@ class ScenarioTrace:
             "usage_counts": {str(k): v for k, v in sorted(self.usage_counts.items())},
             "final_lateral_deviation": self.final_lateral_deviation,
             "max_lateral_deviation": self.max_lateral_deviation,
-            "reduced_in_all_basins": bool(np.all(self.in_all_basins)),
-            "max_reduced_level": float(np.max(np.min(self.lyapunov, axis=1))),
+            "reduced_in_all_basins": self.first_violation is None,
+            "max_reduced_level": self.max_min_level,
             "max_disturbance": self.max_disturbance,
             "final_position": [float(v) for v in self.positions[-1]],
             "final_heading": float(self.headings[-1]),
@@ -555,7 +557,7 @@ class ScenarioTrace:
              [k, self.times, x, y, self.headings, self.lateral]),
             (out / "reduced.csv",
              ["k", "z0", "z1"] + [f"V_{pid}" for pid in self.member_ids] + ["in_all_basins"],
-             [k, *self.reduced.T, *self.lyapunov.T, self.in_all_basins]),
+             [k, *self.states.T, *self.lyapunov.T, self.in_all_basins]),
             (out / "plot_walker_path.csv", ["t", "x", "y"], [self.times, x, y]),
             (out / "plot_leader_path.csv", ["t", "x", "y"],
              [self.times, *self.leader_positions.T]),
@@ -570,15 +572,14 @@ class ScenarioTrace:
         out = Path(out_dir)
         out.mkdir(parents=True, exist_ok=True)
         trap = certificate.mu ** certificate.n0_bar * certificate.omega
-        members = list(library)
         weights = library.weights
         write_table(
             out / "plot_basin_ellipses.csv",
             ["id", "center_x", "center_y", "w_xx", "w_xy", "w_yy",
              "basin_level", "core_level", "trapping_level"],
-            [[p.id for p in members], *library.centers.T, weights[:, 0, 0], weights[:, 0, 1],
-             weights[:, 1, 1], [float(p.basin_level) for p in members],
-             [float(certificate.kappa)] * len(members), [float(trap)] * len(members)],
+            [library.ids, *library.centers.T, weights[:, 0, 0], weights[:, 0, 1],
+             weights[:, 1, 1], library.levels,
+             [float(certificate.kappa)] * len(library), [float(trap)] * len(library)],
         )
 
 
@@ -589,7 +590,9 @@ def run_scenario(scenario: WalkerScenario) -> ScenarioTrace:
     path, estimate the leader bearing from the integrals, ask the policy for
     the next primitive (one-stride delay), pass the request through the
     dwell-time supervisor, and apply the stride update.  The ablation mode
-    keeps the primitive constant and skips the policy.
+    keeps the primitive constant and skips the policy.  The run is recorded
+    as the reduced library's ``Trace`` of the reduced states (``Trace.of``),
+    so its Lyapunov and basin columns are the library's own evaluation.
 
     A ``ValueError`` inside the loop, such as a diverging ablation whose
     position overflows, is raised again naming the stride it came from and
@@ -622,7 +625,6 @@ def run_scenario(scenario: WalkerScenario) -> ScenarioTrace:
     t = scenario.start_time
     times[0], positions[0], headings[0], reduced[0] = t, (x, y), heading, (z0, z1)
 
-    levels = np.array([p.basin_level for p in library])
     try:
         for k in range(count):
             prim = strides[active]
@@ -646,7 +648,7 @@ def run_scenario(scenario: WalkerScenario) -> ScenarioTrace:
                     active = supervisor.current
                 # ablation keeps the primitive constant
     except ValueError as exc:
-        inside = np.all(_member_values(library, reduced[:k + 1]) <= levels, axis=1)
+        inside = np.all(library.values(reduced[:k + 1]) <= library.levels, axis=1)
         basin = ("never left the basin intersection" if inside.all()
                  else f"left the basin intersection at stride {int(np.argmin(inside))}")
         raise ValueError(f"stride {k}: {exc}; the reduced state {basin}") from exc
@@ -656,9 +658,6 @@ def run_scenario(scenario: WalkerScenario) -> ScenarioTrace:
         report = validate_dwell_time(signal, budget_from_certificate(scenario.certificate))
         if not report.valid:
             raise RuntimeError("supervisor produced a budget-violating signal")
-
-    lyap = _member_values(library, reduced)
-    in_all = np.all(lyap <= levels[None, :], axis=1)
 
     leader_pts, leader_vel = scenario.leader._path(times)
     speed = np.linalg.norm(leader_vel, axis=1)
@@ -672,21 +671,15 @@ def run_scenario(scenario: WalkerScenario) -> ScenarioTrace:
     coupling = np.array([strides[pid].force_coupling for pid in STRIDE_IDS])[sigma]
     disturbances = coupling[:, :, 0] * forces[:, :1] + coupling[:, :, 1] * forces[:, 1:]
 
-    return ScenarioTrace(
+    return ScenarioTrace.of(
+        library, reduced, signal, disturbances,
         times=times,
         positions=positions,
         headings=headings,
-        reduced=reduced,
         forces=forces,
         phis=phis,
-        signal=signal,
-        lyapunov=lyap,
-        member_ids=library.ids,
-        basin_levels=levels,
-        in_all_basins=in_all,
         lateral=lateral,
         leader_positions=leader_pts,
-        disturbances=disturbances,
         mode=scenario.mode,
         deferred_requests=deferred,
     )
@@ -732,6 +725,19 @@ def scenario_certificate_source(config: dict, base_dir: str | Path) -> str:
         raise ValueError("a scenario config must be a JSON object")
     ref = str(config.get("certificate", SHIPPED_CERTIFICATE))
     return ref if ref == SHIPPED_CERTIFICATE else str(Path(base_dir) / ref)
+
+
+def _config_integer(config: dict, name: str, default: int) -> int:
+    """The integer field ``name`` of a scenario config, or ``default``.  A
+    bool, a fractional or non-finite number or a non-number is a
+    ``ValueError`` naming the field, never truncated; an integral float
+    such as 20.0 reads as its integer."""
+    value = config.get(name, default)
+    if isinstance(value, int) and not isinstance(value, bool):
+        return value
+    if isinstance(value, float) and value.is_integer():
+        return int(value)
+    raise ValueError(f"{name} must be an integer, got {value!r}")
 
 
 def load_scenario(
@@ -788,9 +794,9 @@ def load_scenario(
         certificate=certificate,
         leader=leader,
         initial_pose=pose,
-        stride_count=int(config.get("strides", 20)),
+        stride_count=_config_integer(config, "strides", 20),
         mode=str(mode_override if mode_override is not None else config.get("mode", "adaptive")),
-        initial_primitive=int(config.get("initial_primitive", 1)),
+        initial_primitive=_config_integer(config, "initial_primitive", 1),
         dead_zone=float(config.get("dead_zone", 0.0)),
         start_time=float(config.get("start_time", 0.0)),
     )

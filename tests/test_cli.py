@@ -453,6 +453,31 @@ class TestScenario:
         assert "dead_zone must be nonnegative and finite" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    # Each of these ran before as if the number had been truncated to an
+    # integer, or failed only at stride 0 naming neither field nor cause.
+    @pytest.mark.parametrize("field, value, message", [
+        ("strides", 20.9, "strides must be an integer, got 20.9"),
+        ("strides", "20", "strides must be an integer, got '20'"),
+        ("initial_primitive", 1.7, "initial_primitive must be an integer, got 1.7"),
+        ("initial_primitive", True, "initial_primitive must be an integer, got True"),
+        ("start_time", math.nan, "start_time must be finite, got nan"),
+    ])
+    def test_config_numbers_are_checked_not_truncated(self, tmp_path, capsys, field, value,
+                                                      message):
+        config = self.curved_config_in(tmp_path / "cfg", **{field: value})
+        code = main(["scenario", "--config", str(config), "--out-dir", str(tmp_path / "out")])
+        assert code == EXIT_INPUT
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_integral_float_config_numbers_are_integers(self, tmp_path):
+        config = self.curved_config_in(tmp_path / "cfg", strides=12.0, initial_primitive=0.0)
+        assert main(["scenario", "--config", str(config), "--out-dir", str(tmp_path)]) == EXIT_OK
+        summary = json.loads((tmp_path / "summary.json").read_text())
+        assert summary["strides"] == 12
+        manifest = json.loads((tmp_path / "run_manifest.json").read_text())
+        assert manifest["resolved"]["initial_primitive"] == 0
+
     def test_certificate_flag_resolves_against_the_working_directory(
         self, tmp_path, monkeypatch
     ):

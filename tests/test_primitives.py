@@ -236,6 +236,12 @@ class TestPrimitiveValidation:
             p.contraction_rate for p in walker_library
         )
 
+    def test_library_levels_are_the_read_only_basin_levels(self, walker_library):
+        assert walker_library.levels.tolist() == [p.basin_level for p in walker_library]
+        assert walker_library.min_basin_level == min(p.basin_level for p in walker_library)
+        with pytest.raises(ValueError, match="read-only"):
+            walker_library.levels[0] = 1.0
+
     def test_fixed_points_contained_is_reported_not_enforced(self):
         far = PrimitiveLibrary(
             (

@@ -34,7 +34,6 @@ from switchcert.simulation import (
     _batch_stats,
     _draw_campaign_inputs,
     _escapes,
-    _member_values,
     budget_from_certificate,
     derive_rng,
 )
@@ -653,8 +652,9 @@ class TestSharedKernel:
                                  member.map.apply_batch(states, dists)[part])
                 assert_same_bits(member.lyapunov.values(states[part]),
                                  member.lyapunov.values(states)[part])
-            assert_same_bits(_member_values(library, states[part]),
-                             _member_values(library, states)[part])
+            assert_same_bits(library.values(states[part]), library.values(states)[part])
+            assert_same_bits(library.values(states),
+                             np.column_stack([m.lyapunov.values(states) for m in library]))
 
     @settings(max_examples=200, derandomize=True, deadline=None, database=None)
     @given(st.tuples(st.integers(1, 8), st.integers(1, 3),
@@ -672,7 +672,7 @@ class TestSharedKernel:
                              row_major_apply_batch(member.map, states, dists))
             assert_same_bits(member.lyapunov.values(states),
                              row_major_values(member.lyapunov, states))
-        assert_same_bits(simulation._member_values(library, states),
+        assert_same_bits(library.values(states),
                          member_values_oracle(library, states))
 
     @settings(max_examples=200, derandomize=True, deadline=None, database=None)
@@ -792,7 +792,7 @@ class TestSharedKernel:
                                                    weight=weight, gain=eye),))
         x0s = np.array([[0.1, 0.0, 0.0], [np.sqrt(1.5e308)] * 3, [0.0, 0.2, 0.0]])
         with np.errstate(over="ignore", invalid="ignore"):
-            assert _member_values(library, x0s)[1, 0] == np.inf
+            assert library.values(x0s)[1, 0] == np.inf
             sigmas = np.zeros((3, 4), dtype=np.int64)
             dists = np.zeros((3, 4, 3))
             first, max_min, _ = _batch_stats(library, x0s, sigmas, dists, np.empty((0, 5, 3)))
@@ -829,8 +829,8 @@ class TestSharedKernel:
         step_stack = simulation._step_stack
         monkeypatch.setattr(simulation, "_step_stack",
                             lambda *a, **k: stepped.append(1) or step_stack(*a, **k))
-        member_values = simulation._member_values
-        monkeypatch.setattr(simulation, "_member_values",
+        member_values = PrimitiveLibrary.values
+        monkeypatch.setattr(PrimitiveLibrary, "values",
                             lambda lib, x: observed.append(len(x)) or member_values(lib, x))
         assert _escapes(library, x0s, sigmas, dists, [1.0]).tolist() == [True]
         chunk_end = min(-(-escape_step // 8) * 8, horizon)
@@ -987,7 +987,7 @@ def sequential_escapes_oracle(library, x0s, cols, dists):
 
     def observe(k, x):
         nonlocal escaped
-        escaped = not np.all(simulation._member_values(library, x) <= levels[None, :])
+        escaped = not np.all(library.values(x) <= levels[None, :])
         return escaped
 
     grouped_rollout_oracle(library, x0s, cols, dists, observe)

@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 
 import switchcert
 from switchcert import load_scenario, run_scenario, validate_dwell_time
-from switchcert.simulation import budget_from_certificate
+from switchcert.simulation import Trace, budget_from_certificate
 from switchcert.switching import Supervisor
 from switchcert.walker import (
     _FORCE_SNAP,
@@ -479,6 +479,19 @@ class TestScenarios:
         assert validate_dwell_time(
             trace.signal, budget_from_certificate(walker_certificate)
         ).valid
+
+    @pytest.mark.parametrize("config", [straight_config, curved_config])
+    def test_a_run_is_the_trace_of_the_reduced_library(self, config):
+        scenario = load_scenario(config())
+        library = scenario.reduced_library
+        trace = run_scenario(scenario)
+        assert isinstance(trace, Trace)
+        assert trace.member_ids == library.ids and trace.horizon == trace.stride_count
+        summary = trace.summary()
+        assert summary["max_reduced_level"] == trace.max_min_level
+        assert summary["reduced_in_all_basins"] == (trace.first_violation is None)
+        expected = library.values(trace.states)
+        assert np.array_equal(trace.lyapunov.view(np.uint64), expected.view(np.uint64))
 
     def test_equivariance_under_rotation(self):
         angle = 0.7
