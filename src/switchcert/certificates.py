@@ -541,13 +541,13 @@ def estimate_disturbance_margin(
 
     The ``trial_budget`` episodes (random admissible signal at the
     dwell-time limit, random start in the omega-intersection, random
-    disturbances) are drawn once, from streams ``derive_rng(seed, 1, e, ...)``,
-    with disturbances whose sup norm is exactly 1.  Every candidate
-    amplitude reuses that one sample with the disturbances scaled to it,
-    and counts a violation as soon as any episode leaves the basin
-    intersection; its rollout stops there.  With zero disturbance gains
-    everywhere no amplitude can violate, so the estimate equals the upper
-    search limit.
+    disturbances) are drawn once, each input quantity q from its stream
+    ``derive_rng(seed, 1, q)``, with disturbances whose sup norm is exactly
+    1.  Every candidate amplitude reuses that one sample with the
+    disturbances scaled to it, and counts a violation as soon as any
+    episode leaves the basin intersection; its rollout stops there.  With
+    zero disturbance gains everywhere no amplitude can violate, so the
+    estimate equals the upper search limit.
 
     ``upper`` is tested alone.  After that, each round steps every
     midpoint the next ``_ROUND_DEPTH`` bisection steps could test under

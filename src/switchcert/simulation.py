@@ -9,11 +9,11 @@ Lyapunov value is at most that member's basin level.
 
 All campaign randomness derives from one root seed through a counter-based
 generator, Philox (Salmon, Moraes, Dror & Shaw, SC 2011): the seed is its
-key and a path of up to three words its counter words 1-3, so
-``derive_rng(seed, stream, e)`` is episode e's stream and ``derive_rng(seed,
-stream, e, b + 1)`` holds its start proposals of batch b.  The campaign draw
-reads every address through one reused Philox whose counter it sets in
-place, so it builds no ``derive_rng`` generator and reads no address twice.
+key and a path of up to three words its counter words 1-3.  A campaign on
+``stream`` reads each input quantity q, for every episode in episode order,
+from its own address ``derive_rng(seed, stream, q)``, and episode e's start
+proposals after its first batch from ``derive_rng(seed, stream, _RETRY,
+e)``; ``_draw_campaign_inputs`` lays the quantities out.
 """
 from __future__ import annotations
 
@@ -28,16 +28,22 @@ from .library_io import library_fingerprint, write_table
 from .primitives import _MIN_BATCH, PrimitiveLibrary, _ball_points, _ellipsoid_points, _step_stack
 from .switching import DwellTimeBudget, SwitchingSignal, _supervise_columns
 
-# Start proposals per counter address; an episode whose batch holds no start
-# reads the next address, up to _MAX_X0_BATCHES of them.
+# Start proposals per batch; an episode whose first batch holds no start
+# reads further batches from its own retry address, up to _MAX_X0_BATCHES.
 _X0_BATCH = 8
 _MAX_X0_BATCHES = 200_000
+# The campaign draw's addresses derive_rng(seed, stream, q), one per input
+# quantity, and derive_rng(seed, stream, _RETRY, e) for episode e's retries.
+(_INITIAL, _PROPOSALS, _PICKS, _DIRECTIONS, _RADII, _START_DIRECTIONS, _START_RADII,
+ _RETRY) = range(8)
 
 
 def derive_rng(seed: int, *path: int) -> np.random.Generator:
     """The Philox generator keyed by ``seed`` (0..2**128 - 1) whose counter
     words 1-3 hold ``path``, up to three words in 0..2**64 - 1.  Word 0
-    counts blocks of four 64-bit outputs, so each path owns 2**66 draws."""
+    counts blocks of four 64-bit outputs, so each path owns 2**66 draws,
+    read in order: a campaign reads each quantity's address as one stream,
+    so its first episodes are a prefix of it."""
     seed, path = int(seed), [int(p) for p in path]
     if not 0 <= seed < 1 << 128:
         raise ValueError("seed must lie in 0..2**128 - 1")
@@ -264,11 +270,6 @@ def run(
     return Trace.of(library, states, signal, dvals[:horizon].copy())
 
 
-def _request_dtype(size: int) -> np.dtype:
-    """The narrowest signed integer type holding the requests -1..size - 2."""
-    return np.min_scalar_type(-max(size - 1, 1))
-
-
 def _shape_disturbances(values: np.ndarray, radii: np.ndarray, amplitude: float,
                         exact_sup: bool) -> None:
     """Turn Gaussian directions ``values`` (..., steps, dist_dim) in place
@@ -329,23 +330,45 @@ _EPISODE_STREAM = 0
 _MAX_RECORDED_VIOLATIONS = 64
 
 
-# Episodes per block of the campaign draw: 128-episode blocks were no
-# faster and raised a 1000-episode campaign's peak memory by 0.7 MB.
+# Episodes per block of the campaign draw: 256-episode blocks were no
+# faster and raised a 1000-episode draw's traced peak from 3.97 to 6.1 MiB.
 _DRAW_BLOCK = 64
+# A pair's ω-sets count as disjoint when F(τ) exceeds ω by this fraction,
+# far above F's rounding and far below any set a start search could hit.
+_MEET_RTOL = 1e-9
 
 
-def _check_boxes_meet(library: PrimitiveLibrary, level: float) -> None:
+def _check_pairs_meet(library: PrimitiveLibrary, level: float) -> None:
     """Raise ``ValueError`` naming two members whose sublevel sets at
-    ``level`` are disjoint because their bounding boxes, c ± sqrt(level ·
-    diag(W⁻¹)), are: no start could ever be accepted."""
-    evals, evecs = np.linalg.eigh(library.weights)
-    radii = np.sqrt(level * (evecs ** 2 @ (1.0 / evals)[..., None])[..., 0])
-    gaps = np.abs(library.centers[:, None] - library.centers) > radii[:, None] + radii
-    pairs = np.argwhere(np.any(gaps, axis=2))
-    if len(pairs):
-        p, q = pairs[0]
-        raise ValueError(f"the omega-sets of members {library.ids[p]} and {library.ids[q]} are "
-                         f"disjoint, so no start lies in every member's omega-set")
+    ``level`` are disjoint, so that no start could ever be accepted.
+
+    F(τ) = min_x τ V_p(x) + (1 - τ) V_q(x) is concave on [0, 1], and by the
+    S-lemma its maximum is min_x max(V_p, V_q), so the sets are disjoint
+    exactly when some F(τ) > ``level``.  In coordinates that make W_q the
+    identity and W_p diag(λ), with e the centre difference there, F(τ) =
+    Σ e_i² λ_i τ (1 - τ) / (1 - τ + λ_i τ), and each pair bisects τ on the
+    sign of F'(τ) = Σ e_i² λ_i ((1 - τ)² - λ_i τ²) / (1 - τ + λ_i τ)²."""
+    p, q = np.triu_indices(len(library), 1)
+    weights = library.weights
+    chol = np.linalg.cholesky(weights[q])   # W_q = L Lᵀ; the coordinates are turnᵀ Lᵀ x
+    unwhiten = np.linalg.inv(chol)
+    lam, turn = np.linalg.eigh(unwhiten @ weights[p] @ unwhiten.mT)
+    diff = library.centers[p] - library.centers[q]
+    gains = lam * (turn.mT @ chol.mT @ diff[..., None])[..., 0] ** 2
+    lo, hi = np.zeros((p.size, 1)), np.ones((p.size, 1))
+    for _ in range(32):   # τ to within 2⁻³² of the maximiser
+        tau = 0.5 * (lo + hi)
+        den = 1.0 - tau + lam * tau
+        rising = np.sum(gains * ((1.0 - tau) ** 2 - lam * tau ** 2) / den ** 2, axis=1,
+                        keepdims=True) > 0.0
+        lo, hi = np.where(rising, tau, lo), np.where(rising, hi, tau)
+    peaks = np.sum(gains * tau * (1.0 - tau) / den, axis=1)
+    disjoint = np.flatnonzero(peaks > level * (1.0 + _MEET_RTOL))
+    if disjoint.size:
+        k = disjoint[0]
+        raise ValueError(f"the omega-sets of members {library.ids[p[k]]} and "
+                         f"{library.ids[q[k]]} are disjoint, so no start lies in every "
+                         f"member's omega-set")
 
 
 def _draw_campaign_inputs(
@@ -358,32 +381,34 @@ def _draw_campaign_inputs(
     stream: int,
     exact_sup: bool = False,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, int, int]:
-    """Per-episode start states, member columns and disturbances, episode
-    ``e`` drawn from ``derive_rng(seed, stream, e, ...)``, plus the number
-    of switch requests the supervisor deferred and the number of start
-    proposals drawn (``CampaignReport.x0_proposals``).
+    """Per-episode start states, member columns and disturbances, plus the
+    number of switch requests the supervisor deferred and the number of
+    start proposals drawn (``CampaignReport.x0_proposals``).
 
-    The signals stay library indices throughout: the initial members and
-    the requests are stored in the narrowest integer types that hold them,
-    and all episodes' requests go through one ``_supervise_columns`` call,
-    whose (episodes, horizon) columns, in ``np.min_scalar_type(P)``
-    (uint8 up to 255 members), are returned as they are.  ``ids[cols]``
-    are the supervised assignments.
+    Each quantity q is one stream ``derive_rng(seed, stream, q)`` read in
+    episode order, one generator call per block of ``_DRAW_BLOCK`` episodes,
+    and episode e's values are its e-th slice: one initial member index;
+    horizon - 1 proposal uniforms (a switch is proposed where one is below
+    min(1, 1/na)) and a run of as many picks among the other members as it
+    has proposals; (horizon, dist_dim) disturbance directions and horizon
+    radii; ``_X0_BATCH`` start directions and radii.  So rows depend on
+    neither the block size nor the episode count.  Integers are drawn 32
+    bits wide, since numpy drops an 8- or 16-bit draw's leftover bits at
+    the end of each call.  A quantity no episode uses (proposals when
+    1/na >= 1, disturbances at amplitude 0) is not drawn, and no other
+    quantity moves.
 
     Start proposals are uniform in the ω-ellipsoid of the member of
-    smallest volume (largest weight determinant): batch b of episode e
-    holds ``_X0_BATCH`` Gaussian directions, then as many uniform radii,
-    from ``derive_rng(seed, stream, e, b + 1)``.  The start is the first
-    proposal inside every member's ω sublevel set.  The episode's own
-    stream ``derive_rng(seed, stream, e)`` holds the initial member, the
-    switch requests (proposals, then picks) and the disturbances
-    (directions, then radii).
+    smallest volume (largest weight determinant); the start is the first
+    inside every member's ω sublevel set.  An episode whose first batch
+    holds none reads its later batches in order, directions then radii,
+    from ``derive_rng(seed, stream, _RETRY, e)``.
 
-    A block of ``_DRAW_BLOCK`` episodes reads the stream of each episode,
-    then searches the starts batch by batch: each pass proposes batch b for
-    the episodes still without a start and accepts them with one check.
-    The requests are scattered and the disturbances shaped once per block,
-    so every draw is bit for bit that of drawing the episode on its own.
+    Signals stay library indices, each in the narrowest integer type that
+    holds it, and one ``_supervise_columns`` call supervises every
+    episode's requests; its (episodes, horizon) columns, in
+    ``np.min_scalar_type(P)``, are returned as they are, so ``ids[cols]``
+    are the supervised assignments.
     """
     if horizon < 1:
         raise ValueError("horizon must be at least 1")
@@ -392,64 +417,39 @@ def _draw_campaign_inputs(
     budget = budget_from_certificate(certificate)
     rate = min(1.0, 1.0 / budget.na)
     level = certificate.omega
-    _check_boxes_meet(library, level)
+    gens = [derive_rng(seed, stream, q) for q in range(_RETRY)]
+    _check_pairs_meet(library, level)
     smallest = max(library, key=lambda p: np.linalg.slogdet(p.lyapunov.weight)[1]).lyapunov
-    size = len(library)
-    switching = size > 1 and horizon > 1
-    x0s = np.empty((episode_count, library.state_dim))
+    size, n = len(library), library.state_dim
+    x0s = np.empty((episode_count, n))
     initial = np.empty(episode_count, dtype=np.min_scalar_type(size))
-    requests = np.full((episode_count, horizon - 1), -1, dtype=_request_dtype(size))
+    # requests -1..size - 2, in the narrowest signed type holding them
+    requests = np.full((episode_count, horizon - 1), -1, np.min_scalar_type(min(1 - size, -1)))
     dists = np.zeros((episode_count, horizon, library.dist_dim))
-    rows = min(_DRAW_BLOCK, episode_count)
-    directions = np.empty((rows, _X0_BATCH, library.state_dim))
-    lengths = np.empty((rows, _X0_BATCH))
-    proposals = np.empty((rows, horizon - 1))
-    radii = np.empty((rows, horizon))
-    picks = [None] * rows
+    directions = np.empty((min(_DRAW_BLOCK, episode_count), _X0_BATCH, n))
+    lengths = np.empty(directions.shape[:2])
+    radii = np.empty((len(directions), horizon))
     x0_proposals = 0
-    bits = derive_rng(seed, stream).bit_generator
-    gen = np.random.Generator(bits)
-    # one state dict, whose counter words 2-3 are rewritten in place to move
-    # to an address: a dict built per address took 2.7 us against 1.4 us
-    # (numpy 2.4, one Xeon core)
-    state = bits.state
-    counter = state["state"]["counter"]
-
-    def seek(e: int, batch: int = 0) -> None:
-        """Move the generator to the start of ``derive_rng(seed, stream, e)``,
-        or of ``derive_rng(seed, stream, e, batch)``."""
-        counter[2:] = (e, batch)
-        bits.state = state
-
-    def propose(i: int, e: int, batch: int) -> None:
-        """Episode e's start proposals of ``batch``, into row i of the block."""
-        seek(e, batch + 1)
-        gen.standard_normal(out=directions[i])
-        gen.random(out=lengths[i])
-
-    def inside(points: np.ndarray) -> np.ndarray:
-        values = library.values(points.reshape(-1, library.state_dim))
-        return np.all(values <= level, axis=1).reshape(points.shape[:-1])
-
     for start in range(0, episode_count, _DRAW_BLOCK):
         count = min(_DRAW_BLOCK, episode_count - start)
-        for i in range(count):
-            e = start + i
-            seek(e)
-            initial[e] = gen.integers(size)
-            if switching:
-                gen.random(out=proposals[i])
-                picks[i] = gen.integers(size - 1, size=np.count_nonzero(proposals[i] < rate))
-            if amplitude:
-                gen.standard_normal(out=dists[e])
-                gen.random(out=radii[i])
+        block = slice(start, start + count)
+        initial[block] = gens[_INITIAL].integers(size, size=count, dtype=np.int32)
+        if size > 1 and horizon > 1:
+            asked = (gens[_PROPOSALS].random((count, horizon - 1)) < rate if rate < 1.0
+                     else np.ones((count, horizon - 1), dtype=bool))
+            requests[block][asked] = gens[_PICKS].integers(
+                size - 1, size=int(np.count_nonzero(asked)), dtype=np.int32)
+        if amplitude:
+            gens[_DIRECTIONS].standard_normal(out=dists[block])
+            gens[_RADII].random(out=radii[:count])
+            _shape_disturbances(dists[block], radii[:count], amplitude, exact_sup)
+        gens[_START_DIRECTIONS].standard_normal(out=directions[:count])
+        gens[_START_RADII].random(out=lengths[:count])
         pending = np.arange(start, start + count)
         for batch in range(_MAX_X0_BATCHES):
-            for i, e in enumerate(pending.tolist()):
-                propose(i, e, batch)
             points = _ellipsoid_points(smallest, level, directions[:pending.size],
                                        lengths[:pending.size])
-            ok = inside(points)
+            ok = np.all(library.values(points.reshape(-1, n)) <= level, 1).reshape(-1, _X0_BATCH)
             hit = np.any(ok, axis=1)
             first = np.argmax(ok[hit], axis=1)
             x0s[pending[hit]] = points[hit, first]
@@ -457,13 +457,14 @@ def _draw_campaign_inputs(
             pending = pending[~hit]
             if not pending.size:
                 break
+            retries = ([derive_rng(seed, stream, _RETRY, e) for e in pending.tolist()]
+                       if batch == 0 else [g for g, h in zip(retries, hit) if not h])
+            for i, gen in enumerate(retries):
+                gen.standard_normal(out=directions[i])
+                gen.random(out=lengths[i])
         else:
             raise ValueError(f"no start in the omega-intersection after {_MAX_X0_BATCHES} "
                              f"batches of {_X0_BATCH} proposals")
-        if switching:
-            requests[start:start + count][proposals[:count] < rate] = np.concatenate(picks[:count])
-        if amplitude:
-            _shape_disturbances(dists[start:start + count], radii[:count], amplitude, exact_sup)
     cols, deferred = _supervise_columns(size, initial, requests, budget)
     return x0s, cols, dists, deferred, x0_proposals
 
@@ -564,8 +565,10 @@ def monte_carlo(
 ) -> tuple[CampaignReport, list[Trace]]:
     """Monte Carlo safety campaign under a certificate.
 
-    Episodes are independent and reproducible: episode e draws from
-    ``derive_rng(seed, 0, e, ...)``, as ``_draw_campaign_inputs`` lays out.  The certificate must fingerprint-match the
+    Episodes are independent and reproducible: episode e reads its slice of
+    each input quantity's stream ``derive_rng(seed, 0, q)``, as
+    ``_draw_campaign_inputs`` lays out, so the first episodes of a campaign
+    are a shorter campaign.  The certificate must fingerprint-match the
     library it was synthesized for.  Episodes are stepped jointly for speed;
     the kept traces are the first ``keep_traces`` episodes of that rollout.
     """
@@ -576,16 +579,12 @@ def monte_carlo(
     if certificate.library_fingerprint != library_fingerprint(library):
         raise ValueError("certificate fingerprint does not match this library")
     x0s, cols, dists, deferred, x0_proposals = _draw_campaign_inputs(
-        library, certificate, episode_count, horizon, disturbance_amplitude,
-        seed, _EPISODE_STREAM,
-    )
+        library, certificate, episode_count, horizon, disturbance_amplitude, seed, _EPISODE_STREAM)
     kept_states = np.empty((min(keep_traces, episode_count), horizon + 1, library.state_dim))
     first, max_min, max_ratio = _batch_stats(library, x0s, cols, dists, kept_states)
     ids = np.asarray(library.ids)
     bad_episodes = np.flatnonzero(first >= 0)
-    recorded = tuple(
-        (int(e), int(first[e])) for e in bad_episodes[:_MAX_RECORDED_VIOLATIONS]
-    )
+    recorded = tuple((int(e), int(first[e])) for e in bad_episodes[:_MAX_RECORDED_VIOLATIONS])
     kept = [Trace.of(library, states, SwitchingSignal(ids[cols[e]]), dists[e].copy())
             for e, states in enumerate(kept_states)]
     report = CampaignReport(

@@ -317,16 +317,15 @@ def _supervise_columns(size: int, initial: np.ndarray, requests: np.ndarray,
 
 def _integers(values, name: str) -> np.ndarray:
     """``values`` as an integer array, its dtype kept; integral floats are
-    converted, anything else, and any value int64 cannot hold, is a
-    ValueError."""
+    converted, anything else (bools included) and any value int64 cannot
+    hold is a ValueError naming ``name``."""
     arr = np.asarray(values)
     if arr.dtype.kind in "iu":
         if arr.dtype == np.uint64 and np.any(arr >= 2**63):
             raise ValueError(f"{name} must be integers below 2**63")
         return arr
-    if arr.dtype.kind == "b" or (
-            arr.dtype.kind == "f"
-            and np.all(np.isfinite(arr) & (arr == np.floor(arr)) & (np.abs(arr) < 2.0 ** 63))):
+    if arr.dtype.kind == "f" and np.all(
+            np.isfinite(arr) & (arr == np.floor(arr)) & (np.abs(arr) < 2.0 ** 63)):
         return arr.astype(np.int64)
     raise ValueError(f"{name} must be integers")
 

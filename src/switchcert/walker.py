@@ -442,8 +442,9 @@ class WalkerScenario:
             raise ValueError(f"scenario needs stride primitives with ids {STRIDE_IDS}")
         if self.stride_count < 1:
             raise ValueError("stride_count must be positive")
-        if self.initial_primitive not in ids:
-            raise ValueError("initial_primitive not in the stride library")
+        if isinstance(self.initial_primitive, (bool, np.bool_)) or self.initial_primitive not in ids:
+            raise ValueError(f"initial_primitive must be an integer id in {ids}, "
+                             f"got {self.initial_primitive!r}")
         if not (self.dead_zone >= 0.0 and math.isfinite(self.dead_zone)):
             raise ValueError("dead_zone must be nonnegative and finite")
         if not math.isfinite(self.start_time):

@@ -39,12 +39,12 @@ from switchcert.simulation import (
 )
 from switchcert.switching import Supervisor
 
-# Regression values for the shipped library captured from a seeded run
-# (seed path (424242, 7) for the signal, (424242, 8, b) for start batch b).
-SHIPPED_RUN_STATE_5 = (6.723756914510815e-05, -6.276018588967258e-05)
-SHIPPED_RUN_STATE_200 = (1.7779816772837133e-05, 9.412321315320294e-05)
-SHIPPED_RUN_MAX_MIN_LEVEL = 4.896738500691086e-06
-SHIPPED_RUN_MAX_STEP_RATIO = 0.16019494250629013
+# Regression values for the shipped library captured from a seeded run:
+# episode 0 of a one-episode campaign draw on seed 424242, stream 7.
+SHIPPED_RUN_STATE_5 = (1.183170411174743e-05, 0.00027181411672755947)
+SHIPPED_RUN_STATE_200 = (5.773642615272501e-05, -0.0003263796441449413)
+SHIPPED_RUN_MAX_MIN_LEVEL = 2.7687815238859592e-05
+SHIPPED_RUN_MAX_STEP_RATIO = 0.2011568298863982
 # 300 episodes, horizon 200, amplitude ten times the shipped margin, seed 777
 SHIPPED_TENFOLD_VIOLATION_RATE = 1.0
 
@@ -86,21 +86,23 @@ class TestDerivedRng:
                                                       2**128 - 1, 0), library.ids)
 
     @pytest.mark.parametrize("seed", [0, 11, 2**32 + 5, 2**70 + 7])
-    def test_a_reused_generator_draws_as_fresh_ones(self, seed):
-        # integers(3) takes half of a 64-bit output and buffers the other
-        # half, and Philox buffers four outputs, so a buffer left by one
-        # address would show in the next: rewriting the counter of one state
-        # dict and setting it must start afresh, as the campaign draw does
-        bits = derive_rng(seed, 2).bit_generator
-        gen = np.random.Generator(bits)
-        state = bits.state
-        for e in range(6):
-            state["state"]["counter"][2:] = (e, e % 2)
-            bits.state = state
-            fresh = derive_rng(seed, 2, e, e % 2)
-            for draw in (lambda g: g.random(5), lambda g: g.integers(3, size=e + 1),
-                         lambda g: g.standard_normal((e + 2, 2)), lambda g: g.integers(7)):
-                assert np.array_equal(draw(gen), draw(fresh))
+    def test_calls_in_blocks_draw_as_one_call(self, seed):
+        # The campaign draw reads each quantity's stream one block of
+        # episodes per call, so calls split anywhere must read what one call
+        # reads.  integers(3) takes half of a 64-bit output and the
+        # generator buffers the other half for its next call, for 32- and
+        # 64-bit results alike; an 8-bit draw drops its leftover bits at
+        # the end of each call, so the campaign draw never uses one.
+        for draw in (lambda g, k: g.random(k), lambda g, k: g.standard_normal((k, 2)),
+                     lambda g, k: g.integers(3, size=k, dtype=np.int32),
+                     lambda g, k: g.integers(7, size=k)):
+            whole = draw(derive_rng(seed, 2, 1), 30)
+            for cuts in ((1, 29), (7, 8, 15), (3,) * 10):
+                gen = derive_rng(seed, 2, 1)
+                assert np.array_equal(np.concatenate([draw(gen, k) for k in cuts]), whole)
+        gen = derive_rng(seed, 2, 1)
+        split = np.concatenate([gen.integers(3, size=k, dtype=np.int8) for k in (1, 29)])
+        assert not np.array_equal(split, derive_rng(seed, 2, 1).integers(3, size=30, dtype=np.int8))
 
 
 class TestRun:
@@ -117,7 +119,7 @@ class TestRun:
         signal = SwitchingSignal((0,) * 31)
         rng = np.random.default_rng(3)
         for _ in range(20):
-            x0, _ = start_oracle(library, 4.0, lambda batch: rng)
+            x0, _ = start_oracle(library, 4.0, rng_batches(itertools.repeat(rng), 2))
             trace = run(library, signal, x0, None, 30)
             values = trace.lyapunov[:, 0]
             for k in range(30):
@@ -164,11 +166,12 @@ class TestRun:
 
     def test_shipped_per_stride_switching_regression(self, walker_library, walker_certificate):
         budget = budget_from_certificate(walker_certificate)
-        initial, requests, _ = rest_oracle(walker_library, walker_certificate, 200, 0.0,
-                                           derive_rng(424242, 7))
-        signal = SwitchingSignal(replay_supervisor(walker_library.ids, initial, requests, budget)[0])
+        initial, requests, _ = rest_oracle(walker_library, walker_certificate, 1, 200, 0.0,
+                                           424242, 7)
+        signal = SwitchingSignal(replay_supervisor(walker_library.ids, initial[0], requests[0],
+                                                   budget)[0])
         x0, _ = start_oracle(walker_library, walker_certificate.omega,
-                             lambda batch: derive_rng(424242, 8, batch))
+                             proposal_batches(424242, 7, 1, walker_library.state_dim)[0])
         trace = run(walker_library, signal, x0, None, 200)
         assert validate_dwell_time(signal, budget).valid
         assert trace.in_all_basins.all()
@@ -244,17 +247,19 @@ def pair_library_with_dist_dim(dist_dim):
                              make_primitive(1, center=(1.0, 0.0), gain=gain)))
 
 
-def assert_disturbances_follow_the_initial_member(library, certificate, draw, seed, stream):
-    """Each episode's stream holds its initial member, and right after that
-    its disturbance directions: no switch request."""
+def assert_episodes_follow_their_stream_slices(library, certificate, draw, seed, stream):
+    """Each episode keeps its initial member from its slice of the
+    initial-member stream throughout, with no switch request, and its
+    disturbances point along its slice of the direction stream."""
     x0s, cols, dists, deferred, _ = draw
     assert deferred == 0
-    for e, values in enumerate(dists):
-        start = start_oracle(library, certificate.omega, proposal_rngs(seed, stream, e))
+    initial = derive_rng(seed, stream, INITIAL).integers(len(library), size=len(dists))
+    every_direction = derive_rng(seed, stream, DIRECTIONS).standard_normal(dists.shape)
+    batches = proposal_batches(seed, stream, len(dists), library.state_dim)
+    for e, (values, directions) in enumerate(zip(dists, every_direction)):
+        start = start_oracle(library, certificate.omega, batches[e])
         assert np.array_equal(start[0], x0s[e])
-        rng = derive_rng(seed, stream, e)
-        assert np.all(cols[e] == rng.integers(len(library)))
-        directions = rng.standard_normal(values.shape)
+        assert np.all(cols[e] == initial[e])
         np.testing.assert_allclose(
             values / np.linalg.norm(values, axis=1, keepdims=True),
             directions / np.linalg.norm(directions, axis=1, keepdims=True), rtol=0.0, atol=1e-12)
@@ -330,30 +335,33 @@ class TestSamplers:
         library = PrimitiveLibrary((make_primitive(5),))
         draw = _draw_campaign_inputs(library, pair_certificate(), 3, 30, 0.1, 6, 0)
         assert np.asarray(library.ids)[draw[1]].tolist() == [[5] * 30] * 3
-        assert_disturbances_follow_the_initial_member(library, pair_certificate(), draw, 6, 0)
+        assert_episodes_follow_their_stream_slices(library, pair_certificate(), draw, 6, 0)
 
     def test_horizon_one_draws_no_switch_requests(self):
         library = make_pair_library()
         draw = _draw_campaign_inputs(library, pair_certificate(), 5, 1, 0.1, 6, 1)
         assert draw[1].shape == (5, 1)
-        assert_disturbances_follow_the_initial_member(library, pair_certificate(), draw, 6, 1)
+        assert_episodes_follow_their_stream_slices(library, pair_certificate(), draw, 6, 1)
 
 
-def start_oracle(library, level, batch_rng):
+# The campaign draw's quantity addresses derive_rng(seed, stream, q), and
+# derive_rng(seed, stream, RETRY, e) for episode e's later start batches.
+INITIAL, PROPOSALS, PICKS, DIRECTIONS, RADII, START_DIRECTIONS, START_RADII, RETRY = range(8)
+
+
+def start_oracle(library, level, batches):
     """A start state: batches of 8 proposals uniform in the ``level``
     ellipsoid of the member with the largest weight determinant, batch b
-    drawn from ``batch_rng(b)`` as Gaussian directions, then radii, up to
-    the first proposal inside every member's ``level`` sublevel set.
-    Returns the point and the number of proposals drawn up to and
-    including it."""
+    the b-th pair of 8 Gaussian directions and 8 uniform radii in
+    ``batches``, up to the first proposal inside every member's ``level``
+    sublevel set.  Returns the point and the number of proposals drawn up
+    to and including it."""
     smallest = max(library, key=lambda p: np.linalg.slogdet(p.lyapunov.weight)[1]).lyapunov
     evals, evecs = np.linalg.eigh(smallest.weight)
     scale = evecs * np.sqrt(level / evals)
     n = library.state_dim
-    for batch in itertools.count():
-        rng = batch_rng(batch)
-        directions = rng.standard_normal((8, n))
-        lengths = rng.random(8) ** (1.0 / n) / np.linalg.norm(directions, axis=1)
+    for batch, (directions, radii) in enumerate(batches):
+        lengths = radii ** (1.0 / n) / np.linalg.norm(directions, axis=1)
         points = smallest.center + (directions * lengths[:, None]) @ scale.T
         ok = np.ones(8, dtype=bool)
         for p in library:
@@ -363,72 +371,97 @@ def start_oracle(library, level, batch_rng):
             return points[hits[0]], 8 * batch + int(hits[0]) + 1
 
 
-def proposal_rngs(seed, stream, episode):
-    """Episode ``episode``'s start proposals: batch b from
-    ``derive_rng(seed, stream, episode, b + 1)``."""
-    return lambda batch: derive_rng(seed, stream, episode, batch + 1)
+def rng_batches(rngs, n):
+    """Start proposal batches, batch b from the b-th generator of ``rngs``:
+    its 8 Gaussian directions, then its 8 uniform radii."""
+    for rng in rngs:
+        yield rng.standard_normal((8, n)), rng.random(8)
 
 
-def rest_oracle(library, certificate, horizon, amplitude, rng, exact_sup=False):
-    """An episode's stream from ``rng`` after its start state: the initial
-    member, the Bernoulli proposals at rate min(1, 1/na) and the picks among
-    the other members, then the disturbance directions and radii.  Returns
-    the initial id, the requests (r >= 0 asks for the member r + 1 places
-    after the current one, cyclically; -1 holds) and the disturbances."""
+def proposal_batches(seed, stream, episode_count, n):
+    """Each episode's start proposal batches: batch 0 is its slice of the
+    whole campaign's start directions and radii, each one draw from its
+    stream, and batches 1, 2, ... read its own retry stream
+    ``derive_rng(seed, stream, RETRY, e)`` in order."""
+    directions = derive_rng(seed, stream, START_DIRECTIONS).standard_normal((episode_count, 8, n))
+    radii = derive_rng(seed, stream, START_RADII).random((episode_count, 8))
+    return [itertools.chain([(directions[e], radii[e])],
+                            rng_batches(itertools.repeat(derive_rng(seed, stream, RETRY, e)), n))
+            for e in range(episode_count)]
+
+
+def rest_oracle(library, certificate, episode_count, horizon, amplitude, seed, stream,
+                exact_sup=False):
+    """A campaign's inputs after its start states, each quantity one draw
+    for the whole campaign from its stream ``derive_rng(seed, stream, q)``,
+    episode e's values its e-th slice: the initial members, the Bernoulli
+    proposals at rate min(1, 1/na) (not drawn at rate 1, where every step
+    proposes), the picks among the other members (episode e's the e-th run
+    of as many values as it has proposals), and the disturbance directions
+    and radii (not drawn at amplitude 0).  Returns per episode the initial
+    id, the requests (r >= 0 asks for the member r + 1 places after the
+    current one, cyclically; -1 holds) and the disturbances."""
     rate = min(1.0, 1.0 / budget_from_certificate(certificate).na)
     ids = library.ids
-    initial = ids[rng.integers(len(ids))]
-    requests = np.full(horizon - 1, -1, dtype=np.int64)
+    initial = np.asarray(ids)[derive_rng(seed, stream, INITIAL).integers(len(ids),
+                                                                         size=episode_count)]
+    requests = np.full((episode_count, horizon - 1), -1, dtype=np.int64)
     if len(ids) > 1 and horizon > 1:
-        proposals = rng.random(horizon - 1) < rate
-        requests[proposals] = rng.integers(len(ids) - 1, size=int(np.count_nonzero(proposals)))
-    values = np.zeros((horizon, library.dist_dim))
+        proposals = np.ones(requests.shape, dtype=bool)
+        if rate < 1.0:
+            proposals = derive_rng(seed, stream, PROPOSALS).random(requests.shape) < rate
+        # a boolean assignment fills row by row: each episode's run in turn
+        requests[proposals] = derive_rng(seed, stream, PICKS).integers(
+            len(ids) - 1, size=int(np.count_nonzero(proposals)))
+    values = np.zeros((episode_count, horizon, library.dist_dim))
     if amplitude != 0.0:
-        directions = rng.standard_normal((horizon, library.dist_dim))
-        radii = rng.random(horizon) ** (1.0 / library.dist_dim)
-        norms = np.linalg.norm(directions, axis=1)
+        directions = derive_rng(seed, stream, DIRECTIONS).standard_normal(values.shape)
+        radii = derive_rng(seed, stream, RADII).random(values.shape[:2]) ** (1.0 / library.dist_dim)
+        norms = np.linalg.norm(directions, axis=2)
         norms[norms == 0.0] = np.inf
-        values = directions * (amplitude * radii / norms)[:, None]
+        values = directions * (amplitude * radii / norms)[..., None]
         if exact_sup:
-            peak = float(np.max(np.linalg.norm(values, axis=1)))
-            if peak > 0.0:
-                values = values * (amplitude / peak)
+            peaks = np.max(np.linalg.norm(values, axis=2), axis=1)
+            values[peaks > 0.0] *= (amplitude / peaks[peaks > 0.0])[:, None, None]
     return initial, requests, values
 
 
 def run_episode(library, certificate, horizon, amplitude, seed, episode):
-    """Reference for episode ``episode`` of a campaign, drawn on its own:
-    the start state, then the episode's stream, supervised and rolled out."""
-    x0, _ = start_oracle(library, certificate.omega, proposal_rngs(seed, 0, episode))
-    initial, requests, dists = rest_oracle(library, certificate, horizon, amplitude,
-                                           derive_rng(seed, 0, episode))
-    sigma, _ = replay_supervisor(library.ids, initial, requests,
+    """Reference for episode ``episode`` of a campaign, drawn as the last
+    episode of a campaign of ``episode + 1``: the start state and the rest
+    of its inputs, supervised and rolled out."""
+    count = episode + 1
+    x0, _ = start_oracle(library, certificate.omega,
+                         proposal_batches(seed, 0, count, library.state_dim)[episode])
+    initial, requests, dists = rest_oracle(library, certificate, count, horizon, amplitude,
+                                           seed, 0)
+    sigma, _ = replay_supervisor(library.ids, initial[episode], requests[episode],
                                  budget_from_certificate(certificate))
-    return run(library, SwitchingSignal(sigma), x0, dists, horizon)
+    return run(library, SwitchingSignal(sigma), x0, dists[episode], horizon)
 
 
 def draw_campaign_oracle(library, certificate, episode_count, horizon, amplitude, seed, stream,
                          exact_sup=False):
-    """Reference for ``_draw_campaign_inputs``: each episode drawn on its own,
-    its start state from ``derive_rng(seed, stream, e, b + 1)`` for batches
-    b = 0, 1, ... and the rest from ``derive_rng(seed, stream, e)``.
-    Returns the draw's ``(x0s, sigmas, dists, deferred)`` and each
-    episode's number of start proposals drawn up to and including its
-    start."""
+    """Reference for ``_draw_campaign_inputs``: each quantity drawn for the
+    whole campaign at once and sliced per episode (``proposal_batches`` and
+    ``rest_oracle``), and each episode's start searched and its requests
+    supervised on their own.  Returns the draw's ``(x0s, sigmas, dists,
+    deferred)`` and each episode's number of start proposals drawn up to
+    and including its start."""
     budget = budget_from_certificate(certificate)
-    x0s, drawn, sigmas, dists, deferred = [], [], [], [], 0
-    for episode in range(episode_count):
-        x0, count = start_oracle(library, certificate.omega,
-                                 proposal_rngs(seed, stream, episode))
-        initial_id, row, values = rest_oracle(library, certificate, horizon, amplitude,
-                                              derive_rng(seed, stream, episode), exact_sup)
-        sigma, admitted = replay_supervisor(library.ids, initial_id, row, budget)
+    initial, requests, dists = rest_oracle(library, certificate, episode_count, horizon,
+                                           amplitude, seed, stream, exact_sup)
+    x0s, drawn, sigmas, deferred = [], [], [], 0
+    for episode, batches in enumerate(proposal_batches(seed, stream, episode_count,
+                                                       library.state_dim)):
+        x0, count = start_oracle(library, certificate.omega, batches)
+        sigma, admitted = replay_supervisor(library.ids, initial[episode], requests[episode],
+                                            budget)
         x0s.append(x0)
         drawn.append(count)
         sigmas.append(sigma)
-        dists.append(values)
         deferred += admitted.count(False)
-    return np.array(x0s), np.array(sigmas), np.array(dists), deferred, drawn
+    return np.array(x0s), np.array(sigmas), dists, deferred, drawn
 
 
 def crossed_library(aspect=100.0):
@@ -441,6 +474,17 @@ def crossed_library(aspect=100.0):
         weight = turn @ np.diag(axes) @ turn.T
         members.append(make_primitive(pid, weight=0.5 * (weight + weight.T), basin_level=2.0))
     return PrimitiveLibrary(tuple(members))
+
+
+def parallel_thin_library(offset):
+    """Two 2-D members whose unit sublevel sets are parallel ellipses of
+    half-axes 1 and 0.1 along the diagonal, the second centred ``offset``
+    down and ``offset`` right of the first, across the thin axes."""
+    turn = np.array([[1.0, -1.0], [1.0, 1.0]]) / np.sqrt(2.0)
+    weight = turn @ np.diag([1.0, 100.0]) @ turn.T
+    weight = 0.5 * (weight + weight.T)
+    return PrimitiveLibrary((make_primitive(0, weight=weight),
+                             make_primitive(1, center=(offset, -offset), weight=weight)))
 
 
 def twelve_dimensional_library():
@@ -542,16 +586,18 @@ class TestMonteCarlo:
             walker_library, certificate, episodes, horizon, 0.0, 5, keep_traces=episodes
         )
         deferred = 0
+        # the start states, then each quantity drawn for the whole campaign
+        # and read in episode order: initial members, proposals, picks
+        batches = proposal_batches(5, 0, episodes, walker_library.state_dim)
+        initial = derive_rng(5, 0, INITIAL).integers(len(ids), size=episodes)
+        every_proposal = derive_rng(5, 0, PROPOSALS).random((episodes, horizon - 1)) < 1.0 / 3.0
+        picks = iter(derive_rng(5, 0, PICKS).integers(
+            len(ids) - 1, size=int(np.count_nonzero(every_proposal))))
         for e, trace in enumerate(traces):
-            # the start state, then the episode's stream: initial member,
-            # proposals, picks
-            start = start_oracle(walker_library, certificate.omega, proposal_rngs(5, 0, e))
+            start = start_oracle(walker_library, certificate.omega, batches[e])
             assert np.array_equal(trace.states[0], start[0])
-            rng = derive_rng(5, 0, e)
-            supervisor = Supervisor(ids[rng.integers(len(ids))], budget, known_ids=ids)
-            proposals = rng.random(horizon - 1) < 1.0 / 3.0
-            picks = iter(rng.integers(len(ids) - 1, size=int(np.count_nonzero(proposals))))
-            for proposed in proposals:
+            supervisor = Supervisor(ids[initial[e]], budget, known_ids=ids)
+            for proposed in every_proposal[e]:
                 wanted = supervisor.current
                 if proposed:
                     wanted = ids[(ids.index(wanted) + 1 + next(picks)) % len(ids)]
@@ -901,8 +947,9 @@ class TestCampaignDraw:
         monkeypatch.setattr(simulation, "derive_rng",
                             lambda *path: derived.append(path) or derive(*path))
         assert_draws_equal(_draw_campaign_inputs(*args), oracle, library.ids)
-        # one generator, keyed once, moves between the episodes' addresses
-        assert derived == [(4, 0)]
+        # each quantity's stream is keyed once, and only the episodes whose
+        # first batch missed read a retry address, each once
+        assert derived == [(4, 0, q) for q in range(RETRY)] + [(4, 0, RETRY, e) for e in slow]
 
     @pytest.mark.parametrize("block", [1, 7, 64])
     @pytest.mark.parametrize("make_library, level", [
@@ -931,18 +978,46 @@ class TestCampaignDraw:
             _draw_campaign_inputs(library, certificate, 5, 10, 0.1, 1, 0)
         assert time.process_time() - started < 0.5
 
-    def test_an_exhausted_start_search_is_a_value_error(self, monkeypatch):
+    def test_parallel_thin_omega_sets_fail_before_drawing(self):
         # two thin parallel ellipses 0.42 apart across their 0.1 half-widths:
-        # their boxes overlap, the sets do not
-        turn = np.array([[1.0, -1.0], [1.0, 1.0]]) / np.sqrt(2.0)
-        weight = turn @ np.diag([1.0, 100.0]) @ turn.T
-        weight = 0.5 * (weight + weight.T)
-        library = PrimitiveLibrary((make_primitive(0, weight=weight),
-                                    make_primitive(1, center=(0.3, -0.3), weight=weight)))
+        # their boxes overlap, the sets do not, which the S-lemma decides
+        library = parallel_thin_library(0.3)
         certificate = SimpleNamespace(omega=1.0, n0_bar=1.0, na_bar=2.0)
+        started = time.process_time()
+        with pytest.raises(ValueError, match="members 0 and 1 are disjoint"):
+            _draw_campaign_inputs(library, certificate, 5, 10, 0.1, 1, 0)
+        assert time.process_time() - started < 0.5
+        # 0.198 apart, they overlap by 0.002 and pass
+        simulation._check_pairs_meet(parallel_thin_library(0.14), 1.0)
+
+    def test_an_exhausted_start_search_is_a_value_error(self, monkeypatch):
+        # three unit-weight discs of radius 0.548 on a triangle of side 1:
+        # each pair meets, but the circumradius 0.577 exceeds the radius, so
+        # no point lies in all three
+        library = PrimitiveLibrary(tuple(
+            make_primitive(pid, center=center)
+            for pid, center in enumerate(((0.0, 0.0), (1.0, 0.0), (0.5, 0.5 * np.sqrt(3.0))))))
+        certificate = SimpleNamespace(omega=0.3, n0_bar=1.0, na_bar=2.0)
         monkeypatch.setattr(simulation, "_MAX_X0_BATCHES", 3)
         with pytest.raises(ValueError, match="no start in the omega-intersection after 3 batches"):
             _draw_campaign_inputs(library, certificate, 2, 10, 0.1, 1, 0)
+
+    def test_unused_quantities_are_not_drawn_and_move_no_other(
+        self, walker_library, walker_certificate
+    ):
+        # disturbances are drawn only off amplitude 0, and proposals only
+        # below rate 1; each quantity reads its own stream, so the others
+        # keep their values
+        args = (walker_library, walker_certificate, _DRAW_BLOCK + 9, 50)
+        still = _draw_campaign_inputs(*args, 0.0, 3, 0)
+        moved = _draw_campaign_inputs(*args, 0.1, 3, 0)
+        assert np.array_equal(still[0], moved[0]) and np.array_equal(still[1], moved[1])
+        assert still[3:] == moved[3:]
+        assert not np.any(still[2]) and np.all(np.any(moved[2], axis=2))
+        deferring = replace(walker_certificate, na_bar=3.0)
+        slow = _draw_campaign_inputs(walker_library, deferring, *args[2:], 0.1, 3, 0)
+        assert np.array_equal(slow[0], moved[0]) and np.array_equal(slow[2], moved[2])
+        assert slow[4] == moved[4] and not np.array_equal(slow[1], moved[1])
 
     def test_shipped_campaign_draw_matches_the_oracle(self, walker_library, walker_certificate):
         for seed, amplitude, exact_sup in ((11, 0.1, False), (11, 1.0, True), (11, 0.0, False),

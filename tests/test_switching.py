@@ -414,6 +414,12 @@ class TestSignalValidation:
         with pytest.raises(ValueError, match="must be integers"):
             SwitchingSignal(assignments)
 
+    def test_bool_ids_are_rejected(self):
+        # True and False are not primitive ids 1 and 0
+        for assignments in ([True, False, True], np.array([False])):
+            with pytest.raises(ValueError, match="assignments must be integers"):
+                SwitchingSignal(assignments)
+
     def test_integral_floats_run_as_the_integers_they_hold(self):
         signal = SwitchingSignal([4.0, 7.0, 7.0, -1.0])
         assert signal.assignments.tolist() == [4, 7, 7, -1]

@@ -574,6 +574,13 @@ class TestScenarios:
         with pytest.raises(ValueError, match="initial_pose"):
             load_scenario(config)
 
+    def test_a_bool_initial_primitive_is_rejected(self):
+        # True is not primitive 1
+        scenario = load_scenario(straight_config())
+        for flag in (True, np.True_):
+            with pytest.raises(ValueError, match="initial_primitive must be an integer id"):
+                replace(scenario, initial_primitive=flag)
+
     def test_leader_span_must_cover_the_run(self):
         config = straight_config()
         config["strides"] = 100  # needs 50 s of path, the leader has 20 s
