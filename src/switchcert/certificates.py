@@ -14,9 +14,9 @@ inside every basin, provided the mu^n0 * omega sublevel sets still sit
 strictly inside every basin.  Synthesis computes both constants, and the
 containment of those sets, exactly in any dimension from one table of
 pair maxima: each member's largest V over each member's sublevel set, a
-trust-region subproblem on a sphere.  omega(kappa) is the table's maximum
-at kappa, mu(kappa) is omega(kappa) / kappa, and containment reads the
-table at mu^n0 * omega.  A closed-form ellipsoid bound (analytic) and a
+trust-region subproblem on a sphere (``primitives._level_max``).
+omega(kappa) is the table's maximum at kappa, mu(kappa) is
+omega(kappa) / kappa, and containment reads the table at mu^n0 * omega.  A closed-form ellipsoid bound (analytic) and a
 grid maximization (grid) stay as oracles, with grid <= exact <= analytic.
 """
 from __future__ import annotations
@@ -29,7 +29,7 @@ from pathlib import Path
 import numpy as np
 
 from .library_io import library_fingerprint, read_document, write_document
-from .primitives import PrimitiveLibrary, QuadraticLyapunov
+from .primitives import PrimitiveLibrary, QuadraticLyapunov, _level_max
 from . import simulation
 
 GRID_REFUSAL_DIM = 4
@@ -200,50 +200,6 @@ def mu_grid(library: PrimitiveLibrary, kappa: float, resolution: int | None = No
     return best
 
 
-def _sphere_max(m: np.ndarray, g: np.ndarray) -> np.ndarray:
-    """Maximiser of u^T m u + 2 g^T u over the unit sphere |u| = 1.
-
-    The trust-region subproblem, solved exactly (Moré & Sorensen 1983).  In
-    m's eigenbasis (eigenvalues lam, b = V^T g) the maximiser is
-    u = b / (t - lam) for the t >= lam_max with |u| = 1.  |u| falls in t
-    and is at most 1 at t = lam_max + |b|, so bisection on that bracket
-    finds t.  In the hard case b vanishes on the top eigenspace and |u| < 1
-    already at t = lam_max; a top eigenvector then fills the remaining
-    length.  Filling whatever length the bisection leaves covers that case,
-    repeated eigenvalues and a t within rounding of lam_max alike.
-    """
-    lam, vecs = np.linalg.eigh(m)
-    b = vecs.T @ g
-    lo, hi = lam[-1], lam[-1] + float(np.linalg.norm(b))
-    while (mid := 0.5 * (lo + hi)) not in (lo, hi):
-        if np.sum((b / (mid - lam)) ** 2) > 1.0:
-            lo = mid
-        else:
-            hi = mid
-    gap = hi - lam
-    u = np.divide(b, gap, out=np.zeros_like(b), where=gap > 0.0)
-    u[-1] = math.copysign(math.sqrt(max(0.0, 1.0 - float(u[:-1] @ u[:-1]))), b[-1])
-    return vecs @ u
-
-
-def _level_max(outer: QuadraticLyapunov, inner: QuadraticLyapunov, level: float) -> float:
-    """Maximum of V_outer over {V_inner <= level}, exact up to rounding.
-
-    With W_inner = L L^T, x = c_inner + L^-T z maps the set onto the ball
-    |z|^2 <= level, on which V_outer is the convex quadratic
-    z^T M z + 2 g^T z + const with M = L^-1 W_outer L^-T and
-    g = L^-1 W_outer (c_inner - c_outer), so its maximum lies on the
-    sphere.  The result is V_outer at the maximiser.
-    """
-    chol = np.linalg.cholesky(inner.weight)
-    whitened = np.linalg.solve(chol, outer.weight)
-    root = math.sqrt(level)
-    u = _sphere_max(np.linalg.solve(chol, whitened.T),
-                    whitened @ (inner.center - outer.center) / root)
-    x = inner.center + np.linalg.solve(chol.T, root * u)
-    return float(outer.values(x[None])[0])
-
-
 def _pair_maxima(library: PrimitiveLibrary, level: float) -> np.ndarray:
     """The (P, P) table whose entry [i, j] is the maximum of member i's V
     over member j's {V <= level}: ``level`` on the diagonal, ``_level_max``
@@ -259,21 +215,6 @@ def _omega_exact(library: PrimitiveLibrary, kappa: float) -> float:
     and at least kappa, which each member attains on its own."""
     _check_kappa_for_omega(library, kappa)
     return float(np.max(_pair_maxima(library, kappa)))
-
-
-def _mu_exact(library: PrimitiveLibrary, kappa: float) -> float:
-    """mu(kappa): the largest V_q/V_p over p's basin outside its kappa-core.
-
-    At x = c_p + s L_p^-T d, with |d| = 1 and s = sqrt(V_p(x)), the ratio
-    is A_d + 2 B_d / s + C / s^2 with A_-d = A_d, B_-d = -B_d and
-    C = V_q(c_p) >= 0.  The larger of the two values for d and -d,
-    A_d + 2 |B_d| / s + C / s^2, falls in s, so the maximum over the
-    annulus lies on its inner level set V_p = kappa.  There the ratio is
-    V_q / kappa over omega's pairs, and dividing by kappa > 0 keeps the
-    order of rounded values, so mu is omega / kappa bit for bit.
-    """
-    _check_kappa_for_mu(library, kappa)
-    return _omega_exact(library, kappa) / kappa
 
 
 def dwell_time_bound(mu: float, contraction_rate: float, epsilon: float) -> float:
@@ -440,9 +381,8 @@ def synthesize_certificate(
     ``DEFAULT_N0_CANDIDATES`` wins (ties broken by the smaller dwell-time
     bound, which cannot differ at fixed kappa).  An infeasible sweep
     returns per-kappa diagnostics instead of a certificate.  The exact
-    mu is omega / kappa (see ``_mu_exact``); ``method="grid"`` takes both
-    constants from the grid oracles instead.  Containment is exact either
-    way.
+    mu is omega / kappa; ``method="grid"`` takes both constants from the
+    grid oracles instead.  Containment is exact either way.
     """
     if method not in ("exact", "grid"):
         raise ValueError("method must be 'exact' or 'grid'")
@@ -470,6 +410,13 @@ def synthesize_certificate(
             omega, mu = omega_grid(library, kappa), mu_grid(library, kappa)
         else:
             omega = _omega_exact(library, kappa)
+            # mu is the largest V_q/V_p on p's basin outside its kappa-core.
+            # At x = c_p + s L_p^-T d (|d| = 1, s^2 = V_p(x)) the ratio is
+            # A_d + 2 B_d / s + C / s^2 with A_-d = A_d, B_-d = -B_d and
+            # C = V_q(c_p) >= 0, so the larger of d and -d falls in s and the
+            # maximum lies on V_p = kappa, at omega's V_q / kappa.  Dividing
+            # by kappa > 0 keeps the order of rounded values, so mu is
+            # omega / kappa bit for bit.
             mu = omega / kappa
         na = dwell_time_bound(mu, rate, epsilon)
         reports = {n0: feasibility_check(library, n0, omega, mu) for n0 in DEFAULT_N0_CANDIDATES}

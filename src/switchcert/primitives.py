@@ -1,19 +1,18 @@
 """Movement primitives as contracting discrete-time maps.
 
 A primitive is a map with a unique fixed point, paired with a quadratic
-Lyapunov function and a sampled basin-of-attraction estimate.  Libraries
-collect several primitives over a shared state space so that a supervisor
-can switch among them.
+Lyapunov function whose sublevel set at a declared level is its
+basin-of-attraction estimate.  Libraries collect several primitives over a
+shared state space so that a supervisor can switch among them.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 import numpy as np
-import numpy.random  # numpy 2 loads it lazily, on the first default_rng
 
 FIXED_POINT_TOL = 1e-12
 SYMMETRY_TOL = 1e-10
-RATIO_TOL = 1e-12
 
 
 # numpy rounds a state differently in smaller batches: matmul sends a lone
@@ -222,6 +221,63 @@ class QuadraticLyapunov:
         return float(eigs[0]), float(eigs[-1])
 
 
+def _sphere_max(m: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """Maximiser of u^T m u + 2 g^T u over the unit sphere |u| = 1, the one
+    solver behind every question about two members' sublevel sets.
+
+    The trust-region subproblem, solved exactly (Moré & Sorensen 1983).  In
+    m's eigenbasis (eigenvalues lam, b = V^T g) the maximiser is
+    u = b / (t - lam) for the t >= lam_max with |u| = 1.  |u| falls in t
+    and is at most 1 at t = lam_max + |b|, so bisection on that bracket
+    finds t.  In the hard case b vanishes on the top eigenspace and |u| < 1
+    already at t = lam_max; a top eigenvector then fills the remaining
+    length.  Filling whatever length the bisection leaves covers that case,
+    repeated eigenvalues and a t within rounding of lam_max alike.
+    """
+    lam, vecs = np.linalg.eigh(m)
+    b = vecs.T @ g
+    lo, hi = lam[-1], lam[-1] + float(np.linalg.norm(b))
+    while (mid := 0.5 * (lo + hi)) not in (lo, hi):
+        if np.sum((b / (mid - lam)) ** 2) > 1.0:
+            lo = mid
+        else:
+            hi = mid
+    gap = hi - lam
+    u = np.divide(b, gap, out=np.zeros_like(b), where=gap > 0.0)
+    u[-1] = math.copysign(math.sqrt(max(0.0, 1.0 - float(u[:-1] @ u[:-1]))), b[-1])
+    return vecs @ u
+
+
+def _level_point(outer: QuadraticLyapunov, inner: QuadraticLyapunov, level: float,
+                 sign: float) -> np.ndarray:
+    """The point of the level set {V_inner = level} where sign · V_outer is
+    largest, exact up to rounding.  With W_inner = L L^T, x = c_inner +
+    sqrt(level) L^-T u maps the unit sphere onto the level set, on which
+    V_outer is level · (u^T M u + 2 g^T u) + const with M = L^-1 W_outer L^-T
+    and g = L^-1 W_outer (c_inner - c_outer) / sqrt(level)."""
+    chol = np.linalg.cholesky(inner.weight)
+    whitened = np.linalg.solve(chol, outer.weight)
+    root = math.sqrt(level)
+    u = _sphere_max(sign * np.linalg.solve(chol, whitened.T),
+                    sign * (whitened @ (inner.center - outer.center) / root))
+    return inner.center + np.linalg.solve(chol.T, root * u)
+
+
+def _level_max(outer: QuadraticLyapunov, inner: QuadraticLyapunov, level: float) -> float:
+    """Maximum of V_outer over {V_inner <= level}, exact up to rounding:
+    V_outer is convex, so the maximum lies on the level set."""
+    return outer.value(_level_point(outer, inner, level, 1.0))
+
+
+def _level_min(outer: QuadraticLyapunov, inner: QuadraticLyapunov, level: float) -> float:
+    """Minimum of V_outer over {V_inner <= level}, exact up to rounding: 0
+    when c_outer lies in the set, and otherwise on the level set, where the
+    convex V_outer has no stationary point."""
+    if inner.value(outer.center) <= level:
+        return 0.0
+    return outer.value(_level_point(outer, inner, level, -1.0))
+
+
 @dataclass(frozen=True)
 class Primitive:
     """A certified primitive: map, Lyapunov function, basin level and contraction rate.
@@ -377,91 +433,3 @@ def _ellipsoid_points(lyapunov: QuadraticLyapunov, level: float, directions: np.
     evals, evecs = np.linalg.eigh(lyapunov.weight)
     scale = evecs * np.sqrt(level / evals)
     return lyapunov.center + _ball_points(directions, radii) @ scale.T
-
-
-def sample_in_sublevel_set(
-    lyapunov: QuadraticLyapunov, level: float, count: int, rng: np.random.Generator
-) -> np.ndarray:
-    """``count`` uniform samples from {x : V(x) <= level}: ``count``
-    Gaussian directions, then ``count`` uniform radii, from ``rng``."""
-    directions = rng.standard_normal((count, lyapunov.state_dim))
-    return _ellipsoid_points(lyapunov, level, directions, rng.random(count))
-
-
-def _decrease_ratios(primitive: Primitive, points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Lyapunov ratios V(f(x))/V(x) and image values V(f(x)) for a batch."""
-    values = primitive.lyapunov.values(points)
-    images = primitive.map.apply_batch(points)
-    image_values = primitive.lyapunov.values(images)
-    good = values > 0.0
-    ratios = np.full(points.shape[0], -np.inf)
-    ratios[good] = image_values[good] / values[good]
-    return ratios, image_values
-
-
-@dataclass(frozen=True)
-class ContractionReport:
-    passed: bool
-    worst_ratio: float
-    witness: np.ndarray
-    sample_count: int
-
-
-@dataclass(frozen=True)
-class BasinReport:
-    certified: bool
-    worst_ratio: float
-    max_image_value: float
-    witness: np.ndarray
-    level: float
-    sample_count: int
-
-
-def verify_contraction(
-    primitive: Primitive, sample_count: int, seed: int, tolerance: float = RATIO_TOL
-) -> ContractionReport:
-    """Falsification-style check of the per-step Lyapunov decrease on the basin.
-
-    Samples the basin estimate and reports the worst observed ratio
-    V(f(x))/V(x); passing means no sample exceeded the declared contraction
-    rate (up to a relative tolerance).  A pass is evidence, not proof.
-    """
-    if sample_count <= 0:
-        raise ValueError("sample_count must be positive")
-    rng = np.random.default_rng(seed)
-    points = sample_in_sublevel_set(primitive.lyapunov, primitive.basin_level, sample_count, rng)
-    ratios, _ = _decrease_ratios(primitive, points)
-    worst = int(np.argmax(ratios))
-    worst_ratio = float(ratios[worst])
-    passed = worst_ratio <= primitive.contraction_rate * (1.0 + tolerance)
-    return ContractionReport(passed, worst_ratio, points[worst].copy(), sample_count)
-
-
-def certify_basin(
-    primitive: Primitive,
-    candidate_level: float,
-    sample_count: int,
-    seed: int,
-    tolerance: float = RATIO_TOL,
-) -> BasinReport:
-    """Check contraction and forward invariance on a candidate sublevel set.
-
-    Certified means every sampled state both decreases the Lyapunov value by
-    the declared rate and maps back into the candidate set.  The witness is
-    the sample with the largest normalized violation.
-    """
-    if sample_count <= 0:
-        raise ValueError("sample_count must be positive")
-    if not (candidate_level > 0.0 and np.isfinite(candidate_level)):
-        raise ValueError("candidate_level must be positive and finite")
-    rng = np.random.default_rng(seed)
-    points = sample_in_sublevel_set(primitive.lyapunov, candidate_level, sample_count, rng)
-    ratios, image_values = _decrease_ratios(primitive, points)
-    scores = np.maximum(ratios / primitive.contraction_rate, image_values / candidate_level)
-    worst = int(np.argmax(scores))
-    worst_ratio = float(np.max(ratios))
-    max_image = float(np.max(image_values))
-    certified = worst_ratio <= primitive.contraction_rate * (1.0 + tolerance) and max_image <= candidate_level * (
-        1.0 + tolerance
-    )
-    return BasinReport(certified, worst_ratio, max_image, points[worst].copy(), candidate_level, sample_count)

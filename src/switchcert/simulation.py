@@ -17,6 +17,7 @@ e)``; ``_draw_campaign_inputs`` lays the quantities out.
 """
 from __future__ import annotations
 
+import itertools
 from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Callable
@@ -25,7 +26,8 @@ import numpy as np
 import numpy.random  # numpy 2 loads it lazily, on the first default_rng
 
 from .library_io import library_fingerprint, write_table
-from .primitives import _MIN_BATCH, PrimitiveLibrary, _ball_points, _ellipsoid_points, _step_stack
+from .primitives import (_MIN_BATCH, PrimitiveLibrary, _ball_points, _ellipsoid_points,
+                         _level_min, _step_stack)
 from .switching import DwellTimeBudget, SwitchingSignal, _supervise_columns
 
 # Start proposals per batch; an episode whose first batch holds no start
@@ -333,8 +335,9 @@ _MAX_RECORDED_VIOLATIONS = 64
 # Episodes per block of the campaign draw: 256-episode blocks were no
 # faster and raised a 1000-episode draw's traced peak from 3.97 to 6.1 MiB.
 _DRAW_BLOCK = 64
-# A pair's ω-sets count as disjoint when F(τ) exceeds ω by this fraction,
-# far above F's rounding and far below any set a start search could hit.
+# A pair's ω-sets count as disjoint when the pair minimum exceeds ω by this
+# fraction, far above its rounding and far below any set a start search
+# could hit.
 _MEET_RTOL = 1e-9
 
 
@@ -342,33 +345,12 @@ def _check_pairs_meet(library: PrimitiveLibrary, level: float) -> None:
     """Raise ``ValueError`` naming two members whose sublevel sets at
     ``level`` are disjoint, so that no start could ever be accepted.
 
-    F(τ) = min_x τ V_p(x) + (1 - τ) V_q(x) is concave on [0, 1], and by the
-    S-lemma its maximum is min_x max(V_p, V_q), so the sets are disjoint
-    exactly when some F(τ) > ``level``.  In coordinates that make W_q the
-    identity and W_p diag(λ), with e the centre difference there, F(τ) =
-    Σ e_i² λ_i τ (1 - τ) / (1 - τ + λ_i τ), and each pair bisects τ on the
-    sign of F'(τ) = Σ e_i² λ_i ((1 - τ)² - λ_i τ²) / (1 - τ + λ_i τ)²."""
-    p, q = np.triu_indices(len(library), 1)
-    weights = library.weights
-    chol = np.linalg.cholesky(weights[q])   # W_q = L Lᵀ; the coordinates are turnᵀ Lᵀ x
-    unwhiten = np.linalg.inv(chol)
-    lam, turn = np.linalg.eigh(unwhiten @ weights[p] @ unwhiten.mT)
-    diff = library.centers[p] - library.centers[q]
-    gains = lam * (turn.mT @ chol.mT @ diff[..., None])[..., 0] ** 2
-    lo, hi = np.zeros((p.size, 1)), np.ones((p.size, 1))
-    for _ in range(32):   # τ to within 2⁻³² of the maximiser
-        tau = 0.5 * (lo + hi)
-        den = 1.0 - tau + lam * tau
-        rising = np.sum(gains * ((1.0 - tau) ** 2 - lam * tau ** 2) / den ** 2, axis=1,
-                        keepdims=True) > 0.0
-        lo, hi = np.where(rising, tau, lo), np.where(rising, hi, tau)
-    peaks = np.sum(gains * tau * (1.0 - tau) / den, axis=1)
-    disjoint = np.flatnonzero(peaks > level * (1.0 + _MEET_RTOL))
-    if disjoint.size:
-        k = disjoint[0]
-        raise ValueError(f"the omega-sets of members {library.ids[p[k]]} and "
-                         f"{library.ids[q[k]]} are disjoint, so no start lies in every "
-                         f"member's omega-set")
+    The sets of members p and q meet exactly when the minimum of V_p over
+    {V_q <= level}, ``primitives._level_min``, is at most ``level``."""
+    for p, q in itertools.combinations(library, 2):
+        if _level_min(p.lyapunov, q.lyapunov, level) > level * (1.0 + _MEET_RTOL):
+            raise ValueError(f"the omega-sets of members {p.id} and {q.id} are disjoint, "
+                             f"so no start lies in every member's omega-set")
 
 
 def _draw_campaign_inputs(

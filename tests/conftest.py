@@ -17,6 +17,7 @@ from switchcert import (
     shipped_certificate,
     shipped_walker_library,
 )
+from switchcert.primitives import _ellipsoid_points
 from switchcert.walker import shipped_stride_primitives
 
 EYE2 = np.eye(2)
@@ -49,6 +50,13 @@ def make_primitive(
         basin_level=basin_level,
         contraction_rate=contraction_rate,
     )
+
+
+def sublevel_samples(lyapunov, level, count, rng):
+    """``count`` points uniform in {V <= level}: ``count`` Gaussian
+    directions, then ``count`` uniform radii, from ``rng``."""
+    directions = rng.standard_normal((count, lyapunov.state_dim))
+    return _ellipsoid_points(lyapunov, level, directions, rng.random(count))
 
 
 def make_pair_library():

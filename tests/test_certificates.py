@@ -20,11 +20,11 @@ from switchcert import (
 )
 from switchcert.certificates import default_kappa_grid, dwell_time_bound, feasibility_check
 from switchcert.library_io import library_fingerprint
-from switchcert.primitives import sample_in_sublevel_set
+from switchcert.primitives import _level_max, _sphere_max
 
-from conftest import make_pair_library, make_primitive
+from conftest import make_pair_library, make_primitive, sublevel_samples
 from switchcert import certificates, simulation
-from switchcert.certificates import _level_max, _mu_exact, _omega_exact, _sphere_max
+from switchcert.certificates import _omega_exact
 from switchcert.simulation import _batch_stats, _draw_campaign_inputs
 
 # Grid-oracle values computed once at the default 2-D resolution (201 per
@@ -246,7 +246,8 @@ class TestExactConstants:
             for case in range(3):
                 library = random_library(rng, int(rng.integers(2, 5)), dim=dim)
                 kappa = float(rng.uniform(0.05, 0.5)) * library.min_basin_level
-                omega, mu = _omega_exact(library, kappa), _mu_exact(library, kappa)
+                omega = _omega_exact(library, kappa)
+                mu = omega / kappa
                 assert omega <= omega_analytic(library, kappa) * (1.0 + 1e-12), (dim, case)
                 assert mu <= mu_analytic(library, kappa) * (1.0 + 1e-12), (dim, case)
                 if dim <= 4:
@@ -285,7 +286,7 @@ class TestExactConstants:
     def test_shipped_values_and_the_grid_defect(self, walker_library, walker_certificate):
         kappa = walker_certificate.kappa
         assert _omega_exact(walker_library, kappa) == 3.0994584329022534e-05
-        exact_mu = _mu_exact(walker_library, kappa)
+        exact_mu = _omega_exact(walker_library, kappa) / kappa
         assert abs(exact_mu - 1.6126214531229204) <= 1e-12
         # the grid oracle misses the maximum: the shipped certificate used to
         # carry this value
@@ -301,19 +302,17 @@ class TestExactConstants:
             per_pair = max([1.0] + [_level_max(q.lyapunov, p.lyapunov, kappa) / kappa
                                     for p, q in itertools.permutations(library, 2)])
             omega = _omega_exact(library, kappa)
-            assert per_pair == omega / kappa == _mu_exact(library, kappa), kappa
+            assert per_pair == omega / kappa, kappa
 
     def test_single_member_library_has_no_cross_pairs(self):
         library = PrimitiveLibrary((make_primitive(0, basin_level=2.0),))
         assert _omega_exact(library, 0.5) == 0.5
-        assert _mu_exact(library, 0.5) == 1.0
+        assert _omega_exact(library, 0.5) / 0.5 == 1.0
 
     def test_kappa_out_of_range_rejected(self):
         library = PrimitiveLibrary((make_primitive(0, basin_level=1.0),))
         with pytest.raises(ValueError):
             _omega_exact(library, 1.5)
-        with pytest.raises(ValueError):
-            _mu_exact(library, 1.0)
 
 
 class TestDwellTimeBound:
@@ -537,9 +536,7 @@ class TestDominanceProperties:
             assert omega_grid(library, kappa, 41) <= omega * (1.0 + 1e-12)
             for member in library:
                 for other in library:
-                    block = sample_in_sublevel_set(
-                        other.lyapunov, kappa, 100, np.random.default_rng(1)
-                    )
+                    block = sublevel_samples(other.lyapunov, kappa, 100, np.random.default_rng(1))
                     for x in block:
                         assert member.lyapunov.value(x) <= omega + 1e-9
 

@@ -22,12 +22,13 @@ from switchcert import (
     validate_dwell_time,
 )
 
-from conftest import make_pair_library, make_primitive
+from conftest import make_pair_library, make_primitive, sublevel_samples
 from test_switching import replay_supervisor
 from switchcert import Primitive, PrimitiveLibrary, PrimitiveMap, QuadraticLyapunov
 from switchcert import simulation
 from switchcert.certificates import _ROUND_DEPTH, MarginEstimate
 from switchcert.library_io import library_fingerprint
+from switchcert.primitives import _level_min
 from switchcert.simulation import (
     _DRAW_BLOCK,
     _X0_BATCH,
@@ -496,6 +497,29 @@ def twelve_dimensional_library():
                   lyapunov=QuadraticLyapunov(weight=eye, center=c), basin_level=2.0,
                   contraction_rate=0.25)
         for i, c in enumerate((np.zeros(12), np.full(12, 0.01)))))
+
+
+def s_lemma_peak(first, second):
+    """max over τ in [0, 1] of F(τ) = min_x τ V_p(x) + (1 - τ) V_q(x), which
+    by the S-lemma is min_x max(V_p, V_q): the two ω-sets are disjoint
+    exactly when it exceeds ω.  In coordinates that make W_q the identity
+    and W_p diag(λ), with e the centre difference there, F(τ) =
+    Σ e_i² λ_i τ (1 - τ) / (1 - τ + λ_i τ), and τ is bisected on the sign
+    of F'(τ) = Σ e_i² λ_i ((1 - τ)² - λ_i τ²) / (1 - τ + λ_i τ)²."""
+    p, q = first.lyapunov, second.lyapunov
+    chol = np.linalg.cholesky(q.weight)   # W_q = L Lᵀ; the coordinates are turnᵀ Lᵀ x
+    unwhiten = np.linalg.inv(chol)
+    lam, turn = np.linalg.eigh(unwhiten @ p.weight @ unwhiten.T)
+    gains = lam * (turn.T @ chol.T @ (p.center - q.center)) ** 2
+    lo, hi = 0.0, 1.0
+    for _ in range(32):   # τ to within 2⁻³² of the maximiser
+        tau = 0.5 * (lo + hi)
+        den = 1.0 - tau + lam * tau
+        if np.sum(gains * ((1.0 - tau) ** 2 - lam * tau ** 2) / den ** 2) > 0.0:
+            lo = tau
+        else:
+            hi = tau
+    return float(np.sum(gains * tau * (1.0 - tau) / den))
 
 
 def assert_draws_equal(draw, oracle, ids):
@@ -970,17 +994,18 @@ class TestCampaignDraw:
 
     def test_disjoint_omega_sets_fail_before_drawing(self):
         # unit weights, centres (0, 0) and (1, 0): the ω = 0.1 discs are
-        # 0.63 across and 1 apart
-        library = make_pair_library()
-        certificate = SimpleNamespace(omega=0.1, n0_bar=1.0, na_bar=2.0)
-        started = time.process_time()
-        with pytest.raises(ValueError, match="members 0 and 1 are disjoint"):
-            _draw_campaign_inputs(library, certificate, 5, 10, 0.1, 1, 0)
-        assert time.process_time() - started < 0.5
+        # 0.63 across and 1 apart; in 12-D, the ω = 2e-4 balls have radius
+        # 0.014 and their centres are 0.035 apart
+        for library, omega in ((make_pair_library(), 0.1), (twelve_dimensional_library(), 2e-4)):
+            certificate = SimpleNamespace(omega=omega, n0_bar=1.0, na_bar=2.0)
+            started = time.process_time()
+            with pytest.raises(ValueError, match="members 0 and 1 are disjoint"):
+                _draw_campaign_inputs(library, certificate, 5, 10, 0.1, 1, 0)
+            assert time.process_time() - started < 0.5
 
     def test_parallel_thin_omega_sets_fail_before_drawing(self):
         # two thin parallel ellipses 0.42 apart across their 0.1 half-widths:
-        # their boxes overlap, the sets do not, which the S-lemma decides
+        # their boxes overlap, the sets do not, which the pair minimum decides
         library = parallel_thin_library(0.3)
         certificate = SimpleNamespace(omega=1.0, n0_bar=1.0, na_bar=2.0)
         started = time.process_time()
@@ -989,6 +1014,28 @@ class TestCampaignDraw:
         assert time.process_time() - started < 0.5
         # 0.198 apart, they overlap by 0.002 and pass
         simulation._check_pairs_meet(parallel_thin_library(0.14), 1.0)
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), dim=st.integers(1, 8))
+    def test_pair_minimum_matches_the_s_lemma_bisection(self, seed, dim):
+        rng = np.random.default_rng(seed)
+        eye = np.eye(dim)
+        members = []
+        for pid in range(2):
+            turn = np.linalg.qr(rng.standard_normal((dim, dim)))[0]
+            weight = turn @ np.diag(rng.uniform(0.2, 5.0, dim)) @ turn.T
+            members.append(make_primitive(pid, center=rng.uniform(-1.0, 1.0, dim), linear=0.5 * eye,
+                                          weight=0.5 * (weight + weight.T), gain=eye))
+        library = PrimitiveLibrary(tuple(members))
+        peak = s_lemma_peak(*members)
+        simulation._check_pairs_meet(library, peak * (1.0 + 1e-6))
+        with pytest.raises(ValueError, match="members 0 and 1 are disjoint"):
+            simulation._check_pairs_meet(library, peak * (1.0 - 1e-6))
+        p, q = (member.lyapunov for member in members)
+        for level in (peak * (1.0 - 1e-6), peak * (1.0 + 1e-6), peak * rng.uniform(0.1, 10.0)):
+            lowest = _level_min(p, q, level)
+            samples = sublevel_samples(q, level, 2000, rng)
+            assert lowest <= p.values(samples).min() * (1.0 + 1e-9), level
 
     def test_an_exhausted_start_search_is_a_value_error(self, monkeypatch):
         # three unit-weight discs of radius 0.548 on a triangle of side 1:
