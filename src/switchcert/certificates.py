@@ -16,21 +16,25 @@ containment of those sets, exactly in any dimension from one table of
 pair maxima: each member's largest V over each member's sublevel set, a
 trust-region subproblem on a sphere (``primitives._level_max``).
 omega(kappa) is the table's maximum at kappa, mu(kappa) is
-omega(kappa) / kappa, and containment reads the table at mu^n0 * omega.  A closed-form ellipsoid bound (analytic) and a
-grid maximization (grid) stay as oracles, with grid <= exact <= analytic.
+omega(kappa) / kappa, and containment reads the table at mu^n0 * omega.
+A closed-form ellipsoid bound (analytic) and a grid maximization (grid)
+stay as oracles, with grid <= exact <= analytic.
+
+Nothing here rolls out or draws at random.  The disturbance margin a
+certificate may carry as ``delta_hat`` is sampled by
+``simulation.estimate_disturbance_margin``.
 """
 from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
 import numpy as np
 
 from .library_io import library_fingerprint, read_document, write_document
 from .primitives import PrimitiveLibrary, QuadraticLyapunov, _level_max
-from . import simulation
 
 GRID_REFUSAL_DIM = 4
 _DEFAULT_RESOLUTION = {1: 4001, 2: 201, 3: 41, 4: 17}
@@ -301,6 +305,10 @@ class Certificate:
     def __post_init__(self):
         if self.method not in ("analytic", "exact", "grid"):
             raise ValueError("method must be 'analytic', 'exact' or 'grid'")
+        optional = () if self.delta_hat is None else ("delta_hat",)
+        for name in ("kappa", "omega", "mu", "epsilon", "contraction_rate", "na_bar") + optional:
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite")
         if self.mu < 1.0:
             raise ValueError("mu must be at least 1")
         if not (self.contraction_rate < self.epsilon < 1.0):
@@ -309,8 +317,9 @@ class Certificate:
             raise ValueError("omega must be at least kappa")
         if self.na_bar < 0.0:
             raise ValueError("na_bar must be nonnegative")
-        if self.n0_bar < 1:
-            raise ValueError("n0_bar must be at least 1")
+        n0 = self.n0_bar
+        if isinstance(n0, bool) or not (isinstance(n0, (int, np.integer)) and n0 >= 1):
+            raise ValueError("n0_bar must be an integer >= 1")
 
     def to_dict(self) -> dict:
         """The document's fields, the containment report nested as it is;
@@ -321,27 +330,13 @@ class Certificate:
     def from_dict(cls, data: dict) -> "Certificate":
         if not isinstance(data, dict) or data.get("format") != "switchcert-certificate":
             raise ValueError("not a certificate document")
-        containment = ContainmentReport(
-            level=data["containment"]["level"],
-            pairs=tuple(
-                PairContainment(c["inner_id"], c["outer_id"], c["mode"], c["slack"], c["passed"])
-                for c in data["containment"]["pairs"]
-            ),
-            passed=data["containment"]["passed"],
-        )
-        return cls(
-            kappa=data["kappa"],
-            omega=data["omega"],
-            mu=data["mu"],
-            epsilon=data["epsilon"],
-            contraction_rate=data["contraction_rate"],
-            n0_bar=data["n0_bar"],
-            na_bar=data["na_bar"],
-            method=data["method"],
-            containment=containment,
-            library_fingerprint=data["library_fingerprint"],
-            delta_hat=data.get("delta_hat"),
-        )
+        report = data["containment"]
+        containment = ContainmentReport(report["level"], tuple(
+            PairContainment(c["inner_id"], c["outer_id"], c["mode"], c["slack"], c["passed"])
+            for c in report["pairs"]), report["passed"])
+        scalars = {f.name: data[f.name] for f in fields(cls)
+                   if f.name not in ("containment", "delta_hat")}
+        return cls(**scalars, containment=containment, delta_hat=data.get("delta_hat"))
 
     def save(self, path: str | Path) -> None:
         write_document(path, self.to_dict())
@@ -443,102 +438,3 @@ def synthesize_certificate(
         diagnostics=tuple(diagnostics),
         reason="no kappa in the grid yielded contained trapping sets",
     )
-
-
-@dataclass(frozen=True)
-class MarginEstimate:
-    """Empirical disturbance amplitude margin from bisection.
-
-    ``delta_hat`` is the largest tested amplitude at which none of the
-    ``trial_budget`` episodes escaped.  One sample of episodes is shared by
-    every tested amplitude, only its disturbances scaled, so a larger
-    amplitude is tested on the same starts and signals as a smaller one.
-    Purely falsification-based: larger budgets tighten it, and it is not a
-    proof of robustness.
-    """
-
-    delta_hat: float
-    upper: float
-    trial_budget: int
-    horizon: int
-    seed: int
-    evaluations: tuple[tuple[float, bool], ...]  # (amplitude, violated)
-
-
-# Levels of the bisection's decision tree that one stacked rollout decides.
-# On the shipped walker library (mean over four seeds, best of seven
-# rounds, one BLAS thread, 2 shared cores), depths 2, 3, 4 and 5 took 51,
-# 47, 61 and 102 ms at 100 trials and 76, 75, 98 and 188 ms at 200: depth 3
-# (seven amplitudes per round) is the fastest, and deeper rounds step more
-# speculative amplitudes than the rounds they save cost.
-_ROUND_DEPTH = 3
-
-
-def estimate_disturbance_margin(
-    library: PrimitiveLibrary,
-    certificate: Certificate,
-    trial_budget: int,
-    seed: int,
-    horizon: int = 200,
-    upper: float = 1.0,
-    iterations: int = 20,
-    rel_tol: float = 1e-3,
-) -> MarginEstimate:
-    """Bisect the disturbance amplitude for the largest zero-violation level.
-
-    The ``trial_budget`` episodes (random admissible signal at the
-    dwell-time limit, random start in the omega-intersection, random
-    disturbances) are drawn once, each input quantity q from its stream
-    ``derive_rng(seed, 1, q)``, with disturbances whose sup norm is exactly
-    1.  Every candidate amplitude reuses that one sample with the
-    disturbances scaled to it, and counts a violation as soon as any
-    episode leaves the basin intersection; its rollout stops there.  With
-    zero disturbance gains everywhere no amplitude can violate, so the
-    estimate equals the upper search limit.
-
-    ``upper`` is tested alone.  After that, each round steps every
-    midpoint the next ``_ROUND_DEPTH`` bisection steps could test under
-    the current bracket, the whole subtree of the decision tree, in one
-    stacked rollout, then walks the tree with those verdicts.  The
-    midpoints are computed as the bisection computes them and only the
-    walked ones are recorded in ``evaluations``, so the result is the
-    sequential bisection's.
-    """
-    if trial_budget < 1:
-        raise ValueError("trial_budget must be positive")
-    if not (upper > 0.0 and np.isfinite(upper)):
-        raise ValueError("upper must be positive and finite")
-    if certificate.library_fingerprint != library_fingerprint(library):
-        raise ValueError("certificate fingerprint does not match this library")
-    x0s, cols, unit, *_ = simulation._draw_campaign_inputs(
-        library, certificate, trial_budget, horizon, 1.0, seed, stream=1, exact_sup=True)
-    evaluations = [(upper, bool(simulation._escapes(library, x0s, cols, unit, [upper])[0]))]
-    if not evaluations[0][1]:
-        return MarginEstimate(upper, upper, trial_budget, horizon, int(seed), tuple(evaluations))
-    lo, hi = 0.0, upper
-    remaining, converged = iterations, False
-    while remaining and not converged:
-        depth = min(_ROUND_DEPTH, remaining)
-        # node i brackets (a, b) and tests their midpoint; its children, 2i + 1
-        # after a violation and 2i + 2 after none, bracket the two halves
-        brackets, mids = [(lo, hi)], []
-        for i in range(2 ** depth - 1):
-            a, b = brackets[i]
-            mid = 0.5 * (a + b)
-            mids.append(mid)
-            brackets += [(a, mid), (mid, b)]
-        verdicts = simulation._escapes(library, x0s, cols, unit, mids)
-        node = 0
-        for _ in range(depth):
-            violated = bool(verdicts[node])
-            evaluations.append((mids[node], violated))
-            remaining -= 1
-            if violated:
-                hi = mids[node]
-            else:
-                lo = mids[node]
-            converged = hi - lo <= rel_tol * hi
-            if converged:
-                break
-            node = 2 * node + 1 + (not violated)
-    return MarginEstimate(lo, upper, trial_budget, horizon, int(seed), tuple(evaluations))

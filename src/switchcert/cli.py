@@ -38,11 +38,10 @@ from . import __version__, library_io
 from .certificates import (
     Certificate,
     DEFAULT_N0_CANDIDATES,
-    estimate_disturbance_margin,
     synthesize_certificate,
 )
 from .library_io import SHIPPED_CERTIFICATE, SHIPPED_LIBRARY, read_document, write_document
-from .simulation import monte_carlo
+from .simulation import estimate_disturbance_margin, monte_carlo
 from .switching import DwellTimeBudget, SwitchingSignal, validate_dwell_time
 from .walker import load_scenario, run_scenario, scenario_certificate_source
 

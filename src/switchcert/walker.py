@@ -36,7 +36,6 @@ from .switching import Supervisor, SwitchingSignal, heading_policy, validate_dwe
 
 STRIDE_IDS = (0, 1, 2)
 DEFAULT_SPEED = 0.65
-DEFAULT_STRIDE_DURATION = 0.5
 # The leader's default impedance gains.
 DEFAULT_STIFFNESS = ((10.0, 0.0), (0.0, 10.0))
 DEFAULT_DAMPING = ((2.0, 0.0), (0.0, 2.0))
@@ -454,7 +453,7 @@ class WalkerScenario:
         if self.certificate.library_fingerprint != fp:
             raise ValueError("certificate was not synthesized for this stride library")
         t0, t1 = self.leader.span
-        duration = sum(sorted(p.stride_duration for p in self.strides)[-1:]) * self.stride_count
+        duration = max(p.stride_duration for p in self.strides) * self.stride_count
         if self.start_time < t0 - _SPAN_SLACK or self.start_time + duration > t1 + _SPAN_SLACK:
             raise ValueError(
                 "leader trajectory does not cover the scenario duration "
@@ -711,7 +710,7 @@ def shipped_stride_primitives() -> tuple[StridePrimitive, ...]:
             reduced=member,
             nominal_heading_change=float(entry["heading_change"]),
             nominal_displacement=np.array(entry["displacement"], dtype=float),
-            stride_duration=float(entry.get("duration", meta.get("stride_duration", DEFAULT_STRIDE_DURATION))),
+            stride_duration=float(meta["stride_duration"]),
             force_coupling=np.array(entry["force_coupling"], dtype=float),
             heading_gain=np.array(entry["heading_gain"], dtype=float),
             displacement_gain=np.array(entry["displacement_gain"], dtype=float),

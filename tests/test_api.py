@@ -1,4 +1,7 @@
-"""The package's public surface."""
+"""The package's public surface, and the order its modules import one another."""
+
+import ast
+from pathlib import Path
 
 import switchcert
 
@@ -14,9 +17,53 @@ PUBLIC_NAMES = [
     "synthesize_certificate", "validate_dwell_time",
 ]
 
+# The modules compose bottom-up: each imports only from earlier layers.  The
+# proven set constants (certificates) and the rollout estimates (simulation)
+# share a layer, so neither imports the other.  The package itself imports
+# every module but cli, which reads its ``__version__``.
+LAYERS = [
+    {"primitives"},
+    {"library_io"},
+    {"switching"},
+    {"certificates", "simulation"},
+    {"walker"},
+    {"__init__"},
+    {"cli"},
+]
+
 
 def test_all_lists_exactly_the_public_names_and_each_resolves():
     assert sorted(switchcert.__all__) == sorted(PUBLIC_NAMES)
     assert len(PUBLIC_NAMES) == 23
     for name in PUBLIC_NAMES:
         assert getattr(switchcert, name) is not None, name
+
+
+def package_imports(path: Path, modules: set[str]) -> set[str]:
+    """The package modules that the source file ``path`` imports.  The
+    package imports itself only relatively, and a name ``from . import``-ed
+    that is not a module comes from ``__init__``."""
+    found = set()
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Import):
+            assert not any(a.name.split(".")[0] == "switchcert" for a in node.names), path.name
+        elif isinstance(node, ast.ImportFrom) and not node.level:
+            assert (node.module or "").split(".")[0] != "switchcert", path.name
+        elif isinstance(node, ast.ImportFrom) and node.module:
+            found.add(node.module.split(".")[0])
+        elif isinstance(node, ast.ImportFrom):
+            found.update(a.name if a.name in modules else "__init__" for a in node.names)
+    return found
+
+
+def test_modules_import_only_earlier_layers():
+    package = Path(switchcert.__file__).parent
+    modules = {path.stem for path in package.glob("*.py")}
+    assert modules == set().union(*LAYERS)
+    for rank, layer in enumerate(LAYERS):
+        below = set().union(*LAYERS[:rank])
+        for module in layer:
+            imported = package_imports(package / f"{module}.py", modules)
+            assert imported <= below, (module, sorted(imported - below))
+    for module, other in (("certificates", "simulation"), ("simulation", "certificates")):
+        assert other not in package_imports(package / f"{module}.py", modules)

@@ -379,6 +379,29 @@ class TestSimulate:
         assert "amplitude must be nonnegative and finite" in capsys.readouterr().err
         assert not (tmp_path / "campaign_summary.json").exists()
 
+    # A NaN passes every range check, and a NaN na_bar would let the supervisor
+    # admit every switch; JSON's NaN and Infinity reach the certificate as floats.
+    @pytest.mark.parametrize("field, value, message", [
+        ("kappa", math.nan, "kappa must be finite"),
+        ("omega", math.nan, "omega must be finite"),
+        ("mu", math.nan, "mu must be finite"),
+        ("na_bar", math.nan, "na_bar must be finite"),
+        ("na_bar", math.inf, "na_bar must be finite"),
+        ("delta_hat", math.nan, "delta_hat must be finite"),
+        ("n0_bar", True, "n0_bar must be an integer"),
+        ("n0_bar", 2.5, "n0_bar must be an integer"),
+    ])
+    def test_certificate_constants_are_checked(self, tmp_path, capsys, field, value, message):
+        document = shipped_certificate().to_dict()
+        document[field] = value
+        path = tmp_path / "certificate.json"
+        path.write_text(json.dumps(document))
+        code = main(["simulate", "--library", "shipped-walker", "--certificate", str(path),
+                     "--episodes", "2", "--out-dir", str(tmp_path / "out")])
+        assert code == EXIT_INPUT
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "out" / "campaign_summary.json").exists()
+
 
 class TestScenario:
     def test_straight_leader_bundle(self, tmp_path):

@@ -26,12 +26,13 @@ from conftest import make_pair_library, make_primitive, sublevel_samples
 from test_switching import replay_supervisor
 from switchcert import Primitive, PrimitiveLibrary, PrimitiveMap, QuadraticLyapunov
 from switchcert import simulation
-from switchcert.certificates import _ROUND_DEPTH, MarginEstimate
 from switchcert.library_io import library_fingerprint
 from switchcert.primitives import _level_min
 from switchcert.simulation import (
     _DRAW_BLOCK,
+    _ROUND_DEPTH,
     _X0_BATCH,
+    MarginEstimate,
     _batch_stats,
     _draw_campaign_inputs,
     _escapes,
