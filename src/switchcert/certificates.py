@@ -17,8 +17,9 @@ pair maxima: each member's largest V over each member's sublevel set, a
 trust-region subproblem on a sphere (``primitives._level_max``).
 omega(kappa) is the table's maximum at kappa, mu(kappa) is
 omega(kappa) / kappa, and containment reads the table at mu^n0 * omega.
-A closed-form ellipsoid bound (analytic) and a grid maximization (grid)
-stay as oracles, with grid <= exact <= analytic.
+Synthesis writes only these.  A closed-form ellipsoid bound (analytic)
+and a grid maximization (grid) stay as test oracles, with
+grid <= exact <= analytic.
 
 Nothing here rolls out or draws at random.  The disturbance margin a
 certificate may carry as ``delta_hat`` is sampled by
@@ -43,21 +44,10 @@ KAPPA_GRID_SPAN = (1e-4, 0.9)
 DEFAULT_N0_CANDIDATES = (1, 2)
 
 
-def default_epsilon(contraction_rate: float) -> float:
-    """Decay budget between the contraction rate and 1 (90% of the way up)."""
-    if not (0.0 < contraction_rate < 1.0):
-        raise ValueError("contraction rate must lie in (0, 1)")
-    return contraction_rate + 0.9 * (1.0 - contraction_rate)
-
-
 def default_kappa_grid(library: PrimitiveLibrary) -> np.ndarray:
     """Log-spaced candidate core levels below the smallest basin level."""
     floor = library.min_basin_level
     return np.geomspace(KAPPA_GRID_SPAN[0] * floor, KAPPA_GRID_SPAN[1] * floor, KAPPA_GRID_SIZE)
-
-
-def _eig_bounds(library: PrimitiveLibrary) -> list[tuple[float, float]]:
-    return [p.lyapunov.eig_bounds() for p in library]
 
 
 def _check_kappa_for_omega(library: PrimitiveLibrary, kappa: float) -> None:
@@ -77,7 +67,7 @@ def omega_analytic(library: PrimitiveLibrary, kappa: float) -> float:
     lam_max_p * (offset_pq + sqrt(kappa/lam_min_q))^2.
     """
     _check_kappa_for_omega(library, kappa)
-    bounds = _eig_bounds(library)
+    bounds = [p.lyapunov.eig_bounds() for p in library]
     best = 0.0
     for ip, p in enumerate(library):
         lam_max_p = bounds[ip][1]
@@ -151,7 +141,7 @@ def mu_analytic(library: PrimitiveLibrary, kappa: float) -> float:
     lam_max_q * (sqrt(kappa_bar_p/lam_min_p) + offset_pq)^2.
     """
     _check_kappa_for_mu(library, kappa)
-    bounds = _eig_bounds(library)
+    bounds = [p.lyapunov.eig_bounds() for p in library]
     best = 1.0
     for ip, p in enumerate(library):
         reach_p = math.sqrt(p.basin_level / bounds[ip][0])
@@ -297,6 +287,7 @@ class Certificate:
     contraction_rate: float
     n0_bar: int
     na_bar: float
+    # "exact" from synthesis; older documents also carry "analytic" and "grid"
     method: str
     containment: ContainmentReport
     library_fingerprint: str
@@ -368,22 +359,19 @@ def synthesize_certificate(
     library: PrimitiveLibrary,
     *,
     epsilon: float | None = None,
-    method: str = "exact",
 ) -> SynthesisResult:
     """Sweep ``default_kappa_grid`` (ascending) and return the first feasible certificate.
 
     At the first feasible kappa the largest feasible burst allowance among
     ``DEFAULT_N0_CANDIDATES`` wins (ties broken by the smaller dwell-time
     bound, which cannot differ at fixed kappa).  An infeasible sweep
-    returns per-kappa diagnostics instead of a certificate.  The exact
-    mu is omega / kappa; ``method="grid"`` takes both constants from the
-    grid oracles instead.  Containment is exact either way.
+    returns per-kappa diagnostics instead of a certificate.  omega, mu =
+    omega / kappa and containment are all exact, and the certificate's
+    ``method`` is ``"exact"``.
     """
-    if method not in ("exact", "grid"):
-        raise ValueError("method must be 'exact' or 'grid'")
     rate = library.contraction_rate
     if epsilon is None:
-        epsilon = default_epsilon(rate)
+        epsilon = rate + 0.9 * (1.0 - rate)  # 90% of the way from the rate up to 1
     if not (rate < epsilon < 1.0):
         raise ValueError(f"epsilon must lie in ({rate:.6g}, 1)")
     violations = library.fixed_point_violations()
@@ -401,18 +389,15 @@ def synthesize_certificate(
     diagnostics = []
     # the grid lies inside (0, min basin level), where both constants are defined
     for kappa in default_kappa_grid(library).tolist():
-        if method == "grid":
-            omega, mu = omega_grid(library, kappa), mu_grid(library, kappa)
-        else:
-            omega = _omega_exact(library, kappa)
-            # mu is the largest V_q/V_p on p's basin outside its kappa-core.
-            # At x = c_p + s L_p^-T d (|d| = 1, s^2 = V_p(x)) the ratio is
-            # A_d + 2 B_d / s + C / s^2 with A_-d = A_d, B_-d = -B_d and
-            # C = V_q(c_p) >= 0, so the larger of d and -d falls in s and the
-            # maximum lies on V_p = kappa, at omega's V_q / kappa.  Dividing
-            # by kappa > 0 keeps the order of rounded values, so mu is
-            # omega / kappa bit for bit.
-            mu = omega / kappa
+        omega = _omega_exact(library, kappa)
+        # mu is the largest V_q/V_p on p's basin outside its kappa-core.  At
+        # x = c_p + s L_p^-T d (|d| = 1, s^2 = V_p(x)) the ratio is
+        # A_d + 2 B_d / s + C / s^2 with A_-d = A_d, B_-d = -B_d and
+        # C = V_q(c_p) >= 0, so the larger of d and -d falls in s and the
+        # maximum lies on V_p = kappa, at omega's V_q / kappa.  Dividing by
+        # kappa > 0 keeps the order of rounded values, so mu is omega / kappa
+        # bit for bit.
+        mu = omega / kappa
         na = dwell_time_bound(mu, rate, epsilon)
         reports = {n0: feasibility_check(library, n0, omega, mu) for n0 in DEFAULT_N0_CANDIDATES}
         feasible_n0 = tuple(n0 for n0, report in reports.items() if report.passed)
@@ -427,7 +412,7 @@ def synthesize_certificate(
                 contraction_rate=rate,
                 n0_bar=n0,
                 na_bar=na,
-                method=method,
+                method="exact",
                 containment=reports[n0],
                 library_fingerprint=library_fingerprint(library),
             )

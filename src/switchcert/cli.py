@@ -73,10 +73,6 @@ def _seed(text: str) -> int:
     return int(text)
 
 
-def _sha256(data: bytes) -> str:
-    return hashlib.sha256(data).hexdigest()
-
-
 def _write_manifest(out_dir: Path, subcommand: str, seed: int,
                     inputs: dict[str, tuple[str, bytes]], resolved: dict,
                     started: float) -> None:
@@ -87,7 +83,7 @@ def _write_manifest(out_dir: Path, subcommand: str, seed: int,
         "subcommand": subcommand,
         "seed": seed,
         "inputs": {
-            role: {"path": str(path), "sha256": _sha256(raw)}
+            role: {"path": str(path), "sha256": hashlib.sha256(raw).hexdigest()}
             for role, (path, raw) in sorted(inputs.items())
         },
         "resolved": resolved,

@@ -137,7 +137,21 @@ def primitive_to_dict(primitive: Primitive) -> dict:
     }
 
 
+def _reject_booleans(data: dict, names) -> None:
+    """Raise ``ValueError`` naming the first of ``names`` that holds a JSON
+    true or false at any depth, which the schema's numbers exclude."""
+    def has_bool(value) -> bool:
+        return isinstance(value, bool) or isinstance(value, list) and any(map(has_bool, value))
+    for name in names:
+        if has_bool(data.get(name)):
+            raise ValueError(f"{name} must hold numbers, not booleans")
+
+
 def primitive_from_dict(data: dict) -> Primitive:
+    if not isinstance(data, dict):
+        raise ValueError("primitive entry must be an object")
+    _reject_booleans(data, ("id", "fixed_point", "linear", "quadratic", "disturbance_gain",
+                            "lyapunov_weight", "basin_level", "contraction_rate"))
     try:
         fixed_point = np.array(data["fixed_point"], dtype=float)
         pm = PrimitiveMap(
@@ -173,6 +187,7 @@ def library_from_dict(data: dict) -> PrimitiveLibrary:
         raise ValueError("library document must be an object with a 'primitives' array")
     if data.get("format", FORMAT_NAME) != FORMAT_NAME:
         raise ValueError(f"unrecognized library format {data.get('format')!r}")
+    _reject_booleans(data, ("version", "state_dim", "dist_dim"))
     library = PrimitiveLibrary(tuple(primitive_from_dict(entry) for entry in data["primitives"]))
     for key, want in (("state_dim", library.state_dim), ("dist_dim", library.dist_dim)):
         if key in data and data[key] != want:
@@ -180,13 +195,10 @@ def library_from_dict(data: dict) -> PrimitiveLibrary:
     return library
 
 
-def canonical_json(data: dict) -> str:
-    return json.dumps(data, sort_keys=True, separators=(",", ":"))
-
-
 def library_fingerprint(library: PrimitiveLibrary) -> str:
     """Content hash of the canonical serialization (sha256 hex digest)."""
-    return hashlib.sha256(canonical_json(library_to_dict(library)).encode("ascii")).hexdigest()
+    canonical = json.dumps(library_to_dict(library), sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(canonical.encode("ascii")).hexdigest()
 
 
 def save_library(library: PrimitiveLibrary, path: str | Path) -> None:

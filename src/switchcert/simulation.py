@@ -3,8 +3,8 @@
 Every rollout-based estimate lives here, and none is a proof:
 ``monte_carlo`` draws its episodes on stream ``_EPISODE_STREAM``, and
 ``estimate_disturbance_margin`` bisects the amplitude over one sample drawn
-on ``_MARGIN_STREAM``.  The proven constants are in ``certificates``, which
-imports nothing from this module.
+on ``_MARGIN_STREAM`` in a fixed search (``MARGIN_*``).  The proven
+constants are in ``certificates``, which imports nothing from this module.
 
 Runs and campaigns never abort on a safety violation; they record per-step
 Lyapunov values and basin membership so that the first escape can be
@@ -293,11 +293,10 @@ def _shape_disturbances(values: np.ndarray, radii: np.ndarray, amplitude: float,
 def budget_from_certificate(certificate) -> DwellTimeBudget:
     """Supervisor budget at the certificate's dwell-time limit.
 
-    A bound of zero admits arbitrary switching, which any na <= 1 also
-    does, so the budget clamps na up to 1 to stay representable.
+    Any na <= 1 admits arbitrary switching, as at most one switch falls on
+    a step, so the budget clamps such an na, zero included, up to 1.
     """
-    na = float(certificate.na_bar)
-    return DwellTimeBudget(n0=float(certificate.n0_bar), na=na if na > 0.0 else 1.0)
+    return DwellTimeBudget(n0=float(certificate.n0_bar), na=max(float(certificate.na_bar), 1.0))
 
 
 @dataclass(frozen=True)
@@ -620,40 +619,43 @@ class MarginEstimate:
 _ROUND_DEPTH = 3
 
 
+# The margin's fixed search, read at each call of estimate_disturbance_margin.
+MARGIN_HORIZON = 200
+MARGIN_UPPER = 1.0
+MARGIN_ITERATIONS = 20
+MARGIN_REL_TOL = 1e-3
+
+
 def estimate_disturbance_margin(
     library: PrimitiveLibrary,
     certificate,
     trial_budget: int,
     seed: int,
-    horizon: int = 200,
-    upper: float = 1.0,
-    iterations: int = 20,
-    rel_tol: float = 1e-3,
 ) -> MarginEstimate:
     """Bisect the disturbance amplitude for the largest zero-violation level.
 
-    The ``trial_budget`` episodes (random admissible signal at the
-    dwell-time limit, random start in the omega-intersection, random
-    disturbances) are drawn once, each input quantity q from its stream
-    ``derive_rng(seed, 1, q)``, with disturbances whose sup norm is exactly
-    1.  Every candidate amplitude reuses that one sample with the
-    disturbances scaled to it, and counts a violation as soon as any
-    episode leaves the basin intersection; its rollout stops there.  With
-    zero disturbance gains everywhere no amplitude can violate, so the
-    estimate equals the upper search limit.
+    The ``trial_budget`` episodes of ``MARGIN_HORIZON`` steps (random
+    admissible signal at the dwell-time limit, random start in the
+    omega-intersection, random disturbances) are drawn once, each input
+    quantity q from its stream ``derive_rng(seed, 1, q)``, with
+    disturbances whose sup norm is exactly 1.  Every candidate amplitude
+    reuses that one sample with the disturbances scaled to it, and counts a
+    violation as soon as any episode leaves the basin intersection; its
+    rollout stops there.  With zero disturbance gains everywhere no
+    amplitude can violate, so the estimate is ``MARGIN_UPPER``.
 
-    ``upper`` is tested alone.  After that, each round steps every
+    ``MARGIN_UPPER`` is tested alone.  After that, each round steps every
     midpoint the next ``_ROUND_DEPTH`` bisection steps could test under
     the current bracket, the whole subtree of the decision tree, in one
     stacked rollout, then walks the tree with those verdicts.  The
     midpoints are computed as the bisection computes them and only the
     walked ones are recorded in ``evaluations``, so the result is the
-    sequential bisection's.
+    sequential bisection's, of at most ``MARGIN_ITERATIONS`` steps down to
+    a bracket within ``MARGIN_REL_TOL`` of its upper end.
     """
+    horizon, upper, rel_tol = MARGIN_HORIZON, MARGIN_UPPER, MARGIN_REL_TOL
     if trial_budget < 1:
         raise ValueError("trial_budget must be positive")
-    if not (upper > 0.0 and np.isfinite(upper)):
-        raise ValueError("upper must be positive and finite")
     if certificate.library_fingerprint != library_fingerprint(library):
         raise ValueError("certificate fingerprint does not match this library")
     x0s, cols, unit, *_ = _draw_campaign_inputs(library, certificate, trial_budget, horizon, 1.0,
@@ -662,7 +664,7 @@ def estimate_disturbance_margin(
     if not evaluations[0][1]:
         return MarginEstimate(upper, upper, trial_budget, horizon, int(seed), tuple(evaluations))
     lo, hi = 0.0, upper
-    remaining, converged = iterations, False
+    remaining, converged = MARGIN_ITERATIONS, False
     while remaining and not converged:
         depth = min(_ROUND_DEPTH, remaining)
         # node i brackets (a, b) and tests their midpoint; its children, 2i + 1

@@ -149,6 +149,8 @@ class DwellTimeBudget:
             raise ValueError("n0 must be positive")
         if not (self.na > 0.0 and np.isfinite(self.na)):
             raise ValueError("na must be positive")
+        if not np.isfinite(1.0 / float(self.na)):
+            raise ValueError(f"na={self.na!r} is too small: its reciprocal 1/na overflows")
         object.__setattr__(self, "n0", float(self.n0))
         object.__setattr__(self, "na", float(self.na))
 

@@ -296,14 +296,16 @@ def integrate_stride_force(
     leader: LeaderModel,
     x0: float,
     y0: float,
-    heading: float,
+    cos_h: float,
+    sin_h: float,
     x1: float,
     y1: float,
     t_start: float,
     t_end: float,
 ) -> tuple[float, float]:
     """Integrals (fx, fy) of the interaction force over one stride, in the
-    body frame of the stride-start pose ((x0, y0), heading).
+    body frame of the stride-start pose ((x0, y0), heading), whose (cos,
+    sin) is (cos_h, sin_h).
 
     The application point moves in a straight line from the stride-start
     position p0 = (x0, y0) to e = (x1, y1) at constant speed, so the world
@@ -333,8 +335,8 @@ def integrate_stride_force(
     if t_start < knots[0] - _SPAN_SLACK or t_end > knots[-1] + _SPAN_SLACK:
         raise ValueError(
             f"stride [{t_start}, {t_end}] outside the leader span [{knots[0]}, {knots[-1]}]")
-    if not (math.isfinite(x0) and math.isfinite(y0) and math.isfinite(heading)
-            and math.isfinite(x1) and math.isfinite(y1)):
+    if not (math.isfinite(x0) and math.isfinite(y0) and math.isfinite(cos_h)
+            and math.isfinite(sin_h) and math.isfinite(x1) and math.isfinite(y1)):
         raise ValueError("stride start pose and end position must be finite")
     mx, my = 0.5 * (x0 + x1), 0.5 * (y0 + y1)
     ix, iy, vx, vy = 0.0, 0.0, x0 - x1, y0 - y1
@@ -355,8 +357,7 @@ def integrate_stride_force(
     kxx, kxy, kyx, kyy, dxx, dxy, dyx, dyy = leader._gains
     wx = kxx * ix + kxy * iy + dxx * vx + dxy * vy
     wy = kyx * ix + kyy * iy + dyx * vx + dyy * vy
-    c, s = math.cos(heading), math.sin(heading)
-    fx, fy = c * wx + s * wy, c * wy - s * wx
+    fx, fy = cos_h * wx + sin_h * wy, cos_h * wy - sin_h * wx
     if max(abs(fx), abs(fy)) <= _FORCE_SNAP:
         return 0.0, 0.0
     return fx, fy
@@ -367,14 +368,16 @@ def stride_update(
     x: float,
     y: float,
     heading: float,
+    cos_h: float,
+    sin_h: float,
     z0: float,
     z1: float,
     fx: float,
     fy: float,
 ) -> tuple[float, float, float, float, float]:
     """Advance the reduced state (z0, z1) one stride under the body-frame
-    force integrals (fx, fy) and compose the pose ((x, y), heading); returns
-    the new ``(x, y, heading, z0, z1)``.
+    force integrals (fx, fy) and compose the pose ((x, y), heading), whose
+    (cos, sin) is (cos_h, sin_h); returns the new ``(x, y, heading, z0, z1)``.
 
     The force integrals enter the reduced map through the primitive's
     coupling matrix.  The pose deltas are the primitive's nominals plus
@@ -406,8 +409,7 @@ def stride_update(
     z1 += d0 * b10 + d1 * b11
     e0, e1 = z0 - p0, z1 - p1
     u0, u1 = n0 + (g00 * e0 + g01 * e1), n1 + (g10 * e0 + g11 * e1)
-    c, s = math.cos(heading), math.sin(heading)
-    x, y = x + (c * u0 - s * u1), y + (s * u0 + c * u1)
+    x, y = x + (cos_h * u0 - sin_h * u1), y + (sin_h * u0 + cos_h * u1)
     if not (math.isfinite(x) and math.isfinite(y)):
         raise ValueError("position must be finite")
     heading = wrap_angle(heading + turn + (h0 * e0 + h1 * e1))
@@ -632,10 +634,10 @@ def run_scenario(scenario: WalkerScenario) -> ScenarioTrace:
             *_, (nx, ny), _, duration = prim._coefs
             c, s = math.cos(heading), math.sin(heading)
             fx, fy = integrate_stride_force(
-                leader, x, y, heading, x + (c * nx - s * ny), y + (s * nx + c * ny), t, t + duration)
+                leader, x, y, c, s, x + (c * nx - s * ny), y + (s * nx + c * ny), t, t + duration)
             forces[k, 0], forces[k, 1] = fx, fy
             phis[k] = phi = force_bearing(fx, fy)
-            x, y, heading, z0, z1 = stride_update(prim, x, y, heading, z0, z1, fx, fy)
+            x, y, heading, z0, z1 = stride_update(prim, x, y, heading, c, s, z0, z1, fx, fy)
             t += duration
             times[k + 1] = t
             positions[k + 1, 0], positions[k + 1, 1] = x, y

@@ -63,7 +63,7 @@ def report(number, detail):
 @pytest.fixture(scope="module")
 def shipped_synthesis(walker_library):
     started = time.time()
-    result = synthesize_certificate(walker_library, method="grid")
+    result = synthesize_certificate(walker_library)
     return result, time.time() - started
 
 

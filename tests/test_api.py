@@ -1,6 +1,7 @@
 """The package's public surface, and the order its modules import one another."""
 
 import ast
+import inspect
 from pathlib import Path
 
 import switchcert
@@ -67,3 +68,19 @@ def test_modules_import_only_earlier_layers():
             assert imported <= below, (module, sorted(imported - below))
     for module, other in (("certificates", "simulation"), ("simulation", "certificates")):
         assert other not in package_imports(package / f"{module}.py", modules)
+
+
+def bare_signature(fn) -> str:
+    """``fn``'s signature as names, kinds and defaults, without annotations."""
+    signature = inspect.signature(fn)
+    return str(signature.replace(
+        parameters=[p.replace(annotation=p.empty) for p in signature.parameters.values()],
+        return_annotation=signature.empty))
+
+
+def test_synthesis_and_the_margin_take_only_the_options_they_set():
+    # synthesis writes exact constants only, and the margin's search is the
+    # fixed one of simulation's MARGIN_* constants
+    assert bare_signature(switchcert.synthesize_certificate) == "(library, *, epsilon=None)"
+    assert (bare_signature(switchcert.estimate_disturbance_margin)
+            == "(library, certificate, trial_budget, seed)")

@@ -382,7 +382,7 @@ class TestFeasibility:
 class TestSynthesis:
     def test_single_member_library_is_feasible(self):
         library = PrimitiveLibrary((make_primitive(0, basin_level=2.0),))
-        result = synthesize_certificate(library, method="grid")
+        result = synthesize_certificate(library)
         assert result.feasible
         cert = result.certificate
         assert cert.mu >= 1.0
@@ -436,17 +436,6 @@ class TestSynthesis:
         assert cert.method == "exact"
         assert cert.containment == ship.containment
         assert cert.library_fingerprint == ship.library_fingerprint
-
-    def test_grid_oracle_method_is_still_accepted(self, walker_library, walker_certificate):
-        cert = synthesize_certificate(walker_library, method="grid").certificate
-        assert cert.method == "grid"
-        assert (cert.kappa, cert.omega, cert.n0_bar) == (
-            walker_certificate.kappa, walker_certificate.omega, walker_certificate.n0_bar)
-        assert cert.mu < walker_certificate.mu
-
-    def test_only_exact_and_grid_are_synthesis_methods(self, walker_library):
-        with pytest.raises(ValueError, match="'exact' or 'grid'"):
-            synthesize_certificate(walker_library, method="analytic")
 
     def test_synthesis_makes_eighteen_exact_maxima_per_kappa(self, walker_library, monkeypatch):
         calls = []
@@ -546,9 +535,9 @@ class TestDisturbanceMargin:
         library = PrimitiveLibrary(
             (make_primitive(0, gain=np.zeros((2, 2)), basin_level=2.0),)
         )
-        result = synthesize_certificate(library, method="grid")
+        result = synthesize_certificate(library)
         assert result.feasible
-        estimate = estimate_disturbance_margin(library, result.certificate, 20, seed=5, upper=1.0)
+        estimate = estimate_disturbance_margin(library, result.certificate, 20, seed=5)
         assert estimate.delta_hat == 1.0
 
     def test_shipped_margin_is_positive_and_reproducible(
@@ -591,6 +580,6 @@ class TestDisturbanceMargin:
         monkeypatch.setattr(simulation, "_draw_campaign_inputs",
                             lambda *a, **kw: draws.append((a[2:], kw)) or draw(*a, **kw))
         estimate = estimate_disturbance_margin(
-            walker_library, walker_certificate, trial_budget=7, seed=3, horizon=40)
+            walker_library, walker_certificate, trial_budget=7, seed=3)
         assert len(estimate.evaluations) > 2
-        assert draws == [((7, 40, 1.0, 3), {"stream": 1, "exact_sup": True})]
+        assert draws == [((7, 200, 1.0, 3), {"stream": 1, "exact_sup": True})]

@@ -202,6 +202,14 @@ class TestValidate:
         code = main(["validate", "--signal", str(path), "--n0", "1", "--na", "2"])
         assert code == EXIT_OK
 
+    def test_na_whose_reciprocal_overflows_is_an_input_error(self, tmp_path, capsys):
+        # such a budget admits every signal, but validation steps by 1/na,
+        # which reported a NaN slack and INVALID
+        path = self.write_signal(tmp_path, (0, 1, 0, 1, 2, 2))
+        code = main(["validate", "--signal", str(path), "--n0", "1", "--na", "1e-320"])
+        assert code == EXIT_INPUT
+        assert "error: na=1e-320 is too small" in capsys.readouterr().err
+
     def test_burst_overrun_exits_with_signal_code(self, tmp_path):
         path = self.write_signal(tmp_path, (0, 1, 0, 1, 0, 1, 0, 1))
         out = tmp_path / "out"
@@ -526,6 +534,19 @@ class TestScenario:
         assert main(["scenario", "--config", str(EXAMPLES / "curved_leader.json"),
                      "--out-dir", str(reference)]) == EXIT_OK
         assert (out / "summary.json").read_bytes() == (reference / "summary.json").read_bytes()
+
+    def test_subnormal_na_bar_runs_as_the_shipped_certificate(self, tmp_path):
+        # any na_bar <= 1 admits a switch at every stride; one whose
+        # reciprocal overflows failed the run's own final dwell-time check
+        tiny = replace(shipped_certificate(), na_bar=1e-320)
+        tiny.save(tmp_path / "tiny.json")
+        runs = {}
+        for name, extra in (("tiny", ["--certificate", str(tmp_path / "tiny.json")]),
+                            ("shipped", [])):
+            assert main(["scenario", "--config", str(EXAMPLES / "curved_leader.json"), *extra,
+                         "--out-dir", str(tmp_path / name)]) == EXIT_OK
+            runs[name] = (tmp_path / name / "summary.json").read_bytes()
+        assert runs["tiny"] == runs["shipped"]
 
     def test_summary_counts_the_deferred_requests(self, tmp_path):
         # The slow certificate of the test above defers switches on the

@@ -135,6 +135,35 @@ def test_shipped_documents_conform_to_the_published_schema(walker_library):
         raise AssertionError("schema must reject a wrong format tag and empty member list")
 
 
+# JSON Schema's integers and numbers exclude true and false, which Python
+# reads as 1 and 0; "id": true loaded as member 1 before the loader checked.
+@pytest.mark.parametrize("path", [
+    ("primitives", 1, "id"),
+    ("primitives", 1, "basin_level"),
+    ("primitives", 1, "fixed_point", 0),
+    ("primitives", 0, "lyapunov_weight", 1, 1),
+    ("primitives", 2, "contraction_rate"),
+    ("state_dim",),
+], ids=lambda path: "/".join(map(str, path)))
+def test_loader_and_schema_both_reject_booleans(walker_library, path):
+    jsonschema = pytest.importorskip("jsonschema")
+    schema_path = Path(__file__).resolve().parent.parent / "docs" / "library_schema.json"
+    schema = json.loads(schema_path.read_text())
+    document = json.loads(json.dumps(library_to_dict(walker_library)))
+    jsonschema.validate(document, schema)
+    library_from_dict(document)
+    *parents, last = path
+    target = document
+    for key in parents:
+        target = target[key]
+    target[last] = True
+    with pytest.raises(jsonschema.ValidationError):
+        jsonschema.validate(document, schema)
+    field = next(key for key in reversed(path) if isinstance(key, str))
+    with pytest.raises(ValueError, match=f"^{field} must hold numbers, not booleans$"):
+        library_from_dict(document)
+
+
 def csv_writer_table(path, header, columns):
     """Oracle: ``csv.writer`` rows of ``repr(float(v))`` and ``int(v)`` cells."""
     integral = [np.asarray(c).dtype.kind in "biu" for c in columns]

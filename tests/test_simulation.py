@@ -1067,6 +1067,19 @@ class TestCampaignDraw:
         assert np.array_equal(slow[0], moved[0]) and np.array_equal(slow[2], moved[2])
         assert slow[4] == moved[4] and not np.array_equal(slow[1], moved[1])
 
+    def test_every_na_bar_up_to_one_draws_the_same_campaign(self, walker_library,
+                                                            walker_certificate):
+        # any na_bar <= 1 admits a switch at every step, so the budget reads
+        # it as 1: a subnormal na_bar, whose reciprocal overflows, draws and
+        # supervises as the shipped one does
+        args = (_DRAW_BLOCK + 9, 50, 0.1, 3, 0)
+        shipped = _draw_campaign_inputs(walker_library, walker_certificate, *args)
+        for na_bar in (0.0, 1e-320, 0.438, 1.0):
+            certificate = replace(walker_certificate, na_bar=na_bar)
+            assert budget_from_certificate(certificate).na == 1.0
+            assert_same_draw(_draw_campaign_inputs(walker_library, certificate, *args), shipped)
+        assert shipped[3] == 0
+
     def test_shipped_campaign_draw_matches_the_oracle(self, walker_library, walker_certificate):
         for seed, amplitude, exact_sup in ((11, 0.1, False), (11, 1.0, True), (11, 0.0, False),
                                            (2**32 + 3, 0.1, False), (2**128 - 1, 1.0, True)):
@@ -1233,14 +1246,17 @@ class TestStackedRollout:
     ):
         library, certificate = margin_library(spec)
         seed = spec[3] % 1000
-        args = (library, certificate, trials, seed, horizon, upper, iterations, rel_tol)
         calls = []
         escapes = simulation._escapes
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(simulation, "_escapes",
                           lambda *a: calls.append(list(a[4])) or escapes(*a))
-            estimate = estimate_disturbance_margin(*args)
-        oracle = sequential_margin_oracle(*args)
+            for name, value in (("MARGIN_HORIZON", horizon), ("MARGIN_UPPER", upper),
+                                ("MARGIN_ITERATIONS", iterations), ("MARGIN_REL_TOL", rel_tol)):
+                patch.setattr(simulation, name, value)
+            estimate = estimate_disturbance_margin(library, certificate, trials, seed)
+        oracle = sequential_margin_oracle(library, certificate, trials, seed, horizon, upper,
+                                          iterations, rel_tol)
         for field in fields(MarginEstimate):
             assert getattr(estimate, field.name) == getattr(oracle, field.name), field.name
         # upper alone, then one stacked rollout per round of the walked path,

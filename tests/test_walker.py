@@ -3,6 +3,7 @@ pose composition, and the closed switching loop."""
 
 import csv
 import json
+import math
 import os
 import subprocess
 import sys
@@ -38,6 +39,11 @@ EXAMPLES = Path(__file__).resolve().parent.parent / "docs" / "examples"
 PERTURBED_NEW_Z = (0.003945, -0.00508)
 PERTURBED_POSITION = (0.599684761946319, -0.07373654516963099)
 PERTURBED_HEADING = 0.398984
+
+
+def turn(heading):
+    """The rotation (cos, sin) of a heading, as the stride kernels take it."""
+    return math.cos(heading), math.sin(heading)
 
 
 def rotation(angle):
@@ -207,7 +213,7 @@ class TestStrideForceIntegration:
             np.array([[0.0, 0.0], [2.0, 0.0]]), speed=1.0,
             stiffness=np.zeros((2, 2)), damping=np.zeros((2, 2)),
         )
-        fx, fy = integrate_stride_force(leader, 0.0, 0.0, 0.0, 0.5, 0.0, 0.0, 0.5)
+        fx, fy = integrate_stride_force(leader, 0.0, 0.0, *turn(0.0), 0.5, 0.0, 0.0, 0.5)
         assert fx == 0.0 and fy == 0.0
         assert force_bearing(fx, fy) == 0.0
 
@@ -221,7 +227,7 @@ class TestStrideForceIntegration:
             damping=np.zeros((2, 2)),
         )
         duration = 0.5
-        fx, fy = integrate_stride_force(leader, 1.0, 1.0, 0.0, 1.0, 1.0, 1.0, 1.0 + duration)
+        fx, fy = integrate_stride_force(leader, 1.0, 1.0, *turn(0.0), 1.0, 1.0, 1.0, 1.0 + duration)
         assert abs(fx - 3.0 * 1.0 * duration) <= 1e-12
         assert abs(fy) <= 1e-12
 
@@ -238,7 +244,7 @@ class TestStrideForceIntegration:
         start = np.array([0.0, 0.0])
         end = np.array([0.6, 0.0])
         t0, t1 = 0.5, 1.0
-        fx, fy = integrate_stride_force(leader, *start, 0.0, *end, t0, t1)
+        fx, fy = integrate_stride_force(leader, *start, *turn(0.0), *end, t0, t1)
         # position(t) = start + (t - t0)/(t1 - t0) * (end - start)
         # integral of K (pL - p(t)) dt over [t0, t1]
         duration = t1 - t0
@@ -256,14 +262,14 @@ class TestStrideForceIntegration:
             stiffness=np.eye(2),
             damping=np.zeros((2, 2)),
         )
-        straight = integrate_stride_force(leader, 0.0, 0.0, 0.0, 0.4, 0.0, 0.0, 0.5)
+        straight = integrate_stride_force(leader, 0.0, 0.0, *turn(0.0), 0.4, 0.0, 0.0, 0.5)
         turned_leader = LeaderModel(
             times=np.array([0.0, 2.0]),
             waypoints=np.array([[0.0, 2.0], [0.0, 2.0]]),
             stiffness=np.eye(2),
             damping=np.zeros((2, 2)),
         )
-        turned = integrate_stride_force(turned_leader, 0.0, 0.0, np.pi / 2, 0.0, 0.4, 0.0, 0.5)
+        turned = integrate_stride_force(turned_leader, 0.0, 0.0, *turn(np.pi / 2), 0.0, 0.4, 0.0, 0.5)
         assert abs(straight[0] - turned[0]) <= 1e-9
         assert abs(straight[1] - turned[1]) <= 1e-9
 
@@ -273,10 +279,12 @@ class TestStrideForceIntegration:
             stiffness=np.eye(2), damping=np.eye(2),
         )
         with pytest.raises(ValueError):
-            integrate_stride_force(leader, 0.0, 0.0, 0.0, 0.0, 0.0, 0.5, 0.5)
+            integrate_stride_force(leader, 0.0, 0.0, *turn(0.0), 0.0, 0.0, 0.5, 0.5)
         for bad in (np.nan, np.inf):
             with pytest.raises(ValueError, match="must be finite"):
-                integrate_stride_force(leader, 0.0, 0.0, 0.0, bad, 0.0, 0.25, 0.5)
+                integrate_stride_force(leader, 0.0, 0.0, *turn(0.0), bad, 0.0, 0.25, 0.5)
+            with pytest.raises(ValueError, match="must be finite"):
+                integrate_stride_force(leader, 0.0, 0.0, bad, 0.0, 0.0, 0.0, 0.25, 0.5)
 
 
 def simpson_stride_force(leader, start, end, t_start, t_end, panels=8192):
@@ -345,7 +353,7 @@ class TestExactStrideForce:
                      heading=rng.uniform(-np.pi, np.pi))
         end = leader.position(t_end) + rng.normal(size=2) * np.exp(rng.uniform(-3.0, 1.0))
         force = integrate_stride_force(
-            leader, *start.position.tolist(), start.heading, *end.tolist(), t_start, t_end)
+            leader, *start.position.tolist(), *turn(start.heading), *end.tolist(), t_start, t_end)
         expected = simpson_stride_force(leader, start, end, t_start, t_end)
         gain = np.max(np.abs(leader.stiffness)) + np.max(np.abs(leader.damping))
         tolerance = self.RTOL * gain * np.max(np.abs(points)) * max(1.0, t_end - t_start)
@@ -369,7 +377,7 @@ class TestStrideUpdate:
     def test_on_cycle_straight_stride(self, stride_primitives):
         prim = stride_primitives[1]
         z_star = prim.reduced.map.fixed_point
-        x, y, heading, z0, z1 = stride_update(prim, 1.0, 2.0, 0.3, *z_star.tolist(), 0.0, 0.0)
+        x, y, heading, z0, z1 = stride_update(prim, 1.0, 2.0, 0.3, *turn(0.3), *z_star.tolist(), 0.0, 0.0)
         assert heading == 0.3
         assert np.max(np.abs(np.array([z0, z1]) - z_star)) == 0.0
         expected = np.array([1.0, 2.0]) + rotation(0.3) @ prim.nominal_displacement
@@ -378,11 +386,11 @@ class TestStrideUpdate:
     def test_on_cycle_turn_is_exactly_thirty_degrees(self, stride_primitives):
         left = stride_primitives[2]
         z_star = left.reduced.map.fixed_point.tolist()
-        _, _, heading, _, _ = stride_update(left, 0.0, 0.0, 0.0, *z_star, 0.0, 0.0)
+        _, _, heading, _, _ = stride_update(left, 0.0, 0.0, 0.0, *turn(0.0), *z_star, 0.0, 0.0)
         assert heading == np.pi / 6
         right = stride_primitives[0]
         z_star = right.reduced.map.fixed_point.tolist()
-        _, _, heading, _, _ = stride_update(right, 0.0, 0.0, 0.0, *z_star, 0.0, 0.0)
+        _, _, heading, _, _ = stride_update(right, 0.0, 0.0, 0.0, *turn(0.0), *z_star, 0.0, 0.0)
         assert heading == -np.pi / 6
 
     @settings(max_examples=200, derandomize=True, deadline=None, database=None)
@@ -400,7 +408,7 @@ class TestStrideUpdate:
         z = z_star + np.array(offset)
         pose = Pose(position=np.array(position), heading=heading)
         x, y, new_heading, z0, z1 = stride_update(
-            prim, *pose.position.tolist(), pose.heading, *z.tolist(), *force)
+            prim, *pose.position.tolist(), pose.heading, *turn(pose.heading), *z.tolist(), *force)
         new_z = np.array([z0, z1])
 
         # independent evaluation of the documented composition
@@ -428,7 +436,7 @@ class TestStrideUpdate:
     def test_perturbed_stride_frozen_values(self, stride_primitives):
         prim = stride_primitives[1]
         z = prim.reduced.map.fixed_point + np.array([0.01, -0.02])
-        x, y, heading, z0, z1 = stride_update(prim, 0.3, -0.2, 0.4, *z.tolist(), 0.0, 0.0)
+        x, y, heading, z0, z1 = stride_update(prim, 0.3, -0.2, 0.4, *turn(0.4), *z.tolist(), 0.0, 0.0)
         assert (z0, z1) == PERTURBED_NEW_Z
         assert heading == PERTURBED_HEADING
         assert (x, y) == PERTURBED_POSITION
@@ -436,7 +444,7 @@ class TestStrideUpdate:
     def test_force_enters_through_the_coupling_matrix(self, stride_primitives):
         prim = stride_primitives[1]
         z_star = prim.reduced.map.fixed_point
-        *_, z0, z1 = stride_update(prim, 0.0, 0.0, 0.0, *z_star.tolist(), 0.5, -0.2)
+        *_, z0, z1 = stride_update(prim, 0.0, 0.0, 0.0, *turn(0.0), *z_star.tolist(), 0.5, -0.2)
         expected = z_star + prim.reduced.map.disturbance_gain @ (
             prim.force_coupling @ np.array([0.5, -0.2])
         )
