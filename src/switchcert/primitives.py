@@ -221,6 +221,38 @@ class QuadraticLyapunov:
         return float(eigs[0]), float(eigs[-1])
 
 
+def _pairwise_sum(terms: list):
+    """The sum of ``terms``, floats or same-shape arrays that it may
+    overwrite, in the order numpy's ``add.reduce`` adds a contiguous axis of
+    their length: in turn below 8 terms, into eight running sums up to 128,
+    and above that as two halves, the first a multiple of eight long."""
+    count = len(terms)
+    if count > 128:
+        half = count // 2 - count // 2 % 8
+        return _pairwise_sum(terms[:half]) + _pairwise_sum(terms[half:])
+    if count < 8:
+        total = terms[0]
+        for term in terms[1:]:
+            total += term
+        return total
+    sums = terms[:8]
+    for i in range(8, count - count % 8):
+        sums[i % 8] += terms[i]
+    total = ((sums[0] + sums[1]) + (sums[2] + sums[3])) + ((sums[4] + sums[5]) + (sums[6] + sums[7]))
+    for term in terms[count - count % 8:]:
+        total += term
+    return total
+
+
+def _sum_of_squares(columns):
+    """Σ c² over ``columns``, a list of floats or an (n, ...) array of
+    columns, bit for bit ``np.sum`` of the squares or ``np.linalg.norm``
+    squared along the axis of length n, but in n whole-array passes where
+    numpy reduces a short last axis one row at a time.  numpy's sum starts
+    from 0.0, which changes no square."""
+    return _pairwise_sum([c * c for c in columns])
+
+
 def _sphere_max(m: np.ndarray, g: np.ndarray) -> np.ndarray:
     """Maximiser of u^T m u + 2 g^T u over the unit sphere |u| = 1, the one
     solver behind every question about two members' sublevel sets.
@@ -236,9 +268,12 @@ def _sphere_max(m: np.ndarray, g: np.ndarray) -> np.ndarray:
     """
     lam, vecs = np.linalg.eigh(m)
     b = vecs.T @ g
-    lo, hi = lam[-1], lam[-1] + float(np.linalg.norm(b))
+    # the bisection runs on Python floats, and sums |u|² in numpy's order
+    lams, bs = lam.tolist(), b.tolist()
+    lo = lams[-1]
+    hi = lo + float(np.linalg.norm(b))
     while (mid := 0.5 * (lo + hi)) not in (lo, hi):
-        if np.sum((b / (mid - lam)) ** 2) > 1.0:
+        if _sum_of_squares([bi / (mid - li) for bi, li in zip(bs, lams)]) > 1.0:
             lo = mid
         else:
             hi = mid
@@ -294,6 +329,9 @@ class Primitive:
     contraction_rate: float
 
     def __post_init__(self):
+        for name in ("id", "basin_level", "contraction_rate"):
+            if isinstance(getattr(self, name), (bool, np.bool_)):
+                raise ValueError(f"{name} must be a number, not a boolean")
         if int(self.id) != self.id or self.id < 0:
             raise ValueError("id must be a nonnegative integer")
         object.__setattr__(self, "id", int(self.id))
@@ -416,20 +454,28 @@ def _ball_points(directions: np.ndarray, radii: np.ndarray, radius: float = 1.0)
     the ball of ``radius``, with lengths radius · radii^(1/n) for uniforms
     ``radii`` (...), and return them.  Each row is shaped as it would be on
     its own; a zero direction becomes the zero vector."""
-    norms = np.linalg.norm(directions, axis=-1)
+    norms = np.sqrt(_sum_of_squares(np.moveaxis(directions, -1, 0)))
     norms[norms == 0.0] = np.inf
     directions *= (radius * radii ** (1.0 / directions.shape[-1]) / norms)[..., None]
     return directions
 
 
-def _ellipsoid_points(lyapunov: QuadraticLyapunov, level: float, directions: np.ndarray,
-                      radii: np.ndarray) -> np.ndarray:
-    """Points uniform in {x : V(x) <= level}: ``_ball_points`` of the
-    Gaussian ``directions`` (..., n) and uniforms ``radii`` (...), mapped
-    from the unit ball onto the ellipsoid through the eigenbasis of the
-    weight.  ``directions`` is overwritten."""
+def _ellipsoid_frame(lyapunov: QuadraticLyapunov, level: float) -> np.ndarray:
+    """The linear map, applied to row vectors, of the unit ball onto {x :
+    V(x) <= level} less its centre, through the eigenbasis of the weight."""
     if not (level > 0.0 and np.isfinite(level)):
         raise ValueError("level must be positive and finite")
     evals, evecs = np.linalg.eigh(lyapunov.weight)
-    scale = evecs * np.sqrt(level / evals)
-    return lyapunov.center + _ball_points(directions, radii) @ scale.T
+    return (evecs * np.sqrt(level / evals)).T
+
+
+def _ellipsoid_points(lyapunov: QuadraticLyapunov, level: float, directions: np.ndarray,
+                      radii: np.ndarray, frame: np.ndarray | None = None) -> np.ndarray:
+    """Points uniform in {x : V(x) <= level}: ``_ball_points`` of the
+    Gaussian ``directions`` (..., n) and uniforms ``radii`` (...), mapped
+    from the unit ball onto the ellipsoid by ``_ellipsoid_frame``, or by
+    ``frame`` if a caller computed it once already.  ``directions`` is
+    overwritten."""
+    if frame is None:
+        frame = _ellipsoid_frame(lyapunov, level)
+    return lyapunov.center + _ball_points(directions, radii) @ frame

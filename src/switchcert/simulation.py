@@ -32,8 +32,8 @@ import numpy as np
 import numpy.random  # numpy 2 loads it lazily, on the first default_rng
 
 from .library_io import library_fingerprint, write_table
-from .primitives import (_MIN_BATCH, PrimitiveLibrary, _ball_points, _ellipsoid_points,
-                         _level_min, _step_stack)
+from .primitives import (_MIN_BATCH, PrimitiveLibrary, _ball_points, _ellipsoid_frame,
+                         _ellipsoid_points, _level_min, _step_stack, _sum_of_squares)
 from .switching import DwellTimeBudget, SwitchingSignal, _supervise_columns
 
 # Start proposals per batch; an episode whose first batch holds no start
@@ -180,11 +180,15 @@ def _member_slots(chunk: np.ndarray, members: int, blocks: int) -> tuple[np.ndar
     width = max(int(sizes.max()), -(-_MIN_BATCH // blocks))
     keys = keys[order].astype(np.intp)
     ranks = np.arange(keys.size) - (np.cumsum(sizes) - sizes)[keys]
+    # each key's step, its member and its episode (order = step · count +
+    # episode) by one division: numpy divides by a scalar far faster than
+    # it takes a remainder
+    step = keys // members
     # int32 indices: a chunk's (P, M) stacks stay far below 2**31 slots
     gather = np.zeros((steps, members, width), dtype=np.int32)
-    gather.reshape(-1)[keys * width + ranks] = order % count
+    gather.reshape(-1)[keys * width + ranks] = order - step * count
     back = np.empty((steps, count), dtype=np.int32)
-    back.reshape(-1)[order] = keys % members * width + ranks
+    back.reshape(-1)[order] = (keys - step * members) * width + ranks
     return gather, back
 
 
@@ -285,7 +289,9 @@ def _shape_disturbances(values: np.ndarray, radii: np.ndarray, amplitude: float,
     amplitude.  Every sequence is shaped as it would be on its own."""
     _ball_points(values, radii, amplitude)
     if exact_sup:
-        peaks = np.max(np.linalg.norm(values, axis=-1), axis=-1, keepdims=True)
+        # sqrt is monotone, so the largest norm is the root of the largest square
+        peaks = np.sqrt(np.max(_sum_of_squares(np.moveaxis(values, -1, 0)), axis=-1,
+                               keepdims=True))
         values *= np.divide(amplitude, peaks, out=np.ones_like(peaks),
                             where=peaks > 0.0)[..., None]
 
@@ -407,6 +413,7 @@ def _draw_campaign_inputs(
     gens = [derive_rng(seed, stream, q) for q in range(_RETRY)]
     _check_pairs_meet(library, level)
     smallest = max(library, key=lambda p: np.linalg.slogdet(p.lyapunov.weight)[1]).lyapunov
+    frame = _ellipsoid_frame(smallest, level)
     size, n = len(library), library.state_dim
     x0s = np.empty((episode_count, n))
     initial = np.empty(episode_count, dtype=np.min_scalar_type(size))
@@ -435,7 +442,7 @@ def _draw_campaign_inputs(
         pending = np.arange(start, start + count)
         for batch in range(_MAX_X0_BATCHES):
             points = _ellipsoid_points(smallest, level, directions[:pending.size],
-                                       lengths[:pending.size])
+                                       lengths[:pending.size], frame)
             ok = np.all(library.values(points.reshape(-1, n)) <= level, 1).reshape(-1, _X0_BATCH)
             hit = np.any(ok, axis=1)
             first = np.argmax(ok[hit], axis=1)
@@ -472,31 +479,43 @@ def _batch_stats(
     (keep, horizon + 1, n) with keep possibly 0, receives the states of the
     first keep episodes.
     """
-    count = x0s.shape[0]
+    count, members = x0s.shape[0], len(library)
     first = np.full(count, -1, dtype=np.int64)
     max_min = np.full(count, -np.inf)
     max_ratio = np.zeros(count)
-    previous = np.empty((count, len(library)))
+    episodes = np.arange(count)
+    previous = np.empty((members, count))  # every member's value at the last state observed
 
     def observe(k: int, xs: np.ndarray) -> None:
         steps = len(xs)
         kept_states[:, k:k + steps] = xs[:, :len(kept_states), 0].transpose(1, 0, 2)
         values = library.values(xs.reshape(-1, xs.shape[-1])).reshape(steps, count, -1)
         if k:
-            # the active member's value before and after each step of the chunk
-            active = cols[:, k - 1:k - 1 + steps].T[:, :, None]
-            after = np.take_along_axis(values, active, axis=2)[:, :, 0]
-            before = np.concatenate((np.take_along_axis(previous, active[0], axis=1).T,
-                                     np.take_along_axis(values[:-1], active[1:], axis=2)[:, :, 0]))
-            ok = before > 0.0
-            ratio = after / np.where(ok, before, 1.0)
-            np.maximum(max_ratio, np.max(np.where(ok, ratio, 0.0), axis=0), out=max_ratio)
+            # the active member's value before and after each step of the
+            # chunk, read by flat index from the values of each member in
+            # turn (``PrimitiveLibrary.values`` is member-major, so ``flat``
+            # is a view): state t of member p at p · size + t · count + e
+            size = steps * count
+            flat = values.transpose(2, 0, 1).reshape(-1)
+            active = np.multiply(cols[:, k - 1:k - 1 + steps].T, size, dtype=np.intp)
+            active += np.arange(size).reshape(steps, count)
+            after = flat.take(active)
+            before = np.empty_like(after)
+            before[0] = previous[cols[:, k - 1], episodes]
+            active -= count
+            # every index is in range; "clip" only spares take a buffer
+            flat.take(active[1:], out=before[1:], mode="clip")
+            skip = ~(before > 0.0)
+            before[skip] = 1.0
+            after /= before
+            after[skip] = 0.0
+            np.maximum(max_ratio, np.max(after, axis=0), out=max_ratio)
         escaped = ~np.all(values <= library.levels, axis=2)
         late = (first < 0) & np.any(escaped, axis=0)
         first[late] = k + np.argmax(escaped[:, late], axis=0)
         # np.max and np.maximum keep a NaN, made +inf after the rollout
         np.maximum(max_min, np.max(values.min(axis=2), axis=0), out=max_min)
-        previous[:] = values[-1]
+        previous[:] = values[-1].T
 
     _rollout(library, x0s, cols, dists, (1.0,), observe)
     max_min[np.isnan(max_min)] = np.inf

@@ -12,7 +12,8 @@ counts the switches before step j.  The slack of [a, b) is N0 + g(b) - g(a):
 the validator takes a suffix minimum of g, and admission tests the deficit
 max_{a<=j} g(a) - g(j), a prefix maximum of g, which the supervisor keeps up
 to date in O(1) per step.  ``_supervise_columns`` runs the same update for
-many signals at once, one numpy step per step, for Monte Carlo campaigns.
+many signals at once, one numpy step per step, for Monte Carlo campaigns;
+when 1/Na >= 1 admits every switch, it takes running sums instead.
 """
 from __future__ import annotations
 
@@ -202,8 +203,14 @@ def validate_dwell_time(signal: SwitchingSignal, budget: DwellTimeBudget) -> Dwe
     reported slack is recomputed at that pair from integer switch counts, so
     its rounding does not grow with K.  Valid means that slack is
     nonnegative up to a tiny float tolerance.
+
+    With 1/na >= 1 no interval's slack is below n0, as at most one switch
+    falls on a step, and [0, 0] attains it; the profile is not formed, so
+    an na whose steps j/na overflow is reported exactly too.
     """
     prefix = _switch_prefix(signal)
+    if 1.0 / budget.na >= 1.0:
+        return DwellTimeReport(True, (0, 0), budget.n0, int(prefix[-1]))
     g = _slack_profile(prefix, budget)
     gap = np.minimum.accumulate(g[::-1])[::-1]  # gap[a] = min_{b >= a} slack(a, b) - n0
     gap -= g
@@ -276,39 +283,64 @@ class Supervisor:
         return SwitchingSignal(np.array(self._ids, dtype=np.int64))
 
 
+# Signals per block of the admit-all columns: a block's running sums are
+# (steps, _COLUMN_BLOCK) arrays, so no (signals, steps) one is made.
+_COLUMN_BLOCK = 64
+
+
 def _supervise_columns(size: int, initial: np.ndarray, requests: np.ndarray,
                        budget: DwellTimeBudget) -> tuple[np.ndarray, int]:
     """``Supervisor.request`` for a batch of signals over members
-    0..size - 1, one numpy step per step.
+    0..size - 1.
 
     Row e starts at column ``initial[e]``.  At step k + 1 it requests, for
     r = ``requests[e, k]`` >= 0, the member r + 1 places after its current
     one, counted cyclically (so r in 0..size - 2 names each other member
     once), and holds its current member where r is -1.  ``requests`` (E, K)
-    may have any integer dtype and is read one step at a time.  Every row
-    keeps its own deficit and steps it with ``_deficit_step``, as
+    may have any integer dtype.  Every row keeps its own deficit and steps
+    it with ``_deficit_step``, one numpy step per step, as
     ``Supervisor.request`` does, so the result equals a per-row replay of
-    ``Supervisor`` bit for bit.  Returns the (E, K + 1) columns, stored in
-    ``np.min_scalar_type(size)`` and step-major (each step's column is
-    contiguous), and the number of deferred requests.
+    ``Supervisor`` bit for bit.  With 1/na >= 1 every switch from a zero
+    deficit is admitted and leaves it at most zero (n0 > 0), so no deficit
+    is stepped: every request moves its row r + 1 places, a hold none, and
+    the columns are the running sums of ``requests`` + 1 from ``initial``,
+    modulo ``size``, taken ``_COLUMN_BLOCK`` rows at a time.  Returns the
+    (E, K + 1) columns, stored in ``np.min_scalar_type(size)`` and
+    step-major (each step's column is contiguous), and the number of
+    deferred requests.
     """
     count, steps = requests.shape
     cols = np.empty((steps + 1, count), dtype=np.min_scalar_type(size))
+    decay = 1.0 / budget.na
+    if decay >= 1.0:
+        # the running sums stay below (steps + 1) · size
+        wide = np.min_scalar_type(-(steps + 1) * size)
+        moves = np.empty((steps + 1, min(count, _COLUMN_BLOCK)), dtype=wide)
+        sums = np.empty_like(moves)
+        for start in range(0, count, _COLUMN_BLOCK):
+            block = slice(start, start + _COLUMN_BLOCK)
+            width = min(_COLUMN_BLOCK, count - start)
+            move, total = moves[:, :width], sums[:, :width]
+            move[0] = initial[block]
+            np.add(requests[block].T, 1, out=move[1:], dtype=wide)
+            np.cumsum(move, axis=0, dtype=wide, out=total)
+            # total - size · (total // size): numpy divides by a scalar far
+            # faster than it takes a remainder
+            np.floor_divide(total, size, out=move)
+            move *= size
+            total -= move
+            cols[:, block] = total
+        return cols.T, 0
     cols[0] = initial
     deficit = np.zeros(count)
-    decay = 1.0 / budget.na
     limit = budget.n0 + _SLACK_TOL
-    # with 1/na >= 1 every switch from a zero deficit is admitted and leaves
-    # it at most zero (n0 > 0), so the deficit need not be stepped
-    admit_all = decay >= 1.0
     deferred = 0
     for k in range(steps):
         current = cols[k]
         pick = requests[:, k]
-        switch = asked = pick >= 0
-        if not admit_all:
-            switch, deficit = _deficit_step(deficit, asked, decay, limit)
-            deferred += int(np.count_nonzero(asked)) - int(np.count_nonzero(switch))
+        asked = pick >= 0
+        switch, deficit = _deficit_step(deficit, asked, decay, limit)
+        deferred += int(np.count_nonzero(asked)) - int(np.count_nonzero(switch))
         # the modular arithmetic runs in intp; only the storage is narrow
         target = np.add(current, pick, dtype=np.intp)
         target += 1

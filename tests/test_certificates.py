@@ -2,6 +2,7 @@
 synthesis, and the empirical disturbance margin."""
 
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -174,6 +175,23 @@ def sphere_value(m, g, u):
     return float(u @ m @ u + 2.0 * g @ u)
 
 
+def numpy_sphere_max(m, g):
+    """``_sphere_max`` with its bisection on numpy arrays, summing |u|² by
+    ``np.sum``, as it was first written."""
+    lam, vecs = np.linalg.eigh(m)
+    b = vecs.T @ g
+    lo, hi = lam[-1], lam[-1] + float(np.linalg.norm(b))
+    while (mid := 0.5 * (lo + hi)) not in (lo, hi):
+        if np.sum((b / (mid - lam)) ** 2) > 1.0:
+            lo = mid
+        else:
+            hi = mid
+    gap = hi - lam
+    u = np.divide(b, gap, out=np.zeros_like(b), where=gap > 0.0)
+    u[-1] = math.copysign(math.sqrt(max(0.0, 1.0 - float(u[:-1] @ u[:-1]))), b[-1])
+    return vecs @ u
+
+
 def random_rotation(rng, dim):
     q, r = np.linalg.qr(rng.standard_normal((dim, dim)))
     return q * np.sign(np.diag(r))
@@ -216,6 +234,15 @@ class TestSphereMax:
         u = _sphere_max(m, g)
         assert abs(np.linalg.norm(u) - 1.0) <= 1e-12
         assert abs(sphere_value(m, g, u) - expected) <= 1e-12 * expected
+
+    @pytest.mark.parametrize("dim", range(1, 13))
+    def test_matches_the_numpy_bisection_bit_for_bit(self, dim):
+        rng = np.random.default_rng(dim)
+        for scale in (0.0, 1e-9, 1.0, 100.0):
+            for _ in range(10):
+                a = rng.standard_normal((dim, dim))
+                m, g = a + a.T, scale * rng.standard_normal(dim)
+                assert np.array_equal(_sphere_max(m, g), numpy_sphere_max(m, g))
 
     def test_two_dimensional_problems_match_a_dense_circle_scan(self):
         rng = np.random.default_rng(20260822)

@@ -9,6 +9,7 @@ import re
 import subprocess
 import sys
 import tracemalloc
+import warnings
 from dataclasses import replace
 from pathlib import Path
 
@@ -39,7 +40,7 @@ from switchcert.switching import Supervisor, heading_policy
 from switchcert.walker import shipped_stride_primitives
 
 from conftest import make_pair_library, make_primitive
-from test_simulation import draw_campaign_oracle
+from test_simulation import draw_campaign_oracle, twelve_dimensional_library
 from switchcert import PrimitiveLibrary
 
 EXAMPLES = Path(__file__).resolve().parent.parent / "docs" / "examples"
@@ -209,6 +210,23 @@ class TestValidate:
         code = main(["validate", "--signal", str(path), "--n0", "1", "--na", "1e-320"])
         assert code == EXIT_INPUT
         assert "error: na=1e-320 is too small" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("na", ["1e-308", "1e-306"])
+    def test_a_tiny_na_reports_the_first_empty_interval(self, tmp_path, capsys, na):
+        # with 1/na >= 1 no interval's slack is below n0, which [0, 0]
+        # attains; at 1e-308 the steps j/na overflowed, numpy warned and the
+        # report named [2, 2]
+        assert main(["scenario", "--config", str(EXAMPLES / "curved_leader.json"),
+                     "--out-dir", str(tmp_path)]) == EXIT_OK
+        capsys.readouterr()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main(["validate", "--signal", str(tmp_path / "sigma.csv"), "--n0", "2",
+                         "--na", na])
+        assert code == EXIT_OK
+        out = capsys.readouterr().out
+        assert "steps: 28" in out
+        assert "worst interval: [0, 0]  slack: 2.0\nVALID\n" in out
 
     def test_burst_overrun_exits_with_signal_code(self, tmp_path):
         path = self.write_signal(tmp_path, (0, 1, 0, 1, 0, 1, 0, 1))
@@ -821,3 +839,89 @@ class TestDeterminism:
             ],
             tmp_path,
         )
+
+
+def output_digests(out_dir: Path) -> dict:
+    """sha256 of every file of ``out_dir`` but the run manifest."""
+    return {path.name: hashlib.sha256(path.read_bytes()).hexdigest()
+            for path in sorted(out_dir.iterdir()) if path.name != "run_manifest.json"}
+
+
+# The files `simulate --library shipped-walker --certificate shipped --episodes
+# 130 --amplitude 0.1 --seed 11 --keep-traces 3` writes at three horizons,
+# pinned while the supervisor still stepped once per step, the norms came
+# from np.linalg.norm and the observer read values by take_along_axis.  130
+# episodes fill two blocks of the draw and part of a third.
+SHIPPED_CAMPAIGN_DIGESTS = {
+    1: {
+        "campaign_summary.json":
+            "834db5798fe1d48649d93536b952609e538cf0c76b1e054d85680cdab29b6fbe",
+        "trace_0000.csv":
+            "001acc40ae79f2829f2b419baab924f5a819c2b5c33aaaabc48c900f3c1c312f",
+        "trace_0001.csv":
+            "f4699b4fa81c453e026d243e7fd43cdd75003663a06aac210321d35fb2461c71",
+        "trace_0002.csv":
+            "3ee9edfda8c3ce8cbc745380018f73fe6ebcbda3726db1db7071563c88d5a782",
+    },
+    7: {
+        "campaign_summary.json":
+            "fa50eab8453d4dcf8da25b739e48bdd517f87bf9ed65ecfda00d31bf51eadf61",
+        "trace_0000.csv":
+            "eb9cf91175eee30120d9b4beae77344ef769b24f10c34a162e775dfe5798a1bb",
+        "trace_0001.csv":
+            "e4d11f300b722ca9cc9f5678c7f74112cea254448af3dc104ac7bd03da4305e6",
+        "trace_0002.csv":
+            "a964d8d33dff9c0d7b57fa353ea97ed6d5c6f216d1a8d0c3b8093b39e7a9be41",
+    },
+    201: {
+        "campaign_summary.json":
+            "55620fe21a7f8ce800365299f1e73ea3dff4ab6968cf72c4b169b5e522fdbc40",
+        "trace_0000.csv":
+            "93ef537f3b80a5a75b6fa80a0c953829b862e5f2d9fa1b4b61d943fd814ce911",
+        "trace_0001.csv":
+            "9cee8bccc432ebf272043b7854422be8b199417a5511097d93542e9f6e42c56c",
+        "trace_0002.csv":
+            "4d2d6dd90d05f8fca3006abca9a342861f109d616dc183f079194984f4b8c36c",
+    },
+}
+# certify, then simulate --episodes 150 --horizon 30 --amplitude 0.05 --seed 4
+# --keep-traces 2, on the 12-D library of test_simulation; its 12-D
+# disturbances take the sum of squares' eight running sums.
+TWELVE_DIMENSIONAL_DIGESTS = {
+    "campaign_summary.json":
+        "773637772410c4fec624e29c1421aa90899cb77a762a4c747950d50ee7100214",
+    "certificate.json":
+        "a50eb5ebb70e3b9623adf3cffb5106b32fa20168bca0d78f3b58c86fcc4bfe68",
+    "trace_0000.csv":
+        "859f89d98f87be45467ab4c1d8e8efe4334c7cd57bc89e82ab4fa6d11f11ed48",
+    "trace_0001.csv":
+        "c3c2a5a4f2ae38c1d6d6dc151c957097546bcafb31b283bce3d8d2d48a6fc21f",
+}
+
+
+class TestCampaignBytes:
+    """Campaign files pinned byte for byte: the draw, the supervisor and the
+    observer may change how they compute, never what."""
+
+    @pytest.mark.parametrize("keep", range(4))
+    @pytest.mark.parametrize("horizon", [1, 7, 201])
+    def test_shipped_campaign_files(self, tmp_path, horizon, keep):
+        assert main(["simulate", "--library", "shipped-walker", "--certificate", "shipped",
+                     "--episodes", "130", "--horizon", str(horizon), "--amplitude", "0.1",
+                     "--seed", "11", "--keep-traces", str(keep), "--out-dir", str(tmp_path)]) == EXIT_OK
+        expected = SHIPPED_CAMPAIGN_DIGESTS[horizon]
+        names = ["campaign_summary.json"] + [f"trace_{i:04d}.csv" for i in range(keep)]
+        assert output_digests(tmp_path) == {name: expected[name] for name in names}
+
+    def test_twelve_dimensional_campaign_files(self, tmp_path):
+        library = tmp_path / "twelve.json"
+        save_library(twelve_dimensional_library(), library)
+        out = tmp_path / "out"
+        assert main(["certify", "--library", str(library), "--out-dir", str(out)]) == EXIT_OK
+        for name in ("certify_report.txt", "run_manifest.json"):
+            (out / name).unlink()  # the report names the library's path
+        assert main(["simulate", "--library", str(library), "--certificate",
+                     str(out / "certificate.json"), "--episodes", "150", "--horizon", "30",
+                     "--amplitude", "0.05", "--seed", "4", "--keep-traces", "2",
+                     "--out-dir", str(out)]) == EXIT_OK
+        assert output_digests(out) == TWELVE_DIMENSIONAL_DIGESTS

@@ -10,7 +10,7 @@ from switchcert import (
     PrimitiveMap,
     QuadraticLyapunov,
 )
-from switchcert.primitives import _ellipsoid_points
+from switchcert.primitives import _ellipsoid_points, _sum_of_squares
 
 from conftest import EYE2, make_primitive, sublevel_samples
 
@@ -126,6 +126,23 @@ class TestSampling:
         a, b = (_ellipsoid_points(fn, 1.0, rng.standard_normal((64, 2)), rng.random(64))
                 for rng in (np.random.default_rng(5), np.random.default_rng(5)))
         assert np.array_equal(a, b)
+
+
+class TestSumOfSquares:
+    """``_sum_of_squares`` adds in numpy's own order, so it replaces
+    ``np.linalg.norm`` along a last axis and ``np.sum`` of squares bit for
+    bit."""
+
+    @pytest.mark.parametrize("n", [*range(1, 41), 127, 128, 129, 300])
+    def test_matches_numpy_norm_and_sum(self, n):
+        rng = np.random.default_rng(n)
+        # magnitudes across sixty binades, so any other order of the adds
+        # shows in the last bits
+        x = rng.standard_normal((64, 5, n)) * np.exp2(rng.integers(-30, 30, (64, 5, n)))
+        norms = np.sqrt(_sum_of_squares(np.moveaxis(x, -1, 0)))
+        assert np.array_equal(norms, np.linalg.norm(x, axis=-1))
+        for row in x[0]:
+            assert _sum_of_squares(row.tolist()) == np.sum(row ** 2)
 
 
 def sampled_decrease(prim, level, count, seed):
@@ -244,6 +261,15 @@ class TestPrimitiveValidation:
         for rate in (0.0, 1.0, 1.5):
             with pytest.raises(ValueError):
                 make_primitive(contraction_rate=rate)
+
+    @pytest.mark.parametrize("field", ["pid", "basin_level", "contraction_rate"])
+    def test_booleans_are_rejected(self, field):
+        # as the document loader rejects a JSON true or false; True built
+        # member 1 or a basin level of 1.0
+        name = "id" if field == "pid" else field
+        for value in (True, np.True_):
+            with pytest.raises(ValueError, match=f"{name} must be a number, not a boolean"):
+                make_primitive(**{field: value})
 
     def test_library_requires_distinct_ids(self):
         with pytest.raises(ValueError):

@@ -566,6 +566,9 @@ class TestMonteCarlo:
             tracemalloc.stop()
         disturbance_bytes = episodes * horizon * walker_library.dist_dim * 8
         assert peak <= 1.5 * disturbance_bytes
+        # and within 1.5% of the 3.79 MiB the draw and the stepping reached
+        # before their per-step and short-axis passes were taken out
+        assert peak <= 3.85 * 2**20
 
     def test_fingerprint_mismatch_rejected(self, walker_certificate):
         library = make_pair_library()

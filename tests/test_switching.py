@@ -9,7 +9,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from switchcert import DwellTimeBudget, SwitchingSignal, count_switches, validate_dwell_time
-from switchcert.switching import Supervisor, _supervise_columns, heading_policy
+from switchcert.switching import (DwellTimeReport, Supervisor, _supervise_columns,
+                                  heading_policy)
 
 
 def brute_force_worst(assignments, n0, na):
@@ -147,6 +148,17 @@ class TestValidateDwellTime:
             na = float(rng.uniform(0.5, gap))
             report = validate_dwell_time(sig, DwellTimeBudget(n0=max(1.0, rng.uniform(1.0, 3.0)), na=na))
             assert report.valid, (gap, na, assignments)
+
+    @pytest.mark.parametrize("na", [1e-308, 1e-306, 0.5, 1.0])
+    def test_na_up_to_one_reports_the_first_empty_interval(self, na):
+        # with 1/na >= 1 no interval's slack is below n0, which [0, 0]
+        # attains; at 1e-308 the steps j/na overflowed, numpy warned and the
+        # report named [2, 2]
+        sig = SwitchingSignal(tuple(k // 2 % 3 for k in range(28)))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            report = validate_dwell_time(sig, DwellTimeBudget(n0=2.0, na=na))
+        assert report == DwellTimeReport(True, (0, 0), 2.0, 13)
 
     def test_matches_brute_force_on_random_signals(self):
         rng = np.random.default_rng(77)
@@ -344,6 +356,30 @@ class TestSuperviseBatch:
             assert validate_dwell_time(SwitchingSignal(assignments[e]), budget).valid
             replayed_deferrals += expected_admitted.count(False)
         assert deferred == replayed_deferrals
+
+    @property_settings
+    @given(st.integers(1, 255), st.one_of(st.floats(1e-300, 1.0), st.just(1.0)),
+           st.integers(1, 200), st.integers(0, 300), st.floats(0.0, 1.0),
+           st.integers(0, 2**32 - 1))
+    def test_admit_all_columns_match_the_stepped_recursion(
+        self, size, na, rows, steps, hold, seed
+    ):
+        # with 1/na >= 1 the columns are running sums, a block of rows at a
+        # time; the recursion steps every row once per step
+        rng = np.random.default_rng(seed)
+        initial = rng.integers(0, size, rows).astype(np.min_scalar_type(size))
+        requests = np.full((rows, steps), -1)
+        if size > 1:
+            requests = np.where(rng.random((rows, steps)) < hold, -1,
+                                rng.integers(0, size - 1, (rows, steps)))
+        requests = requests.astype(np.min_scalar_type(min(1 - size, -1)))
+        cols, deferred = _supervise_columns(size, initial, requests, DwellTimeBudget(1.0, na))
+        expected = [initial.astype(np.intp)]
+        for pick in requests.T.astype(np.intp):
+            expected.append(np.where(pick >= 0, (expected[-1] + pick + 1) % size, expected[-1]))
+        assert cols.dtype == np.min_scalar_type(size)
+        assert np.array_equal(cols, np.stack(expected, axis=1))
+        assert deferred == 0
 
     def test_a_deferral_holds_the_current_member(self):
         budget = DwellTimeBudget(n0=1.0, na=3.0)
