@@ -35,11 +35,7 @@ from pathlib import Path
 # Libraries are parsed by library_io.library_from_dict, looked up at call
 # time: perfbench's tracer wraps it on its module.
 from . import __version__, library_io
-from .certificates import (
-    Certificate,
-    DEFAULT_N0_CANDIDATES,
-    synthesize_certificate,
-)
+from .certificates import DEFAULT_N0_CANDIDATES, Certificate, synthesize_certificate
 from .library_io import SHIPPED_CERTIFICATE, SHIPPED_LIBRARY, read_document, write_document
 from .simulation import estimate_disturbance_margin, monte_carlo
 from .switching import DwellTimeBudget, SwitchingSignal, validate_dwell_time
@@ -258,20 +254,7 @@ def cmd_scenario(args) -> int:
     return EXIT_OK
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = _Parser(prog="switchcert", description=__doc__,
-                     formatter_class=argparse.RawDescriptionHelpFormatter)
-    common = _Parser(add_help=False)
-    # argparse passes a string default through ``type`` too
-    common.add_argument("--seed", type=_seed, default=_env_default("SEED", "0"),
-                        help="root seed for all randomness, an integer in 0..2**128 - 1 "
-                             "(default 0)")
-    common.add_argument("--out-dir", default=_env_default("OUT_DIR"),
-                        help="directory for outputs and the run manifest")
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("certify", parents=[common],
-                       help="synthesize a certificate for a primitive library")
+def _certify_options(p) -> None:
     p.add_argument("--library", required=True,
                    help=f"library JSON path, or '{SHIPPED_LIBRARY}'")
     p.add_argument("--epsilon", type=float, default=None,
@@ -279,17 +262,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--margin-trials", type=int, default=0,
                    help="episodes for the disturbance margin estimate, drawn "
                         "once and shared by every amplitude (0 skips it)")
-    p.set_defaults(func=cmd_certify)
 
-    p = sub.add_parser("validate", parents=[common],
-                       help="validate a switching signal against a budget")
+
+def _validate_options(p) -> None:
     p.add_argument("--signal", required=True, help="signal CSV path")
     p.add_argument("--n0", type=float, required=True, help="burst allowance")
     p.add_argument("--na", type=float, required=True, help="average dwell time")
-    p.set_defaults(func=cmd_validate)
 
-    p = sub.add_parser("simulate", parents=[common],
-                       help="Monte Carlo campaign under a certificate")
+
+def _simulate_options(p) -> None:
     p.add_argument("--library", required=True,
                    help=f"library JSON path, or '{SHIPPED_LIBRARY}'")
     p.add_argument("--certificate", required=True,
@@ -300,22 +281,48 @@ def build_parser() -> argparse.ArgumentParser:
                    help="disturbance sup-norm bound (default 0)")
     p.add_argument("--keep-traces", type=int, default=0,
                    help="write the first N episode traces as CSV")
-    p.set_defaults(func=cmd_simulate)
 
-    p = sub.add_parser("scenario", parents=[common],
-                       help="closed-loop leader-following walker run")
+
+def _scenario_options(p) -> None:
     p.add_argument("--config", default=_env_default("CONFIG"), help="scenario config JSON")
     p.add_argument("--mode", default=None,
                    help="override the config mode: adaptive or fixed:<id>")
     p.add_argument("--certificate", default=None,
                    help=f"certificate JSON path, or '{SHIPPED_CERTIFICATE}'; "
                         "overrides the config's certificate")
-    p.set_defaults(func=cmd_scenario)
+
+
+# name: (summary for --help, command, adder of the subcommand's own options)
+_SUBCOMMANDS = {
+    "certify": ("synthesize a certificate for a primitive library", cmd_certify, _certify_options),
+    "validate": ("validate a switching signal against a budget", cmd_validate, _validate_options),
+    "simulate": ("Monte Carlo campaign under a certificate", cmd_simulate, _simulate_options),
+    "scenario": ("closed-loop leader-following walker run", cmd_scenario, _scenario_options),
+}
+
+
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The full parser, or one holding only the subcommand ``command`` names."""
+    parser = _Parser(prog="switchcert", description=__doc__,
+                     formatter_class=argparse.RawDescriptionHelpFormatter)
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name in [command] if command in _SUBCOMMANDS else _SUBCOMMANDS:
+        summary, func, add_options = _SUBCOMMANDS[name]
+        p = sub.add_parser(name, help=summary)
+        # argparse passes a string default through ``type`` too
+        p.add_argument("--seed", type=_seed, default=_env_default("SEED", "0"),
+                       help="root seed for all randomness, an integer in 0..2**128 - 1 "
+                            "(default 0)")
+        p.add_argument("--out-dir", default=_env_default("OUT_DIR"),
+                       help="directory for outputs and the run manifest")
+        add_options(p)
+        p.set_defaults(func=func)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
+    argv = sys.argv[1:] if argv is None else argv
+    parser = build_parser(argv[0] if argv else None)
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:

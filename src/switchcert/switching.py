@@ -19,9 +19,8 @@ from __future__ import annotations
 
 import csv
 import io
-import itertools
 import math
-import warnings
+import re
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -64,74 +63,68 @@ class SwitchingSignal:
         ``data``, when given, is the file's content as already read; it is
         parsed instead of reading ``path`` again, and ``path`` only names
         the file in errors, so a caller that hashes ``data`` hashes exactly
-        what was parsed.
-
-        Well-formed files are parsed in one vectorised ``np.loadtxt`` pass
-        over the body's lines.  That pass sees only bodies made of ASCII
-        digits, signs, commas and whitespace with no bare carriage return,
-        so its lines are the row reader's, and any warning it raises counts
-        as a failure (older numpy casts a cell it cannot read as int64, such
-        as ``1e30``, through a float with only a DeprecationWarning).
-        Anything it rejects, and a blank line it would skip, is read again
-        row by row, so the row reader alone decides which files are accepted
-        and names the first bad row.
+        what was parsed.  A body of ASCII digit rows is parsed by
+        ``_digit_rows``; every other file, and any it refuses, is read row by
+        row, so the row reader alone decides which files are accepted and
+        names the first bad row.
         """
         if data is None:
             data = Path(path).read_bytes()
-        head, newline, body = data.partition(b"\n")
-        lines = body.count(b"\n") + (not data.endswith(b"\n"))
-        table = None
-        if (newline and lines and [c.strip() for c in head.split(b",")] == [b"k", b"id"]
-                and not body.translate(None, _INTEGER_CSV_BYTES)
-                and data.count(b"\r") == data.count(b"\r\n")):
-            try:
-                with warnings.catch_warnings():
-                    warnings.simplefilter("error")
-                    table = np.loadtxt(_ascii_lines(body), delimiter=",", dtype=np.int64,
-                                       ndmin=2, comments=None)
-            except (ValueError, OverflowError, Warning):
-                pass
-        if (table is None or table.shape != (lines, 2)
-                or not np.array_equal(table[:, 0], np.arange(lines))):
-            return cls(_read_csv_rows(data, path))
-        return cls(table[:, 1])
+        ids = _digit_rows(data)
+        return cls(_read_csv_rows(data, path) if ids is None else ids)
 
 
-_INTEGER_CSV_BYTES = b"0123456789+-, \t\r\n"
 _LINE_BLOCK = 1 << 18
 
 
-def _ascii_lines(body: bytes):
-    """The lines of an ASCII ``body``, decoded in blocks of about
-    ``_LINE_BLOCK`` bytes cut after a line end, so that only one block's
-    strings are alive at a time."""
-    def blocks():
-        start = 0
-        while start < len(body):
-            stop = body.find(b"\n", start + _LINE_BLOCK) + 1 or len(body)
-            yield body[start:stop].decode().splitlines()
-            start = stop
-    return itertools.chain.from_iterable(blocks())
+def _digit_rows(data: bytes) -> np.ndarray | None:
+    """The ids of a signal CSV read by ``np.fromstring`` in blocks of about
+    ``_LINE_BLOCK`` bytes cut after a line end, or None where the row reader
+    must decide.  Only a body whose skeleton, what is left once ASCII digits
+    and carriage returns are removed, is ``,\\n`` once per row (the last
+    ``\\n`` optional), with every carriage return ending a line, is read:
+    its rows hold at most two values, and they are kept only when every row
+    holds two, the steps count 0, 1, ... and no value is 2**63 - 1, which
+    numpy returns for an overflowing cell without a warning."""
+    head, newline, body = data.partition(b"\n")
+    open_end = not data.endswith(b"\n")
+    lines = body.count(b"\n") + open_end
+    if not (newline and lines and [c.strip() for c in head.split(b",")] == [b"k", b"id"]
+            and data.count(b"\r") == data.count(b"\r\n")
+            and body.translate(None, b"0123456789\r") == (b",\n" * lines)[:2 * lines - open_end]):
+        return None
+    ids = np.empty(lines, dtype=np.int64)
+    row = start = 0
+    while start < len(body):
+        stop = body.find(b"\n", start + _LINE_BLOCK) + 1 or len(body)
+        cells = np.fromstring(body[start:stop].replace(b",", b" "), dtype=np.int64, sep=" ")
+        count = cells.size // 2
+        if np.any(cells == 2**63 - 1) or not np.array_equal(cells[::2], np.arange(row, row + count)):
+            return None
+        ids[row:row + count] = cells[1::2]
+        row, start = row + count, stop
+    return ids if row == lines else None
 
 
 def _read_csv_rows(data: bytes, path: str | Path) -> np.ndarray:
-    """Row-by-row read of a signal CSV; raises ValueError at the first bad row."""
+    """Row-by-row read of a signal CSV; raises ValueError at the first bad row.
+    A cell is optional spaces or tabs around an optional sign and ASCII digits."""
     rows = list(csv.reader(io.StringIO(data.decode(), newline="")))
     if not rows or [c.strip() for c in rows[0]] != ["k", "id"]:
         raise ValueError(f"{path}: expected header 'k,id'")
     if len(rows) == 1:
         raise ValueError(f"{path}: no rows after the header")
+    integer = re.compile(r"[ \t]*[+-]?[0-9]+[ \t]*").fullmatch
     ids = []
     for i, row in enumerate(rows[1:]):
         if len(row) != 2:
             raise ValueError(f"{path}: row {i + 1} must have two columns")
-        try:
-            k, v = int(row[0]), int(row[1])
-        except ValueError:
-            raise ValueError(f"{path}: row {i + 1} must hold two integers, got {row!r}") from None
+        if not (integer(row[0]) and integer(row[1])):
+            raise ValueError(f"{path}: row {i + 1} must hold two integers, got {row!r}")
+        k = int(row[0])
         if k != i:
             raise ValueError(f"{path}: step column must count 0,1,... (row {i + 1} has k={k})")
-        ids.append(v)
+        ids.append(int(row[1]))
     try:
         return np.array(ids, dtype=np.int64)
     except OverflowError:

@@ -763,6 +763,48 @@ class TestArgumentErrors:
             assert name in proc.stdout
 
 
+SURFACE_ARGV = [["--help"], *([name, "--help"] for name in cli._SUBCOMMANDS), [],
+                ["frobnicate"], ["--bogus"], ["--seed", "3", "validate"], ["validate"],
+                ["validate", "--signal", "s.csv", "--n0", "1", "--na", "1", "--bogus"],
+                ["simulate", "--episodes", "x"], ["scenario", "--seed", "-1"]]
+
+
+class TestParserSurface:
+    @pytest.mark.parametrize("argv", SURFACE_ARGV, ids=" ".join)
+    def test_main_answers_as_the_full_parser(self, capsys, argv):
+        code = main(argv)
+        seen = capsys.readouterr()
+        with pytest.raises(SystemExit) as exc:
+            cli.build_parser().parse_args(argv)
+        full = capsys.readouterr()
+        assert (code, seen.out, seen.err) == (int(exc.value.code or 0), full.out, full.err)
+
+    def test_a_known_command_builds_only_its_own_subparser(self, tmp_path, monkeypatch):
+        built = []
+
+        def recorded(name, add_options):
+            def add(p):
+                built.append(name)
+                add_options(p)
+            return add
+
+        for name, (summary, func, add_options) in list(cli._SUBCOMMANDS.items()):
+            monkeypatch.setitem(cli._SUBCOMMANDS, name,
+                                (summary, func, recorded(name, add_options)))
+        for name in cli._SUBCOMMANDS:
+            built.clear()
+            assert main([name, "--help"]) == EXIT_OK
+            assert built == [name]
+        built.clear()
+        path = tmp_path / "signal.csv"
+        SwitchingSignal((0, 1, 1)).to_csv(path)
+        assert main(["validate", "--signal", str(path), "--n0", "1", "--na", "1"]) == EXIT_OK
+        assert built == ["validate"]
+        built.clear()
+        assert main(["--help"]) == EXIT_OK
+        assert built == list(cli._SUBCOMMANDS)
+
+
 class TestDeterminism:
     def run_twice(self, argv_builder, tmp_path):
         first = tmp_path / "first"

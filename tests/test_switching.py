@@ -2,13 +2,15 @@
 the heading-based selection policy."""
 
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from switchcert import DwellTimeBudget, SwitchingSignal, count_switches, validate_dwell_time
+from switchcert import switching
 from switchcert.switching import (DwellTimeReport, Supervisor, _supervise_columns,
                                   heading_policy)
 
@@ -501,16 +503,92 @@ class TestSignalValidation:
         with pytest.raises(ValueError, match="must have two columns"):
             SwitchingSignal.from_csv(path)
 
-    def test_csv_float_cast_warning_falls_back_to_row_reader(self, tmp_path, monkeypatch):
-        # numpy 1.23 to 1.x parses an integer cell it cannot read as int64
-        # through a float and truncates it, warning instead of raising
-        def casting_loadtxt(*args, **kwargs):
-            warnings.warn("loadtxt(): Parsing an integer via a float is deprecated.",
-                          DeprecationWarning)
-            return np.array([[0, 1], [1, np.iinfo(np.int64).min]])
-
-        monkeypatch.setattr(np, "loadtxt", casting_loadtxt)
+    def test_csv_overflowing_cell_falls_back_to_row_reader(self, tmp_path):
+        # numpy's string parser reads an overflowing cell as 2**63 - 1
+        # without a warning, so a file holding that value goes to the row
+        # reader, which tells the two apart
         path = tmp_path / "signal.csv"
         path.write_text("k,id\n0,1\n1,99999999999999999999\n")
         with pytest.raises(ValueError, match="64-bit"):
             SwitchingSignal.from_csv(path)
+        path.write_text(f"k,id\n0,1\n1,{2**63 - 1}\n")
+        assert SwitchingSignal.from_csv(path).assignments.tolist() == [1, 2**63 - 1]
+
+    @pytest.mark.parametrize("cell", ["1_0", "١", "١٠", "\x0c1", "\xa01", "1\x0b",
+                                      "+-1", "1+", "0x1", ""])
+    def test_csv_cell_is_ascii_digits_with_a_sign(self, tmp_path, cell):
+        # int() would read the first six as 10, 1, 10, 1, 1 and 1
+        path = tmp_path / "signal.csv"
+        path.write_text(f"k,id\n0,1\n1,{cell}\n", encoding="utf-8")
+        with pytest.raises(ValueError, match="row 2 must hold two integers"):
+            SwitchingSignal.from_csv(path)
+
+    def test_csv_cells_may_carry_blanks_signs_and_leading_zeros(self, tmp_path):
+        path = tmp_path / "signal.csv"
+        path.write_text("k,id\n 0 ,\t+7\t\n+1,-3\n002,0009\n")
+        assert SwitchingSignal.from_csv(path).assignments.tolist() == [7, -3, 9]
+
+    @pytest.mark.parametrize("end", [b"\n", b"\r\n"])
+    @pytest.mark.parametrize("final", [True, False])
+    def test_csv_of_digit_rows_never_reaches_the_row_reader(self, monkeypatch, end, final):
+        # blocks of a few bytes cut the file after almost every row
+        monkeypatch.setattr(switching, "_LINE_BLOCK", 3)
+        monkeypatch.setattr(switching, "_read_csv_rows", lambda *a: pytest.fail("row reader ran"))
+        ids = [4, 0, 2**63 - 2, 12, 4]
+        data = end.join([b"k,id", *(f"{k},{v}".encode() for k, v in enumerate(ids))])
+        signal = SwitchingSignal.from_csv("signal.csv", data + end if final else data)
+        assert signal.assignments.tolist() == ids
+
+
+def _read_or_error(read, data):
+    """``read``'s ids for a CSV's bytes, or the message of its ValueError."""
+    try:
+        return np.asarray(read(data)).tolist()
+    except ValueError as exc:
+        return str(exc)
+
+
+_LEADING_ZEROS = st.sampled_from(["", "", "", "0", "0" * 25])
+_CSV_IDS = st.one_of(st.integers(0, 9), st.integers(0, 2**64),
+                     st.sampled_from([2**63 - 2, 2**63 - 1, 2**63]))
+
+
+@st.composite
+def signal_csvs(draw):
+    """A signal CSV's bytes with LF or CRLF line ends, with or without a
+    final newline, cells with leading zeros and ids up to and past 2**63,
+    then up to three byte insertions, replacements or deletions drawn from
+    the characters of near-miss files."""
+    end = draw(st.sampled_from([b"\n", b"\r\n"]))
+    rows = [f"{draw(_LEADING_ZEROS)}{k},{draw(_LEADING_ZEROS)}{v}".encode()
+            for k, v in enumerate(draw(st.lists(_CSV_IDS, min_size=1, max_size=20)))]
+    data = bytearray(end.join([b"k,id", *rows]) + (end if draw(st.booleans()) else b""))
+    for _ in range(draw(st.integers(0, 3))):
+        at = draw(st.integers(0, len(data)))
+        byte = draw(st.sampled_from(b"0123456789,\r\n \t+-_x"))
+        edit = draw(st.sampled_from(["insert", "replace", "delete"]))
+        if edit == "insert" or at == len(data):
+            data[at:at] = bytes([byte])
+        elif edit == "replace":
+            data[at] = byte
+        else:
+            del data[at]
+    return bytes(data)
+
+
+@settings(max_examples=400, derandomize=True, deadline=None, database=None)
+@given(signal_csvs(), st.sampled_from([1, 8, 1 << 18]))
+@example(b"k,id\n0,1,1\n2\n", 1 << 18)  # three cells then one: right count, right k column
+@example(b"k,id\n0,5+1\n,7", 1 << 18)
+@example(b"k,id\n0,\n", 1 << 18)
+@example(b"k,id\n0,\n,5\n", 1 << 18)  # two rows of one cell: an even count, right k
+@example(b"k,id\n0,1\n\n1,1\n", 1 << 18)  # a blank line
+@example(b"k,id\n0,1\r1,1\n", 1 << 18)  # a bare carriage return
+@example(b"k,id\n0,1\n1,1\r", 1 << 18)
+@example(b"k,id\r\r\n0,1\n", 1 << 18)
+@example(b"k,id\n0,1\n1,99999999999999999999\n", 8)
+@example(f"k,id\n0,{2**63 - 1}\n1,{2**63 - 1}".encode(), 1)
+def test_csv_reads_what_the_row_reader_reads(data, block):
+    with mock.patch.object(switching, "_LINE_BLOCK", block):
+        parsed = _read_or_error(lambda d: SwitchingSignal.from_csv("s.csv", d).assignments, data)
+    assert parsed == _read_or_error(lambda d: switching._read_csv_rows(d, "s.csv"), data)
